@@ -1,7 +1,7 @@
 """Dense reverse-mode automatic differentiation on 2-D float64 arrays.
 
-A small tape-based engine with just enough primitives for gated graph
-convolutions: matrix products, elementwise maps, gather/scatter by row,
+A small tape-based engine with just the primitives the gated graph
+convolution model uses: linear maps, elementwise maps, row gathers,
 segment sums, batch normalization and gate normalization. Backward rules
 are hand-written per primitive and checked against central finite
 differences by :func:`grad_check`.
@@ -15,8 +15,8 @@ order, and :func:`backward` replays it once in reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "BatchNormState",
     "backward",
     "grad_check",
-    "matmul",
     "linear",
     "add",
     "hadamard",
@@ -35,13 +34,11 @@ __all__ = [
     "div",
     "relu",
     "sigmoid",
-    "log",
     "log_sigmoid",
     "rsqrt",
     "neg",
     "scalar_mul",
     "scalar_add",
-    "concat_rows",
     "concat_cols",
     "gather_rows",
     "segment_sum",
@@ -157,17 +154,6 @@ def backward(loss: Tensor) -> None:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def vjp(g):
-        return (g @ b_data.T, a_data.T @ g)
-
-    return a.tape._record(a_data @ b_data, (a, b), vjp)
-
-
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """``x @ w.T``: apply a weight matrix stored as (out_dim, in_dim)."""
     if x.shape[1] != w.shape[1]:
@@ -261,15 +247,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return x.tape._record(out, (x,), vjp)
 
 
-def log(x: Tensor) -> Tensor:
-    x_data = x.data
-
-    def vjp(g):
-        return (g / x_data,)
-
-    return x.tape._record(np.log(x_data), (x,), vjp)
-
-
 def log_sigmoid(x: Tensor) -> Tensor:
     x_data = x.data
 
@@ -306,24 +283,6 @@ def scalar_add(x: Tensor, c: float) -> Tensor:
 
 def neg(x: Tensor) -> Tensor:
     return scalar_mul(x, -1.0)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors vertically."""
-    if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
-    cols = parts[0].shape[1]
-    for t in parts:
-        if t.shape[1] != cols:
-            raise ShapeError("concat_rows operands disagree on column count")
-    sizes = [t.shape[0] for t in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(sizes)))
-
-    data = np.concatenate([t.data for t in parts], axis=0)
-    return parts[0].tape._record(data, tuple(parts), vjp)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,10 @@ from .binio import FormatError
 from .graphs import (
     ProtocolVocab,
     aggregate_flows,
-    build_graph,
     drop_nodes,
     fit_protocol_vocab,
     fit_scaler,
+    iter_interval_graphs,
     load_graph,
     load_graph_dir,
     normalize,
@@ -42,11 +43,19 @@ from .serving import (
     write_projection_csv,
     write_similarity_csv,
 )
-from .synth import DEFAULT_TRANSPORTS, default_roles, generate, make_experiment, write_zeek_tsv
+from .synth import (
+    DEFAULT_TRANSPORTS,
+    default_roles,
+    eval_inductive,
+    generate,
+    make_experiment,
+    write_zeek_tsv,
+)
 from .training import (
     ModelBundle,
     TrainConfig,
     TrainingDivergedError,
+    filter_holdout,
     load_model,
     save_model,
     train,
@@ -120,15 +129,37 @@ def _pair_list(raw: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """Text stream for ``--out``: the file, or standard out for ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
 
 
 def _load_vocab(path: Path) -> ProtocolVocab:
     doc = json.loads(path.read_text(encoding="utf-8"))
     return ProtocolVocab(tuple(doc["tokens"]))
+
+
+def _model_config(args, vocab: ProtocolVocab) -> ModelConfig:
+    return ModelConfig(
+        edge_dim=edge_dim_for_vocab(vocab.size),
+        hidden=args.hidden,
+        layers=args.layers,
+        decoder_hidden=args.decoder_hidden,
+        lambda_recon=args.lambda_recon,
+        lambda_neighbor=args.lambda_neighbor,
+    )
+
+
+def _embed_graph(args):
+    """Load ``--model`` and ``--graph``; return the graph and its embeddings."""
+    bundle = load_model(args.model)
+    graph = load_graph(args.graph)
+    return graph, infer_embeddings(bundle, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +168,8 @@ def _load_vocab(path: Path) -> ProtocolVocab:
 
 def _cmd_ingest(args) -> int:
     records, stats = parse_conn_log(args.input, args.format, args.strict)
-    fp, owned = _open_out(args.out)
-    try:
-        count = write_canonical_tsv(records, fp)
-    finally:
-        if owned:
-            fp.close()
+    with _output(args.out) as fp:
+        write_canonical_tsv(records, fp)
     _log(
         f"ingest: read {stats.read} rows, emitted {stats.emitted}, "
         f"skipped {stats.skipped}"
@@ -153,8 +180,6 @@ def _cmd_ingest(args) -> int:
 def _cmd_build_graphs(args) -> int:
     records, stats = read_conn_log(args.input, args.format, args.strict)
     if args.holdout:
-        from .training import filter_holdout
-
         records = filter_holdout(records, _ip_list(args.holdout))
     if not records:
         raise ValueError("no usable records in input")
@@ -168,13 +193,7 @@ def _cmd_build_graphs(args) -> int:
         vocab = fit_protocol_vocab(aggregates)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for idx in sorted(aggregates):
-        graph = build_graph(
-            aggregates[idx],
-            vocab,
-            origin + idx * args.interval,
-            origin + (idx + 1) * args.interval,
-        )
+    for idx, graph in iter_interval_graphs(aggregates, vocab, args.interval, origin):
         save_graph(graph, out_dir / f"graph_{idx:06d}.ipgr")
     (out_dir / "vocab.json").write_text(
         json.dumps({"tokens": list(vocab.tokens)}), encoding="utf-8"
@@ -209,14 +228,7 @@ def _cmd_train(args) -> int:
         )
     scaler = fit_scaler(graphs)
     graphs = [normalize(g, scaler) for g in graphs]
-    config = ModelConfig(
-        edge_dim=edge_dim_for_vocab(vocab.size),
-        hidden=args.hidden,
-        layers=args.layers,
-        decoder_hidden=args.decoder_hidden,
-        lambda_recon=args.lambda_recon,
-        lambda_neighbor=args.lambda_neighbor,
-    )
+    config = _model_config(args, vocab)
     train_config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -237,32 +249,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    bundle = load_model(args.model)
-    graph = load_graph(args.graph)
-    embeddings = infer_embeddings(bundle, graph)
-    fp, owned = _open_out(args.out)
-    try:
+    _, embeddings = _embed_graph(args)
+    with _output(args.out) as fp:
         write_embeddings_csv(embeddings, fp)
-    finally:
-        if owned:
-            fp.close()
     _log(f"embed: {len(embeddings.ips)} IPs from {args.graph}")
     return 0
 
 
 def _cmd_similar(args) -> int:
-    bundle = load_model(args.model)
-    graph = load_graph(args.graph)
-    embeddings = infer_embeddings(bundle, graph)
+    _, embeddings = _embed_graph(args)
     ranked = top_k_similar(embeddings, args.ip, args.k)
-    fp, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         fp.write("ip,cosine\n")
         for ip, value in ranked:
             fp.write(f"{ip},{value!r}\n")
-    finally:
-        if owned:
-            fp.close()
     return 0
 
 
@@ -270,26 +270,16 @@ def _cmd_report(args) -> int:
     bundle = load_model(args.model)
     graphs = load_graph_dir(args.graphs)
     report = pairwise_report(bundle, graphs, _pair_list(args.pairs))
-    fp, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         write_similarity_csv(report, fp)
-    finally:
-        if owned:
-            fp.close()
     _log(f"report: {len(report.pairs)} pairs over {report.n_graphs} graphs")
     return 0
 
 
 def _cmd_anomaly(args) -> int:
-    bundle = load_model(args.model)
-    graph = load_graph(args.graph)
-    embeddings = infer_embeddings(bundle, graph)
-    fp, owned = _open_out(args.out)
-    try:
+    graph, embeddings = _embed_graph(args)
+    with _output(args.out) as fp:
         write_anomaly_csv(embeddings, fp)
-    finally:
-        if owned:
-            fp.close()
     if args.edges_out:
         with open(args.edges_out, "w", encoding="utf-8") as efp:
             efp.write("source,destination,reverse,error\n")
@@ -304,16 +294,10 @@ def _cmd_anomaly(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    bundle = load_model(args.model)
-    graph = load_graph(args.graph)
-    embeddings = infer_embeddings(bundle, graph)
+    _, embeddings = _embed_graph(args)
     projection = project_2d(embeddings)
-    fp, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         write_projection_csv(projection, fp)
-    finally:
-        if owned:
-            fp.close()
     return 0
 
 
@@ -322,12 +306,8 @@ def _cmd_synth(args) -> int:
         clients=args.clients, dns_servers=args.dns_servers, web_servers=args.web_servers
     )
     records = generate(roles, args.duration, args.seed)
-    fp, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         count = write_zeek_tsv(records, fp, DEFAULT_TRANSPORTS)
-    finally:
-        if owned:
-            fp.close()
     _log(f"synth: {count} flows over {args.duration} seconds")
     return 0
 
@@ -339,21 +319,12 @@ def _run_holdout(args, interval_len: float, out_dir: Path) -> dict:
         seed=args.seed,
         duration=args.duration,
     )
-    config = ModelConfig(
-        edge_dim=edge_dim_for_vocab(exp.vocab.size),
-        hidden=args.hidden,
-        layers=args.layers,
-        decoder_hidden=args.decoder_hidden,
-        lambda_recon=args.lambda_recon,
-        lambda_neighbor=args.lambda_neighbor,
-    )
+    config = _model_config(args, exp.vocab)
     train_config = TrainConfig(
         epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed
     )
     params, history = train(exp.train_graphs, config, train_config, log=_log)
     bundle = ModelBundle(params, config, exp.vocab, exp.scaler)
-    from .synth import eval_inductive
-
     result = eval_inductive(
         bundle,
         exp.train_graphs,

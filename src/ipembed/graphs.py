@@ -37,6 +37,7 @@ __all__ = [
     "aggregate_flows",
     "fit_protocol_vocab",
     "build_graph",
+    "iter_interval_graphs",
     "build_interval_graphs",
     "fit_scaler",
     "normalize",
@@ -153,9 +154,6 @@ class IntervalGraph:
     @property
     def feat_dim(self) -> int:
         return self.raw_features.shape[1]
-
-    def node_index(self) -> dict[str, int]:
-        return {ip: i for i, ip in enumerate(self.nodes)}
 
 
 def assign_interval(ts: float, interval_len: float, origin: float = 0.0) -> int:
@@ -287,6 +285,25 @@ def build_graph(
     )
 
 
+def iter_interval_graphs(
+    aggregates: Mapping[int, Mapping[FlowKey, np.ndarray]],
+    vocab: ProtocolVocab,
+    interval_len: float,
+    origin: float,
+) -> Iterator[tuple[int, IntervalGraph]]:
+    """Build one graph per non-empty interval of :func:`aggregate_flows`
+    output, yielding ``(interval index, graph)`` by ascending index.
+
+    Interval ``idx`` spans ``[origin + idx * interval_len,
+    origin + (idx + 1) * interval_len)``, so adjacent graphs share their
+    boundary timestamp exactly.
+    """
+    for idx in sorted(aggregates):
+        start = origin + idx * interval_len
+        end = origin + (idx + 1) * interval_len
+        yield idx, build_graph(aggregates[idx], vocab, start, end)
+
+
 def build_interval_graphs(
     records: Iterable[ConnRecord],
     interval_len: float,
@@ -299,11 +316,7 @@ def build_interval_graphs(
     if origin is None:
         origin = resolve_origin(records, interval_len)
     aggregates = aggregate_flows(records, interval_len, origin)
-    graphs = []
-    for idx in sorted(aggregates):
-        start = origin + idx * interval_len
-        graphs.append(build_graph(aggregates[idx], vocab, start, start + interval_len))
-    return graphs
+    return [g for _, g in iter_interval_graphs(aggregates, vocab, interval_len, origin)]
 
 
 def fit_scaler(graphs: Sequence[IntervalGraph]) -> FeatureScaler:
@@ -460,6 +473,11 @@ def load_graph(path: str | Path) -> IntervalGraph:
         edge_dst = np.frombuffer(read_exact(fp, 4 * n_edges), dtype="<i4").astype(
             np.int32
         )
+        if n_edges and (
+            min(edge_src.min(), edge_dst.min()) < 0
+            or max(edge_src.max(), edge_dst.max()) >= n_nodes
+        ):
+            raise FormatError(f"edge endpoint index outside [0, {n_nodes})")
         reverse = np.frombuffer(read_exact(fp, n_edges), dtype="u1").astype(np.uint8)
         feats = np.frombuffer(
             read_exact(fp, 8 * n_edges * dim), dtype="<f8"

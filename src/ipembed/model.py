@@ -20,7 +20,7 @@ applies the residual after that projection, so deeper layers work purely in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -43,14 +43,18 @@ __all__ = [
     "decode",
     "reconstruction_loss",
     "neighbor_loss",
-    "total_loss",
     "edge_dim_for_vocab",
 ]
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and loss hyperparameters."""
+    """Architecture and loss hyperparameters.
+
+    The loss is ``lambda_recon`` times the reconstruction cross entropy plus
+    ``lambda_neighbor`` times the neighbor term, which only pulls together
+    the endpoints of observed edges; there are no sampled negative pairs.
+    """
 
     edge_dim: int
     hidden: int = 64
@@ -61,7 +65,6 @@ class ModelConfig:
     bn_momentum: float = 0.1
     lambda_recon: float = 1.0
     lambda_neighbor: float = 0.01
-    neg_samples: int = 0
 
     def __post_init__(self):
         if self.edge_dim < 1:
@@ -76,8 +79,6 @@ class ModelConfig:
             raise ValueError("gate_eps must be positive")
         if self.lambda_recon < 0 or self.lambda_neighbor < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.neg_samples < 0:
-            raise ValueError("neg_samples must be >= 0")
 
 
 def edge_dim_for_vocab(vocab_size: int) -> int:
@@ -389,14 +390,15 @@ def forward(
     mode: str = "train",
     tape: Tape | None = None,
     update_running: bool | None = None,
-    rng: np.random.Generator | None = None,
     leaves: dict[str, Tensor] | None = None,
 ) -> ForwardResult:
     """Run the full network and both loss terms on one graph.
 
-    ``leaves`` lets a caller supply pre-registered parameter tensors (same
-    names as ``params.named_arrays``) on an existing tape, which is how the
-    gradient checker reuses this function.
+    The pass draws no random numbers, so its result depends only on the
+    parameters, the batch norm statistics and the graph. ``leaves`` lets a
+    caller supply pre-registered parameter tensors (same names as
+    ``params.named_arrays``) on an existing tape, which is how the gradient
+    checker reuses this function.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -425,20 +427,8 @@ def forward(
         ad.bce_with_logits_mean(logits, gt.feats), config.lambda_recon
     )
     dots = ad.row_sums(ad.hadamard(h_recv, h_send))
-    terms = [ad.sum_all(ad.log_sigmoid(dots))]
-    if config.neg_samples > 0:
-        if rng is None:
-            raise ValueError("negative sampling requires an rng")
-        k = config.neg_samples * gt.n_nodes
-        left = rng.integers(0, gt.n_nodes, size=k)
-        right = rng.integers(0, gt.n_nodes, size=k)
-        neg_dots = ad.row_sums(
-            ad.hadamard(ad.gather_rows(h, left), ad.gather_rows(h, right))
-        )
-        terms.append(ad.sum_all(ad.log_sigmoid(ad.neg(neg_dots))))
     neighbor = ad.scalar_mul(
-        terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1]),
-        -config.lambda_neighbor,
+        ad.sum_all(ad.log_sigmoid(dots)), -config.lambda_neighbor
     )
     loss = ad.add(recon, neighbor)
     return ForwardResult(
@@ -547,6 +537,3 @@ def neighbor_loss(
     dots = np.einsum("ij,ij->i", h[recv], h[send])
     return float(-weight * ad.log_sigmoid_np(dots).sum())
 
-
-def total_loss(recon: float, neighbor: float) -> float:
-    return recon + neighbor

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 

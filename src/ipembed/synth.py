@@ -12,7 +12,7 @@ unseen IP embeds close to its own role and away from a contrast role.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -22,9 +22,10 @@ from .graphs import (
     IntervalGraph,
     ProtocolVocab,
     aggregate_flows,
-    build_graph,
+    build_interval_graphs,
     fit_protocol_vocab,
     fit_scaler,
+    iter_interval_graphs,
     normalize,
 )
 from .serving import cosine, infer_embeddings
@@ -328,25 +329,14 @@ def make_experiment(
     train_agg = aggregate_flows(filtered, interval_len, origin=0.0)
     vocab = fit_protocol_vocab(train_agg)
     train_graphs = [
-        build_graph(
-            train_agg[idx],
-            vocab,
-            idx * interval_len,
-            (idx + 1) * interval_len,
-        )
-        for idx in sorted(train_agg)
+        g for _, g in iter_interval_graphs(train_agg, vocab, interval_len, 0.0)
     ]
     scaler = fit_scaler(train_graphs)
     train_graphs = [normalize(g, scaler) for g in train_graphs]
-
-    test_agg = aggregate_flows(test_records, interval_len, origin=0.0)
     test_graphs = [
-        build_graph(
-            test_agg[idx], vocab, idx * interval_len, (idx + 1) * interval_len
-        )
-        for idx in sorted(test_agg)
+        normalize(g, scaler)
+        for g in build_interval_graphs(test_records, interval_len, vocab, origin=0.0)
     ]
-    test_graphs = [normalize(g, scaler) for g in test_graphs]
 
     return ExperimentData(
         train_graphs=train_graphs,

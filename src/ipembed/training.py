@@ -6,6 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from ipaddress import ip_address
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -15,8 +16,6 @@ from . import autodiff as ad
 from .binio import FormatError, read_exact, read_struct, write_struct
 from .graphs import FeatureScaler, IntervalGraph, ProtocolVocab
 from .model import (
-    BatchNormPair,
-    ConvParams,
     GraphTensors,
     ModelConfig,
     ModelParams,
@@ -282,7 +281,6 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "bn_momentum": config.bn_momentum,
         "lambda_recon": config.lambda_recon,
         "lambda_neighbor": config.lambda_neighbor,
-        "neg_samples": config.neg_samples,
         "bn_initialized": {
             name: pair.state.initialized for name, pair in bundle.params.bn_pairs()
         },
@@ -335,10 +333,20 @@ def load_model(path: str | Path) -> ModelBundle:
         if fp.read(1):
             raise FormatError("trailing bytes after model payload")
 
+    if not isinstance(config_doc, dict):
+        raise FormatError("model config section is not a JSON object")
     bn_flags = config_doc.pop("bn_initialized", {})
-    config = ModelConfig(**config_doc)
-    params = init_params(config, seed=0)
-    for name, arr in params.named_arrays():
+    if not isinstance(bn_flags, dict):
+        raise FormatError("model config bn_initialized is not a JSON object")
+    # Older files store the removed negative-sampling count, always 0.
+    if config_doc.pop("neg_samples", 0) != 0:
+        raise FormatError("model file uses negative sampling, which is unsupported")
+    try:
+        config = ModelConfig(**config_doc)
+        params = init_params(config, seed=0)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad model config: {exc}") from None
+    for name, arr in chain(params.named_arrays(), params.named_buffers()):
         if name not in arrays:
             raise FormatError(f"model file is missing tensor {name!r}")
         if arrays[name].shape != arr.shape:
@@ -348,7 +356,5 @@ def load_model(path: str | Path) -> ModelBundle:
             )
         arr[...] = arrays[name]
     for name, pair in params.bn_pairs():
-        pair.state.running_mean[...] = arrays[f"{name}.running_mean"]
-        pair.state.running_var[...] = arrays[f"{name}.running_var"]
         pair.state.initialized = bool(bn_flags.get(name, True))
     return ModelBundle(params=params, config=config, vocab=vocab, scaler=scaler)

@@ -244,13 +244,9 @@ def _iter_lines(source: Source):
     if isinstance(source, (str, Path)):
         fp = open(source, "r", encoding="utf-8", newline="")
         return fp, iter(fp)
-    if hasattr(source, "read"):
-        it = iter(source)
-    else:
-        it = iter(source)
     decoded = (
         line.decode("utf-8") if isinstance(line, (bytes, bytearray)) else line
-        for line in it
+        for line in source
     )
     return None, decoded
 

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import json
 import sys
 
 import numpy as np
@@ -81,6 +82,31 @@ def two_node_graph(feat, reverse_feat=None):
         reverse=np.array([0, 1], dtype=np.uint8),
         raw_features=feats,
         features=feats.copy(),
+    )
+
+
+def assert_graphs_equal(a, b):
+    """Field-by-field equality of two interval graphs, features included."""
+    assert (a.start, a.end, a.nodes) == (b.start, b.end, b.nodes)
+    for name in ("edge_src", "edge_dst", "reverse", "raw_features"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert (a.features is None) == (b.features is None)
+    if a.features is not None:
+        np.testing.assert_array_equal(a.features, b.features)
+
+
+def rewrite_model_config(path, edit):
+    """Replace the JSON config section of a model file with ``edit(doc)``.
+
+    The section follows the 4-byte magic and 2-byte version as a u64
+    length plus payload.
+    """
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[6:14], "little")
+    doc = json.loads(blob[14 : 14 + length])
+    payload = json.dumps(edit(doc)).encode("utf-8")
+    path.write_bytes(
+        blob[:6] + len(payload).to_bytes(8, "little") + payload + blob[14 + length :]
     )
 
 

@@ -79,15 +79,15 @@ def test_sigmoid_saturation_stable():
 
 
 def test_linear_gradient_oracle():
-    # loss = sum(W x) with W=[[1,2]], x=[3,4]^T -> dloss/dW = [3,4]
+    # loss = sum(x W^T) with W=[[1,2]], x=[[3,4]] -> dloss/dW = [3,4]
     tape = Tape()
     w = tape.leaf([[1.0, 2.0]])
-    x = tape.leaf([[3.0], [4.0]])
-    loss = ad.sum_all(ad.matmul(w, x))
+    x = tape.leaf([[3.0, 4.0]])
+    loss = ad.sum_all(ad.linear(x, w))
     assert loss.item() == 11.0
     backward(loss)
     np.testing.assert_array_equal(w.grad, [[3.0, 4.0]])
-    np.testing.assert_array_equal(x.grad, [[1.0], [2.0]])
+    np.testing.assert_array_equal(x.grad, [[1.0, 2.0]])
 
 
 def test_bce_with_logits_forward():
@@ -109,12 +109,6 @@ def test_log_sigmoid_matches_numpy_helper():
 
 # ---------------------------------------------------------------------------
 # finite-difference checks per primitive
-
-
-def test_fd_matmul(rng):
-    arrays = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(3, 5))}
-    err = check(lambda t, l: ad.matmul(l["a"], l["b"]), arrays, rng)
-    assert err < TOL
 
 
 def test_fd_linear(rng):
@@ -163,8 +157,6 @@ def test_fd_relu_away_from_kink(rng):
 def test_fd_sigmoid_log_logsigmoid_rsqrt(rng):
     err = check(lambda t, l: ad.sigmoid(l["x"]), {"x": rng.normal(size=(3, 4))}, rng)
     assert err < TOL
-    err = check(lambda t, l: ad.log(l["x"]), {"x": rng.uniform(0.5, 3.0, (3, 4))}, rng)
-    assert err < TOL
     err = check(
         lambda t, l: ad.log_sigmoid(l["x"]), {"x": rng.normal(size=(3, 4))}, rng
     )
@@ -186,9 +178,6 @@ def test_fd_scalar_ops_and_neg(rng):
 
 
 def test_fd_concat(rng):
-    arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(4, 3))}
-    err = check(lambda t, l: ad.concat_rows([l["a"], l["b"]]), arrays, rng)
-    assert err < TOL
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 5))}
     err = check(lambda t, l: ad.concat_cols([l["a"], l["b"]]), arrays, rng)
     assert err < TOL
@@ -274,7 +263,7 @@ def test_fd_random_shapes_property(rows, cols, seed):
     }
 
     def make(tape, leaves):
-        return ad.sigmoid(ad.matmul(leaves["x"], leaves["w"]))
+        return ad.sigmoid(ad.linear(leaves["x"], leaves["w"]))
 
     err = check(make, arrays, rng)
     assert err < 1e-4
@@ -449,7 +438,7 @@ def test_shape_errors_name_both_shapes():
     a = tape.leaf(np.ones((2, 3)))
     b = tape.leaf(np.ones((4, 5)))
     with pytest.raises(ShapeError) as err:
-        ad.matmul(a, b)
+        ad.linear(a, b)
     assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
     with pytest.raises(ShapeError) as err:
         ad.hadamard(a, b)
@@ -469,7 +458,7 @@ def test_tape_replay_deterministic(rng):
     def run():
         tape = Tape()
         x, w = tape.leaf(x0), tape.leaf(w0)
-        loss = ad.sum_all(ad.sigmoid(ad.matmul(x, w)))
+        loss = ad.sum_all(ad.sigmoid(ad.linear(x, w)))
         backward(loss)
         return loss.item(), x.grad.copy(), w.grad.copy()
 

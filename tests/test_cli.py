@@ -1,13 +1,19 @@
 """End-to-end command line coverage: exit codes, the pipeline flow, config
 files, determinism."""
 
+import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ipembed
+from conftest import assert_graphs_equal, make_record, rewrite_model_config
 from ipembed.cli import run
-from ipembed.graphs import load_graph
+from ipembed.graphs import ProtocolVocab, build_interval_graphs, load_graph
 from ipembed.zeek import write_canonical_tsv
 
 
@@ -100,6 +106,16 @@ def test_holdout_of_everything_is_data_error(workspace, tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_model_config_is_data_error(workspace, tmp_path, capsys):
+    model = tmp_path / "bad.ipgm"
+    shutil.copy(workspace["model"], model)
+    rewrite_model_config(model, lambda doc: {**doc, "unknown_key": 1})
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
+    ) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_divergent_training_is_numeric_error(workspace, tmp_path, capsys):
     # an infinite loss weight makes the very first loss non-finite
     code = run(
@@ -128,6 +144,31 @@ def test_build_graphs_outputs(workspace):
     assert (workspace["gdir"] / "vocab.json").exists()
     graph = load_graph(files[0])
     assert graph.start == 0.0 and graph.end == 600.0
+
+
+def test_build_graphs_names_files_by_interval_index(tmp_path, capsys):
+    # Intervals 0 and 2 after a non-zero origin have flows; interval 1 has none.
+    records = [
+        make_record(ts=1100.0),
+        make_record(ts=1150.0, destination_ip="10.0.0.3", protocol_service="http"),
+        make_record(ts=2300.0, source_ip="10.0.0.4"),
+    ]
+    flows = tmp_path / "flows.tsv"
+    with open(flows, "w") as fp:
+        write_canonical_tsv(records, fp)
+    gdir = tmp_path / "graphs"
+    assert run(
+        ["build-graphs", "--input", str(flows), "--interval", "600",
+         "--origin", "1000", "--out", str(gdir)]
+    ) == 0
+    files = sorted(p.name for p in gdir.glob("graph_*.ipgr"))
+    assert files == ["graph_000000.ipgr", "graph_000002.ipgr"]
+
+    tokens = json.loads((gdir / "vocab.json").read_text())["tokens"]
+    expected = build_interval_graphs(records, 600.0, ProtocolVocab(tuple(tokens)), 1000.0)
+    assert [(g.start, g.end) for g in expected] == [(1000.0, 1600.0), (2200.0, 2800.0)]
+    for name, want in zip(files, expected):
+        assert_graphs_equal(load_graph(gdir / name), want)
 
 
 def test_embed_to_stdout(workspace, capsys):
@@ -356,10 +397,14 @@ def test_eval_holdout_single_bad_interval_propagates(tmp_path, capfd):
 
 
 def test_console_entry_point():
+    # Run the package under test, also when it is imported from a checkout.
+    src = str(Path(ipembed.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "ipembed", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "eval-holdout" in proc.stdout

@@ -422,6 +422,26 @@ def test_snapshot_truncated(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("array,value", [("edge_src", 1_000_000), ("edge_dst", -1)])
+def test_snapshot_edge_index_out_of_range(tmp_path, array, value):
+    vocab = ProtocolVocab(("dns", "other"))
+    graph = build_graph(
+        {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}, vocab, 0.0, 600.0
+    )
+    path = tmp_path / "graph.ipgr"
+    save_graph(graph, path)
+    blob = bytearray(path.read_bytes())
+    # magic, version, start/end, dim/n_nodes, node table, edge count
+    offset = 4 + 2 + 16 + 8 + sum(2 + len(ip) for ip in graph.nodes) + 4
+    if array == "edge_dst":
+        offset += 4 * graph.n_edges
+    assert int.from_bytes(blob[offset : offset + 4], "little") == getattr(graph, array)[0]
+    blob[offset : offset + 4] = value.to_bytes(4, "little", signed=True)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        load_graph(path)
+
+
 def test_load_graph_dir_sorted(tmp_path):
     vocab = ProtocolVocab(("dns", "other"))
     for i in (2, 0, 1):

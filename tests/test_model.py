@@ -20,7 +20,6 @@ from ipembed.model import (
     input_layer,
     neighbor_loss,
     reconstruction_loss,
-    total_loss,
 )
 
 LN2 = 0.6931471805599453
@@ -273,11 +272,6 @@ def test_neighbor_loss_vanishes_for_aligned_large_embeddings():
     )
 
 
-def test_total_loss_sum():
-    assert total_loss(0.5, 0.2) == 0.7
-    assert total_loss(0.123, 0.0) == 0.123
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(1e-4, 0.4))
 def test_clipped_targets_beat_uniform_half(seed, delta):
@@ -314,7 +308,7 @@ def test_forward_losses_match_numpy_helpers():
     neighbor = neighbor_loss(res.embeddings, gt.recv, gt.send, config.lambda_neighbor)
     assert res.neighbor_loss.item() == pytest.approx(neighbor, abs=1e-12)
     assert res.loss.item() == pytest.approx(
-        total_loss(res.recon_loss.item(), res.neighbor_loss.item()), abs=0
+        res.recon_loss.item() + res.neighbor_loss.item(), abs=0
     )
 
 
@@ -380,25 +374,6 @@ def test_eval_mode_gradient_check_full_model():
         ).loss
 
     assert grad_check(build, named, step=1e-5) < 1e-4
-
-
-def test_negative_sampling_term():
-    params, config, gt = small_setup()
-    sampled = ModelConfig(
-        edge_dim=config.edge_dim,
-        hidden=config.hidden,
-        layers=config.layers,
-        decoder_hidden=config.decoder_hidden,
-        neg_samples=2,
-    )
-    with pytest.raises(ValueError):
-        forward(params, sampled, gt, mode="train")
-    res = forward(
-        params, sampled, gt, mode="train", rng=np.random.default_rng(0)
-    )
-    plain = forward(params, config, gt, mode="train")
-    # Repulsion adds positive loss mass on non-identical embeddings.
-    assert res.neighbor_loss.item() > plain.neighbor_loss.item()
 
 
 def test_permutation_equivariance():

@@ -6,6 +6,8 @@ import io
 import numpy as np
 import pytest
 
+from conftest import assert_graphs_equal
+from ipembed.graphs import build_interval_graphs, fit_scaler, normalize
 from ipembed.model import ModelConfig
 from ipembed.synth import (
     DEFAULT_TRANSPORTS,
@@ -17,7 +19,7 @@ from ipembed.synth import (
     make_experiment,
     write_zeek_tsv,
 )
-from ipembed.training import TrainConfig, train
+from ipembed.training import TrainConfig, filter_holdout, train
 from ipembed.zeek import parse_conn_log
 
 
@@ -212,6 +214,23 @@ def test_experiment_graphs_are_normalized(experiment):
         assert graph.features is not None
         assert graph.features.min() >= 0.0
         assert graph.features.max() <= 1.0
+
+
+def test_experiment_graphs_come_from_the_interval_builder(experiment):
+    split = experiment.split_ts
+    train_records = filter_holdout(
+        [r for r in experiment.records if r.ts < split], experiment.holdout_ips
+    )
+    test_records = [r for r in experiment.records if r.ts >= split]
+    raw_train = build_interval_graphs(train_records, 600.0, experiment.vocab, 0.0)
+    raw_test = build_interval_graphs(test_records, 600.0, experiment.vocab, 0.0)
+    np.testing.assert_array_equal(
+        fit_scaler(raw_train).log_max, experiment.scaler.log_max
+    )
+    for got, raw in ((experiment.train_graphs, raw_train), (experiment.test_graphs, raw_test)):
+        assert len(got) == len(raw)
+        for graph, want in zip(got, raw):
+            assert_graphs_equal(graph, normalize(want, experiment.scaler))
 
 
 def test_experiment_vocab_covers_services(experiment):

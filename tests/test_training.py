@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, random_graph
+from conftest import make_record, random_graph, rewrite_model_config
 from ipembed.binio import FormatError
 from ipembed.graphs import (
     FeatureScaler,
@@ -376,10 +376,50 @@ def test_model_file_truncated(tmp_path):
         load_model(path)
 
 
+def test_model_file_missing_running_stats(tmp_path):
+    path = tmp_path / "model.ipgm"
+    save_model(trained_bundle(), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"bn_edge_in.running_mean", b"xx_edge_in.running_mean"))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
 def test_model_file_trailing_garbage(tmp_path):
     path = tmp_path / "model.ipgm"
     save_model(trained_bundle(), path)
     path.write_bytes(path.read_bytes() + b"\x00\x01")
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {**doc, "unknown_key": 1},
+        lambda doc: list(doc),
+        lambda doc: {**doc, "hidden": "x"},
+        lambda doc: {**doc, "bn_initialized": [True]},
+    ],
+    ids=["unknown-key", "json-list", "hidden-not-int", "bn-flags-not-object"],
+)
+def test_model_file_bad_config_section(tmp_path, edit):
+    path = tmp_path / "model.ipgm"
+    save_model(trained_bundle(), path)
+    rewrite_model_config(path, edit)
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_model_file_legacy_neg_samples_key(tmp_path):
+    # Files from before negative sampling was removed store neg_samples = 0
+    # and still load; any other count is refused.
+    bundle = trained_bundle()
+    path = tmp_path / "model.ipgm"
+    save_model(bundle, path)
+    rewrite_model_config(path, lambda doc: {**doc, "neg_samples": 0})
+    assert load_model(path).config == bundle.config
+    rewrite_model_config(path, lambda doc: {**doc, "neg_samples": 2})
     with pytest.raises(FormatError):
         load_model(path)
 
