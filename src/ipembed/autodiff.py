@@ -11,6 +11,16 @@ The only implicit broadcast is adding a (1, m) row vector to an (n, m)
 matrix (bias addition); column scaling has its own primitive. Operations
 record onto the tape in execution order, which is a valid topological
 order, and :func:`backward` replays it once in reverse.
+
+Memory follows reference counting. A :class:`Tensor` handle holds its tape;
+the tape holds, per node, the parents' ids, the vjp closure (which captures
+arrays only) and a value record with the forward data and, after
+:func:`backward`, the gradient. Nothing on a tape points back at a handle,
+so a tape and every array it keeps alive are freed the moment its last
+handle is dropped, without waiting for the cyclic collector. A tape built
+with ``record=False`` keeps nothing at all: each intermediate dies as soon
+as the code computing the forward pass lets go of it, and the result cannot
+be differentiated. Training and gradient checks record; serving does not.
 """
 
 from __future__ import annotations
@@ -65,16 +75,21 @@ def _as_matrix(data) -> np.ndarray:
 
 
 class Tensor:
-    """A node value on a tape. Holds data, the tape id and, after a
-    backward pass, the accumulated gradient."""
+    """A handle on a value computed on a tape. Holds the data, the tape and
+    the node id; after a backward pass, ``grad`` is the accumulated
+    gradient. On a tape that records nothing, ``nid`` and ``grad`` are
+    ``None``."""
 
-    __slots__ = ("data", "tape", "nid", "grad")
+    __slots__ = ("data", "tape", "nid")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", nid: int):
+    def __init__(self, data: np.ndarray, tape: "Tape", nid: int | None):
         self.data = data
         self.tape = tape
         self.nid = nid
-        self.grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.nid is None else self.tape._nodes[self.nid].tensor.grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,19 +104,37 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, nid={self.nid})"
 
 
+class _Value:
+    """What a tape keeps of a node's tensor: its forward data and, after a
+    backward pass, its gradient. No reference to the handle, so handles and
+    tapes form no cycle."""
+
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.grad: np.ndarray | None = None
+
+
 class _Node:
     __slots__ = ("parents", "vjp", "tensor")
 
-    def __init__(self, parents, vjp, tensor):
+    def __init__(self, parents, vjp, tensor: _Value):
         self.parents = parents
         self.vjp = vjp
         self.tensor = tensor
 
 
 class Tape:
-    """Append-only record of operations; insertion order is topological."""
+    """Append-only record of operations; insertion order is topological.
 
-    def __init__(self):
+    ``record=False`` makes a tape that keeps no nodes: tensors computed on it
+    carry their data, but no vjp or intermediate value outlives its handle,
+    and :func:`backward` refuses its losses.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self._nodes: list[_Node] = []
 
     def __len__(self) -> int:
@@ -115,9 +148,10 @@ class Tape:
         for parent in parents:
             if parent.tape is not self:
                 raise ValueError("operands recorded on different tapes")
-        tensor = Tensor(data, self, len(self._nodes))
-        self._nodes.append(_Node(tuple(p.nid for p in parents), vjp, tensor))
-        return tensor
+        if not self.record:
+            return Tensor(data, self, None)
+        self._nodes.append(_Node(tuple(p.nid for p in parents), vjp, _Value(data)))
+        return Tensor(data, self, len(self._nodes) - 1)
 
 
 def backward(loss: Tensor) -> None:
@@ -128,6 +162,11 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.shape != (1, 1):
         raise ShapeError(f"loss must be scalar (1, 1), got {loss.data.shape}")
+    if not loss.tape.record:
+        raise ValueError(
+            "loss was computed on a tape that records nothing (record=False); "
+            "there is nothing to differentiate"
+        )
     nodes = loss.tape._nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[loss.nid] = np.ones((1, 1), dtype=np.float64)
@@ -143,11 +182,9 @@ def backward(loss: Tensor) -> None:
                 grads[pid] = part.copy()
             else:
                 grads[pid] += part
-    for node in nodes:
-        grad = grads[node.tensor.nid]
-        node.tensor.grad = (
-            np.zeros_like(node.tensor.data) if grad is None else grad
-        )
+    for node, grad in zip(nodes, grads):
+        value = node.tensor
+        value.grad = np.zeros_like(value.data) if grad is None else grad
 
 
 # ---------------------------------------------------------------------------

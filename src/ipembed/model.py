@@ -405,7 +405,8 @@ def forward(
     gt.validate(config)
     if update_running is None:
         update_running = mode == "train"
-    tape = tape or Tape()
+    if tape is None:
+        tape = Tape()
     if leaves is None:
         leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
@@ -452,7 +453,8 @@ def input_layer(
     tape: Tape | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Standalone input layer: returns (node states, edge states, gates)."""
-    tape = tape or Tape()
+    if tape is None:
+        tape = Tape()
     leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
     return _input_layer(
@@ -471,7 +473,8 @@ def conv_layer(
     tape: Tape | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Standalone convolution layer on plain arrays."""
-    tape = tape or Tape()
+    if tape is None:
+        tape = Tape()
     leaves = _leaves(tape, params)
     return _conv_layer(
         tape,
@@ -496,7 +499,8 @@ def decode(
     tape: Tape | None = None,
 ) -> Tensor:
     """Standalone decoder: sigmoid reconstruction of every edge's inputs."""
-    tape = tape or Tape()
+    if tape is None:
+        tape = Tape()
     leaves = _leaves(tape, params)
     logits, _, _ = _decode(tape, leaves, gt, tape.leaf(h), tape.leaf(edge_state))
     return ad.sigmoid(logits)

@@ -7,6 +7,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .autodiff import Tape
 from .graphs import IntervalGraph, ip_sort_key, normalize
 from .model import GraphTensors, forward
 from .training import ModelBundle
@@ -65,7 +66,8 @@ def _prepare(bundle: ModelBundle, graph: IntervalGraph) -> GraphTensors:
 
 
 def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
-    """Eval-mode forward pass over one graph.
+    """Eval-mode forward pass over one graph, on a tape that records
+    nothing, so each intermediate is freed as soon as the pass moves on.
 
     Per-edge error is the unweighted mean over columns of the Bernoulli KL
     divergence between the edge's input t and its reconstruction p,
@@ -77,7 +79,9 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     isolated.
     """
     gt = _prepare(bundle, graph)
-    result = forward(bundle.params, bundle.config, gt, mode="eval")
+    result = forward(
+        bundle.params, bundle.config, gt, mode="eval", tape=Tape(record=False)
+    )
     logits = result.logits.data
     t = gt.feats
     # softplus(z) - t*z is the cross entropy from logits; H(t) vanishes at

@@ -268,6 +268,13 @@ def _read_section(fp) -> bytes:
     return read_exact(fp, length)
 
 
+def _json_section(fp, what: str):
+    try:
+        return json.loads(_read_section(fp).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise FormatError(f"model {what} section is not JSON: {exc}") from None
+
+
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize a model bundle; loading restores it bit-exactly."""
     config = bundle.config
@@ -315,13 +322,9 @@ def load_model(path: str | Path) -> ModelBundle:
         (version,) = read_struct(fp, "<H")
         if version != _MODEL_VERSION:
             raise FormatError(f"unsupported model version {version}")
-        config_doc = json.loads(_read_section(fp).decode("utf-8"))
-        vocab = ProtocolVocab(tuple(json.loads(_read_section(fp).decode("utf-8"))))
+        config_doc = _json_section(fp, "config")
+        tokens = _json_section(fp, "vocab")
         scaler_raw = _read_section(fp)
-        count = int.from_bytes(scaler_raw[:4], "little")
-        scaler = FeatureScaler(
-            log_max=np.frombuffer(scaler_raw[4:], dtype="<f8", count=count).copy()
-        )
         (n_tensors,) = read_struct(fp, "<I")
         arrays: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
@@ -333,6 +336,19 @@ def load_model(path: str | Path) -> ModelBundle:
         if fp.read(1):
             raise FormatError("trailing bytes after model payload")
 
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise FormatError("model vocab section is not a JSON list of strings")
+    count = int.from_bytes(scaler_raw[:4], "little")
+    if len(scaler_raw) < 4 or len(scaler_raw) != 4 + 8 * count:
+        raise FormatError(
+            f"model scaler section holds {len(scaler_raw)} bytes, "
+            f"not a 4-byte count and {count} float64 values"
+        )
+    try:
+        vocab = ProtocolVocab(tuple(tokens))
+        scaler = FeatureScaler(log_max=np.frombuffer(scaler_raw[4:], dtype="<f8").copy())
+    except ValueError as exc:
+        raise FormatError(f"bad model vocab or scaler: {exc}") from None
     if not isinstance(config_doc, dict):
         raise FormatError("model config section is not a JSON object")
     bn_flags = config_doc.pop("bn_initialized", {})

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import gc
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -95,19 +97,45 @@ def assert_graphs_equal(a, b):
         np.testing.assert_array_equal(a.features, b.features)
 
 
-def rewrite_model_config(path, edit):
-    """Replace the JSON config section of a model file with ``edit(doc)``.
+def rewrite_model_section(path, index, edit):
+    """Replace section ``index`` of a model file (0 config, 1 vocab,
+    2 scaler) with ``edit(payload_bytes)``.
 
-    The section follows the 4-byte magic and 2-byte version as a u64
-    length plus payload.
+    Sections follow the 4-byte magic and 2-byte version, each a u64 length
+    plus payload.
     """
     blob = path.read_bytes()
-    length = int.from_bytes(blob[6:14], "little")
-    doc = json.loads(blob[14 : 14 + length])
-    payload = json.dumps(edit(doc)).encode("utf-8")
+    start = 6
+    for _ in range(index):
+        start += 8 + int.from_bytes(blob[start : start + 8], "little")
+    length = int.from_bytes(blob[start : start + 8], "little")
+    payload = edit(blob[start + 8 : start + 8 + length])
     path.write_bytes(
-        blob[:6] + len(payload).to_bytes(8, "little") + payload + blob[14 + length :]
+        blob[:start]
+        + len(payload).to_bytes(8, "little")
+        + payload
+        + blob[start + 8 + length :]
     )
+
+
+def rewrite_model_config(path, edit):
+    """Replace the JSON config section of a model file with ``edit(doc)``."""
+    rewrite_model_section(
+        path, 0, lambda raw: json.dumps(edit(json.loads(raw))).encode("utf-8")
+    )
+
+
+@contextmanager
+def cyclic_gc_off():
+    """Run the block with the cyclic garbage collector disabled, so only
+    reference counting frees memory inside it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.fixture

@@ -426,6 +426,17 @@ def test_reused_node_visited_once_with_accumulated_grad():
     assert x.grad[0, 0] == 2.0
 
 
+def test_unrecorded_tape_keeps_values_but_refuses_backward():
+    tape = Tape(record=False)
+    x = tape.leaf([[1.0, 2.0]])
+    loss = ad.sum_all(ad.scalar_mul(x, 3.0))
+    assert loss.item() == 9.0
+    assert len(tape) == 0
+    assert x.grad is None
+    with pytest.raises(ValueError, match="records nothing"):
+        backward(loss)
+
+
 def test_mixed_tapes_rejected():
     a = Tape().leaf([[1.0]])
     b = Tape().leaf([[1.0]])

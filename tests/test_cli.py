@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import ipembed
-from conftest import assert_graphs_equal, make_record, rewrite_model_config
+from conftest import (
+    assert_graphs_equal,
+    make_record,
+    rewrite_model_config,
+    rewrite_model_section,
+)
 from ipembed.cli import run
 from ipembed.graphs import ProtocolVocab, build_interval_graphs, load_graph
 from ipembed.zeek import write_canonical_tsv
@@ -110,6 +115,16 @@ def test_bad_model_config_is_data_error(workspace, tmp_path, capsys):
     model = tmp_path / "bad.ipgm"
     shutil.copy(workspace["model"], model)
     rewrite_model_config(model, lambda doc: {**doc, "unknown_key": 1})
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
+    ) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_bad_model_vocab_is_data_error(workspace, tmp_path, capsys):
+    model = tmp_path / "bad.ipgm"
+    shutil.copy(workspace["model"], model)
+    rewrite_model_section(model, 1, lambda raw: b"5")
     assert run(
         ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
     ) == 2

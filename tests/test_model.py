@@ -376,6 +376,27 @@ def test_eval_mode_gradient_check_full_model():
     assert grad_check(build, named, step=1e-5) < 1e-4
 
 
+@pytest.mark.parametrize("part", ["forward", "input_layer", "conv_layer", "decode"])
+def test_results_land_on_the_callers_empty_tape(part):
+    # An empty tape has length 0; it must still be used, not replaced.
+    params, config, gt = small_setup(seed=23)
+    set_running_identity(params)
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((gt.n_nodes, config.hidden))
+    tape = Tape()
+    if part == "forward":
+        out = forward(params, config, gt, mode="eval", tape=tape).loss
+    elif part == "input_layer":
+        out = input_layer(params, config, gt, tape=tape)[0]
+    elif part == "conv_layer":
+        out = conv_layer(params, config, gt, h, gt.feats, 0, tape=tape)[0]
+    else:
+        edges = rng.standard_normal((len(gt.recv), config.hidden))
+        out = decode(params, config, gt, h, edges, tape=tape)
+    assert out.tape is tape
+    assert len(tape) > 0
+
+
 def test_permutation_equivariance():
     params, config, gt = small_setup(seed=31, n_nodes=6, n_pairs=8)
     forward(params, config, gt, mode="train")  # initialize running stats

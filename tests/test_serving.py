@@ -2,6 +2,7 @@
 anomaly scores, 2D projection, CSV output."""
 
 import io
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
-from ipembed import serving
+from conftest import cyclic_gc_off, make_record
+from ipembed import model, serving
+from ipembed.autodiff import Tape
 from ipembed.graphs import (
     aggregate_flows,
     build_interval_graphs,
@@ -269,6 +271,32 @@ def test_infer_embeddings_is_pure(pipeline):
     np.testing.assert_array_equal(a.vectors, b.vectors)
     np.testing.assert_array_equal(a.edge_errors, b.edge_errors)
     assert a.anomaly == b.anomaly
+
+
+def test_infer_embeddings_records_nothing_and_frees_its_tape(pipeline, monkeypatch):
+    bundle, graphs, _ = pipeline
+    made = []
+
+    class WatchedTape(Tape):
+        def __init__(self, record=True):
+            super().__init__(record=record)
+            made.append((weakref.ref(self), record))
+
+    monkeypatch.setattr(serving, "Tape", WatchedTape)
+    monkeypatch.setattr(model, "Tape", WatchedTape)
+    with cyclic_gc_off():
+        infer_embeddings(bundle, graphs[0])
+        assert [(ref() is None, record) for ref, record in made] == [(True, False)]
+
+
+def test_infer_embeddings_equals_a_recording_forward(pipeline, monkeypatch):
+    bundle, graphs, _ = pipeline
+    served = infer_embeddings(bundle, graphs[0])
+    monkeypatch.setattr(serving, "Tape", lambda record: Tape())
+    recorded = infer_embeddings(bundle, graphs[0])
+    np.testing.assert_array_equal(served.vectors, recorded.vectors)
+    np.testing.assert_array_equal(served.edge_errors, recorded.edge_errors)
+    assert served.anomaly == recorded.anomaly
 
 
 def test_infer_embeddings_normalizes_raw_graph(pipeline):

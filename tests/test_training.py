@@ -1,12 +1,21 @@
 """Training loop behavior, holdout filtering, the optimizer, and the model
 file round trip."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, random_graph, rewrite_model_config
+from conftest import (
+    cyclic_gc_off,
+    make_record,
+    random_graph,
+    rewrite_model_config,
+    rewrite_model_section,
+)
+from ipembed.autodiff import backward
 from ipembed.binio import FormatError
 from ipembed.graphs import (
     FeatureScaler,
@@ -183,6 +192,22 @@ def test_adam_moves_against_gradient(rng):
     opt = Adam(lr=0.1)
     opt.step([("w", w)], {"w": np.ones_like(w)})
     assert np.all(w < before)
+
+
+def test_training_step_tape_dies_with_its_result():
+    # forward, backward and an optimizer step, as train() takes them: once
+    # the caller drops the result, reference counting alone frees the tape.
+    graphs, config = training_setup()
+    gt = GraphTensors.from_graph(graphs[0])
+    params = init_params(config, seed=0)
+    opt = Adam(lr=0.01)
+    with cyclic_gc_off():
+        result = forward(params, config, gt, mode="train")
+        tape = weakref.ref(result.loss.tape)
+        backward(result.loss)
+        opt.step(params.named_arrays(), {n: t.grad for n, t in result.leaves.items()})
+        del result
+        assert tape() is None
 
 
 def test_zero_learning_rate_leaves_params_bitwise(rng):
@@ -407,6 +432,39 @@ def test_model_file_bad_config_section(tmp_path, edit):
     path = tmp_path / "model.ipgm"
     save_model(trained_bundle(), path)
     rewrite_model_config(path, edit)
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "index, edit",
+    [
+        (0, lambda raw: b"{not json"),
+        (1, lambda raw: b"5"),
+        (1, lambda raw: b'["tcp"]'),
+        (1, lambda raw: b'[5, "other"]'),
+        (1, lambda raw: b"\xff\xfe"),
+        (2, lambda raw: (len(raw) // 8 + 1).to_bytes(4, "little") + raw[4:]),
+        (2, lambda raw: raw + b"\x00" * 8),
+        (2, lambda raw: raw[:2]),
+        (2, lambda raw: raw[:4] + np.zeros((len(raw) - 4) // 8).tobytes()),
+    ],
+    ids=[
+        "config-not-json",
+        "vocab-int",
+        "vocab-no-other-slot",
+        "vocab-non-string-token",
+        "vocab-not-utf8",
+        "scaler-count-past-payload",
+        "scaler-bytes-past-count",
+        "scaler-truncated-count",
+        "scaler-zero-maxima",
+    ],
+)
+def test_model_file_malformed_section(tmp_path, index, edit):
+    path = tmp_path / "model.ipgm"
+    save_model(trained_bundle(), path)
+    rewrite_model_section(path, index, edit)
     with pytest.raises(FormatError):
         load_model(path)
 
