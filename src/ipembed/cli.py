@@ -141,7 +141,8 @@ def _output(path: str | None):
 
 def _load_vocab(path: Path) -> ProtocolVocab:
     doc = json.loads(path.read_text(encoding="utf-8"))
-    return ProtocolVocab(tuple(doc["tokens"]))
+    tokens = doc.get("tokens") if isinstance(doc, dict) else None
+    return ProtocolVocab.from_json(tokens, f"{path} tokens")
 
 
 def _model_config(args, vocab: ProtocolVocab) -> ModelConfig:

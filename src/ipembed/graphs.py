@@ -97,6 +97,16 @@ class ProtocolVocab:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocab tokens must be unique")
 
+    @classmethod
+    def from_json(cls, tokens, source: str) -> "ProtocolVocab":
+        """The vocab a decoded JSON token list describes, else ``FormatError``."""
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise FormatError(f"{source} is not a JSON list of strings")
+        try:
+            return cls(tuple(tokens))
+        except ValueError as exc:
+            raise FormatError(f"bad {source}: {exc}") from None
+
     @property
     def size(self) -> int:
         return len(self.tokens)
@@ -466,6 +476,8 @@ def load_graph(path: str | Path) -> IntervalGraph:
         for _ in range(n_nodes):
             (length,) = read_struct(fp, "<H")
             nodes.append(read_exact(fp, length).decode("utf-8"))
+        if len(set(nodes)) != n_nodes:
+            raise FormatError("graph snapshot names a node twice")
         (n_edges,) = read_struct(fp, "<I")
         edge_src = np.frombuffer(read_exact(fp, 4 * n_edges), dtype="<i4").astype(
             np.int32

@@ -315,7 +315,7 @@ def _bn(x, leaves, name, pair, config, mode, update):
     )
 
 
-def _input_layer(tape, leaves, params, config, gt, e0, mode, update):
+def _input_layer(leaves, params, config, gt, e0, mode, update):
     transformed = ad.relu(
         _bn(
             ad.linear(e0, leaves["edge_embed"]),
@@ -337,7 +337,7 @@ def _input_layer(tape, leaves, params, config, gt, e0, mode, update):
     return h, edge_state, gates
 
 
-def _conv_layer(tape, leaves, params, config, gt, h, edge_state, layer, mode, update):
+def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     conv = params.convs[layer]
     prefix = f"conv{layer}"
     h_recv = ad.gather_rows(h, gt.recv)
@@ -372,7 +372,7 @@ def _conv_layer(tape, leaves, params, config, gt, h, edge_state, layer, mode, up
     return new_h, new_edge_state, gates
 
 
-def _decode(tape, leaves, gt, h, edge_state):
+def _decode(leaves, gt, h, edge_state):
     h_recv = ad.gather_rows(h, gt.recv)
     h_send = ad.gather_rows(h, gt.send)
     joined = ad.concat_cols([h_recv, h_send, edge_state])
@@ -412,16 +412,16 @@ def forward(
     e0 = tape.leaf(gt.feats)
 
     h, edge_state, gates0 = _input_layer(
-        tape, leaves, params, config, gt, e0, mode, update_running
+        leaves, params, config, gt, e0, mode, update_running
     )
     all_gates = [gates0]
     for layer in range(config.layers):
         h, edge_state, gates = _conv_layer(
-            tape, leaves, params, config, gt, h, edge_state, layer, mode, update_running
+            leaves, params, config, gt, h, edge_state, layer, mode, update_running
         )
         all_gates.append(gates)
 
-    logits, h_recv, h_send = _decode(tape, leaves, gt, h, edge_state)
+    logits, h_recv, h_send = _decode(leaves, gt, h, edge_state)
     decoded = ad.sigmoid(logits)
 
     recon = ad.scalar_mul(
@@ -457,9 +457,7 @@ def input_layer(
         tape = Tape()
     leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
-    return _input_layer(
-        tape, leaves, params, config, gt, e0, mode, update=(mode == "train")
-    )
+    return _input_layer(leaves, params, config, gt, e0, mode, update=(mode == "train"))
 
 
 def conv_layer(
@@ -476,18 +474,9 @@ def conv_layer(
     if tape is None:
         tape = Tape()
     leaves = _leaves(tape, params)
-    return _conv_layer(
-        tape,
-        leaves,
-        params,
-        config,
-        gt,
-        tape.leaf(h),
-        tape.leaf(edge_state),
-        layer,
-        mode,
-        update=(mode == "train"),
-    )
+    h, edge_state = tape.leaf(h), tape.leaf(edge_state)
+    update = mode == "train"
+    return _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update)
 
 
 def decode(
@@ -502,7 +491,7 @@ def decode(
     if tape is None:
         tape = Tape()
     leaves = _leaves(tape, params)
-    logits, _, _ = _decode(tape, leaves, gt, tape.leaf(h), tape.leaf(edge_state))
+    logits, _, _ = _decode(leaves, gt, tape.leaf(h), tape.leaf(edge_state))
     return ad.sigmoid(logits)
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -16,8 +17,8 @@ __all__ = [
     "EmbeddingSet",
     "SimilarityReport",
     "infer_embeddings",
+    "cosine_rows",
     "cosine",
-    "cosine_with_flag",
     "top_k_similar",
     "pairwise_report",
     "project_2d",
@@ -32,18 +33,35 @@ DEGENERATE_NORM = 1e-12
 
 @dataclass
 class EmbeddingSet:
-    """Embeddings and reconstruction errors for one interval graph."""
+    """Embeddings and reconstruction errors for one interval graph.
+
+    Row ``i`` of ``vectors`` belongs to ``ips[i]``, and IPs are unique.
+    ``rows`` maps each IP to its row; each IP's rank in canonical IP order
+    is computed on the first ranking. Both are built once per set.
+    """
 
     interval: float  # interval start timestamp
     ips: tuple[str, ...]
     vectors: np.ndarray  # (n, H)
     edge_errors: np.ndarray  # (E,) per-edge mean KL(target || reconstruction)
     anomaly: dict[str, float]  # per IP, mean error over incident edges
+    rows: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rows = {ip: i for i, ip in enumerate(self.ips)}
+        if len(self.rows) != len(self.ips):
+            raise ValueError("embedding set names an IP twice")
+
+    @cached_property
+    def canonical_rank(self) -> np.ndarray:
+        """Each row's position when the IPs are sorted by ``ip_sort_key``."""
+        order = sorted(range(len(self.ips)), key=lambda i: ip_sort_key(self.ips[i]))
+        return np.argsort(order)
 
     def vector(self, ip: str) -> np.ndarray:
         try:
-            return self.vectors[self.ips.index(ip)]
-        except ValueError:
+            return self.vectors[self.rows[ip]]
+        except KeyError:
             raise KeyError(
                 f"IP {ip} not present in interval starting at {self.interval}"
             ) from None
@@ -94,63 +112,58 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     np.maximum(kl, 0.0, out=kl)
     errors = kl.mean(axis=1)
 
-    scores: dict[str, float] = {}
-    incident_sum = np.zeros(gt.n_nodes)
-    incident_count = np.zeros(gt.n_nodes)
-    np.add.at(incident_sum, gt.recv, errors)
-    np.add.at(incident_count, gt.recv, 1.0)
-    np.add.at(incident_sum, gt.send, errors)
-    np.add.at(incident_count, gt.send, 1.0)
-    for i, ip in enumerate(graph.nodes):
-        scores[ip] = float(
-            incident_sum[i] / incident_count[i] if incident_count[i] else 0.0
-        )
+    ends = np.concatenate([gt.recv, gt.send])
+    total = np.bincount(ends, np.concatenate([errors, errors]), gt.n_nodes)
+    count = np.bincount(ends, minlength=gt.n_nodes)
+    mean_error = np.divide(total, count, out=np.zeros(gt.n_nodes), where=count > 0)
     return EmbeddingSet(
         interval=graph.start,
         ips=tuple(graph.nodes),
         vectors=result.embeddings.copy(),
         edge_errors=errors,
-        anomaly=scores,
+        anomaly=dict(zip(graph.nodes, mean_error.tolist())),
     )
 
 
-def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
-    """Cosine similarity plus a degenerate-input flag.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
-    Either vector having norm below 1e-12 yields (0.0, True).
+
+def cosine_rows(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Cosine similarity of the vector ``u`` against each row of ``rows``.
+
+    A pair where either norm is below ``DEGENERATE_NORM`` scores 0.0;
+    results are clamped to [-1, 1]. Query and rows take their norms from
+    one routine, so ``cosine(u, v) == cosine(v, u)`` bit for bit. Shapes
+    that do not match raise ``ValueError``.
     """
     u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < DEGENERATE_NORM or nv < DEGENERATE_NORM:
-        return 0.0, True
-    value = float(np.dot(u, v) / (nu * nv))
-    return max(-1.0, min(1.0, value)), False
+    rows = np.asarray(rows, dtype=np.float64)
+    norm_u = _row_norms(u[None, :])
+    norms = _row_norms(rows)
+    scored = ~((norms < DEGENERATE_NORM) | (norm_u < DEGENERATE_NORM))
+    out = np.divide(rows @ u, norms * norm_u, out=np.zeros(len(rows)), where=scored)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    return cosine_with_flag(u, v)[0]
+    """Cosine similarity of two vectors: the one-row case of :func:`cosine_rows`."""
+    return float(cosine_rows(u, np.asarray(v)[None, ...])[0])
 
 
 def top_k_similar(embeddings: EmbeddingSet, ip: str, k: int) -> list[tuple[str, float]]:
     """The k most cosine-similar IPs to the query, query excluded.
 
-    Ties break by canonical IP order; k larger than the candidate set is
-    clamped.
+    One :func:`cosine_rows` call scores every row; ties break by canonical
+    IP order (the set's cached ``canonical_rank``). k larger than the
+    candidate set is clamped. Raises ``KeyError`` for an absent IP.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = embeddings.vector(ip)
-    scored = [
-        (other, cosine(query, embeddings.vector(other)))
-        for other in embeddings.ips
-        if other != ip
-    ]
-    scored.sort(key=lambda item: (-item[1], ip_sort_key(item[0])))
-    return scored[:k]
+    scores = cosine_rows(embeddings.vector(ip), embeddings.vectors)
+    order = np.lexsort((embeddings.canonical_rank, -scores))
+    order = order[order != embeddings.rows[ip]][:k]
+    return [(embeddings.ips[i], float(scores[i])) for i in order]
 
 
 def pairwise_report(
@@ -171,10 +184,9 @@ def pairwise_report(
     }
     for graph in graphs:
         embeddings = infer_embeddings(bundle, graph)
-        present = set(embeddings.ips)
         for pair in series:
             a, b = pair
-            if a in present and b in present:
+            if a in embeddings.rows and b in embeddings.rows:
                 value = cosine(embeddings.vector(a), embeddings.vector(b))
                 series[pair].append((graph.start, value))
     stats: dict[tuple[str, str], tuple[float | None, float | None, int]] = {}

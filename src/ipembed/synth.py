@@ -28,7 +28,7 @@ from .graphs import (
     iter_interval_graphs,
     normalize,
 )
-from .serving import cosine, infer_embeddings
+from .serving import cosine_rows, infer_embeddings
 from .training import ModelBundle, filter_holdout
 from .zeek import ConnRecord
 
@@ -386,21 +386,16 @@ def eval_inductive(
             )
     per_graph = []
     for graph in test_graphs:
-        present = set(graph.nodes)
-        holdout_here = sorted(holdout & present)
-        in_here = [ip for ip in in_role_ips if ip in present]
-        out_here = [ip for ip in out_role_ips if ip in present]
-        if not holdout_here or not in_here or not out_here:
+        rows = {ip: i for i, ip in enumerate(graph.nodes)}
+        held = sorted(holdout.intersection(rows))
+        in_rows = [rows[ip] for ip in in_role_ips if ip in rows]
+        out_rows = [rows[ip] for ip in out_role_ips if ip in rows]
+        if not held or not in_rows or not out_rows:
             continue
-        embeddings = infer_embeddings(bundle, graph)
-        in_values = []
-        out_values = []
-        for held in holdout_here:
-            vec = embeddings.vector(held)
-            in_values.extend(cosine(vec, embeddings.vector(ip)) for ip in in_here)
-            out_values.extend(cosine(vec, embeddings.vector(ip)) for ip in out_here)
-        in_mean = float(np.mean(in_values))
-        out_mean = float(np.mean(out_values))
+        vectors = infer_embeddings(bundle, graph).vectors
+        scores = np.array([cosine_rows(vectors[rows[ip]], vectors) for ip in held])
+        in_mean = float(scores[:, in_rows].mean())
+        out_mean = float(scores[:, out_rows].mean())
         per_graph.append((graph.start, in_mean, out_mean, in_mean - out_mean))
     if not per_graph:
         raise ValueError("no test graph contained a holdout IP with both roles")

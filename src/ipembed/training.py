@@ -73,6 +73,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        if self.checkpoint_every and not self.checkpoint_path:
+            raise ValueError("checkpoint_every needs a checkpoint_path")
 
 
 @dataclass
@@ -172,6 +176,8 @@ def train(
     """
     if not graphs:
         raise ValueError("no training graphs")
+    if train_config.checkpoint_every and (vocab is None or scaler is None):
+        raise ValueError("checkpointing needs the vocab and scaler of the model")
     tensors = [
         g if isinstance(g, GraphTensors) else GraphTensors.from_graph(g)
         for g in graphs
@@ -239,13 +245,8 @@ def train(
             if stall >= train_config.patience:
                 break
 
-        if (
-            train_config.checkpoint_every
-            and train_config.checkpoint_path
-            and (epoch + 1) % train_config.checkpoint_every == 0
-            and vocab is not None
-            and scaler is not None
-        ):
+        every = train_config.checkpoint_every
+        if every and (epoch + 1) % every == 0:
             save_model(
                 ModelBundle(params, model_config, vocab, scaler),
                 train_config.checkpoint_path,
@@ -336,8 +337,7 @@ def load_model(path: str | Path) -> ModelBundle:
         if fp.read(1):
             raise FormatError("trailing bytes after model payload")
 
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise FormatError("model vocab section is not a JSON list of strings")
+    vocab = ProtocolVocab.from_json(tokens, "model vocab section")
     count = int.from_bytes(scaler_raw[:4], "little")
     if len(scaler_raw) < 4 or len(scaler_raw) != 4 + 8 * count:
         raise FormatError(
@@ -345,10 +345,9 @@ def load_model(path: str | Path) -> ModelBundle:
             f"not a 4-byte count and {count} float64 values"
         )
     try:
-        vocab = ProtocolVocab(tuple(tokens))
         scaler = FeatureScaler(log_max=np.frombuffer(scaler_raw[4:], dtype="<f8").copy())
     except ValueError as exc:
-        raise FormatError(f"bad model vocab or scaler: {exc}") from None
+        raise FormatError(f"bad model scaler: {exc}") from None
     if not isinstance(config_doc, dict):
         raise FormatError("model config section is not a JSON object")
     bn_flags = config_doc.pop("bn_initialized", {})

@@ -180,15 +180,6 @@ _FIELD_ALIASES = {
     "responseIPBytes": "response_ip_bytes",
 }
 
-_COUNTER_SLOTS = (
-    "request_bytes",
-    "response_bytes",
-    "request_packets",
-    "response_packets",
-    "request_ip_bytes",
-    "response_ip_bytes",
-)
-
 Source = Union[str, Path, IO, Iterable]
 
 

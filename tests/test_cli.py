@@ -131,6 +131,23 @@ def test_bad_model_vocab_is_data_error(workspace, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"tokens": 5}, [1, 2], {"tokens": [5, "other"]}],
+    ids=["tokens-int", "json-list", "non-string-token"],
+)
+def test_bad_vocab_file_is_data_error(workspace, tmp_path, capsys, doc):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(doc))
+    out = tmp_path / "graphs"
+    assert run(
+        ["build-graphs", "--input", str(workspace["canon"]), "--interval", "600",
+         "--vocab", str(vocab), "--out", str(out)]
+    ) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergent_training_is_numeric_error(workspace, tmp_path, capsys):
     # an infinite loss weight makes the very first loss non-finite
     code = run(

@@ -442,6 +442,20 @@ def test_snapshot_edge_index_out_of_range(tmp_path, array, value):
         load_graph(path)
 
 
+def test_snapshot_duplicate_node_name(tmp_path):
+    vocab = ProtocolVocab(("dns", "other"))
+    graph = build_graph(
+        {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}, vocab, 0.0, 600.0
+    )
+    path = tmp_path / "graph.ipgr"
+    save_graph(graph, path)
+    blob = path.read_bytes()
+    assert blob.count(b"10.0.0.2") == 1
+    path.write_bytes(blob.replace(b"10.0.0.2", b"10.0.0.1"))
+    with pytest.raises(FormatError, match="twice"):
+        load_graph(path)
+
+
 def test_load_graph_dir_sorted(tmp_path):
     vocab = ProtocolVocab(("dns", "other"))
     for i in (2, 0, 1):

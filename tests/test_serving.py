@@ -18,13 +18,14 @@ from ipembed.graphs import (
     build_interval_graphs,
     fit_protocol_vocab,
     fit_scaler,
+    ip_sort_key,
     normalize,
 )
 from ipembed.model import GraphTensors, ModelConfig, forward
 from ipembed.serving import (
+    DEGENERATE_NORM,
     EmbeddingSet,
     cosine,
-    cosine_with_flag,
     infer_embeddings,
     pairwise_report,
     project_2d,
@@ -96,16 +97,19 @@ def test_cosine_hand_values():
 def test_cosine_degenerate_inputs_flagged():
     zero = np.zeros(3)
     v = np.array([1.0, 2.0, 3.0])
-    assert cosine_with_flag(zero, v) == (0.0, True)
-    assert cosine_with_flag(v, zero) == (0.0, True)
-    assert cosine_with_flag(np.full(3, 1e-13), v) == (0.0, True)
-    value, flag = cosine_with_flag(np.full(3, 1e-6), v)
-    assert not flag and value != 0.0
+    assert cosine(zero, v) == 0.0
+    assert cosine(v, zero) == 0.0
+    assert cosine(np.full(3, 1e-13), v) == 0.0
+    assert cosine(np.full(3, 1e-6), v) != 0.0
 
 
 def test_cosine_shape_mismatch():
     with pytest.raises(ValueError):
         cosine(np.zeros(3), np.zeros(4))
+
+
+def degenerate(u, v):
+    return min(np.linalg.norm(u), np.linalg.norm(v)) < DEGENERATE_NORM
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,14 +122,14 @@ def test_cosine_symmetry_bounds_scale(a, b, scale):
     n = min(len(a), len(b))
     u = np.array(a[:n])
     v = np.array(b[:n])
-    x, fx = cosine_with_flag(u, v)
-    y, fy = cosine_with_flag(v, u)
-    assert x == y and fx == fy
+    x = cosine(u, v)
+    y = cosine(v, u)
+    assert x == y
     assert -1.0 <= x <= 1.0
-    if not fx:
-        scaled, flag = cosine_with_flag(scale * u, v)
-        if not flag:
-            assert scaled == pytest.approx(x, abs=1e-9)
+    if degenerate(u, v):
+        assert x == 0.0
+    elif not degenerate(scale * u, v):
+        assert cosine(scale * u, v) == pytest.approx(x, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +184,52 @@ def test_top_k_matches_brute_force(rng):
         np.testing.assert_allclose(
             [v for _, v in ranked], [v for _, v in oracle], atol=1e-12
         )
+
+
+def reference_top_k(ips, vectors, query):
+    """Every other IP by descending cosine, ties by canonical IP order,
+    scored pair by pair with plain NumPy."""
+    q = vectors[ips.index(query)]
+    scored = []
+    for ip, v in zip(ips, vectors):
+        if ip != query:
+            norms = np.linalg.norm(q) * np.linalg.norm(v)
+            scored.append((ip, 0.0 if norms == 0.0 else float(q @ v / norms)))
+    return sorted(scored, key=lambda item: (-item[1], ip_sort_key(item[0])))
+
+
+def test_top_k_non_canonical_order_ties_and_zero_vector():
+    ips = ["10.0.0.10", "::1", "10.0.0.9", "192.168.1.1", "10.0.0.2", "10.0.0.3",
+           "172.16.0.1"]
+    vectors = np.array(
+        [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+         [3.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+    )
+    es = embedding_set(ips, vectors)
+    ranked = top_k_similar(es, "10.0.0.2", 6)
+    assert [ip for ip, _ in ranked] == [
+        "10.0.0.10", "::1", "172.16.0.1", "10.0.0.9", "192.168.1.1", "10.0.0.3"
+    ]
+    assert [v for _, v in ranked[:2]] == [1.0, 1.0]
+    assert [v for _, v in ranked[3:]] == [0.0, 0.0, -1.0]
+    # the zero vector scores 0 against all, so canonical order decides
+    assert top_k_similar(es, "192.168.1.1", 6) == [
+        (ip, 0.0)
+        for ip in ["10.0.0.2", "10.0.0.3", "10.0.0.9", "10.0.0.10", "172.16.0.1", "::1"]
+    ]
+    for query in ips:
+        for k in (1, 3, 6, 10):
+            ranked = top_k_similar(es, query, k)
+            expected = reference_top_k(ips, vectors, query)[:k]
+            assert [ip for ip, _ in ranked] == [ip for ip, _ in expected]
+            np.testing.assert_allclose(
+                [v for _, v in ranked], [v for _, v in expected], rtol=0, atol=1e-12
+            )
+
+
+def test_embedding_set_rejects_duplicate_ips():
+    with pytest.raises(ValueError):
+        embedding_set(["10.0.0.1", "10.0.0.2", "10.0.0.1"], np.eye(3))
 
 
 def test_top_k_input_validation():
@@ -271,6 +321,29 @@ def test_infer_embeddings_is_pure(pipeline):
     np.testing.assert_array_equal(a.vectors, b.vectors)
     np.testing.assert_array_equal(a.edge_errors, b.edge_errors)
     assert a.anomaly == b.anomaly
+
+
+def test_anomaly_scores_are_the_incident_edge_mean_bit_for_bit(pipeline):
+    # The reference is the per-node accumulation the scores were first
+    # defined by: np.add.at over receiving ends, then over sending ends.
+    bundle, graphs, _ = pipeline
+    for graph in graphs:
+        es = infer_embeddings(bundle, graph)
+        gt = GraphTensors.from_graph(normalize(graph, bundle.scaler))
+        total = np.zeros(gt.n_nodes)
+        count = np.zeros(gt.n_nodes)
+        np.add.at(total, gt.recv, es.edge_errors)
+        np.add.at(count, gt.recv, 1.0)
+        np.add.at(total, gt.send, es.edge_errors)
+        np.add.at(count, gt.send, 1.0)
+        expected = {
+            ip: float(total[i] / count[i] if count[i] else 0.0)
+            for i, ip in enumerate(graph.nodes)
+        }
+        assert list(es.anomaly) == list(expected)
+        assert [v.hex() for v in es.anomaly.values()] == [
+            v.hex() for v in expected.values()
+        ]
 
 
 def test_infer_embeddings_records_nothing_and_frees_its_tape(pipeline, monkeypatch):

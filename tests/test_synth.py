@@ -326,6 +326,57 @@ def test_eval_inductive_result_consistency(experiment):
     )
 
 
+def test_eval_inductive_matches_per_pair_numpy(experiment):
+    from ipembed.serving import infer_embeddings
+    from ipembed.training import ModelBundle
+
+    config = ModelConfig(
+        edge_dim=experiment.train_graphs[0].feat_dim + 1,
+        hidden=8,
+        layers=2,
+        decoder_hidden=16,
+    )
+    params, _ = train(experiment.train_graphs, config, TrainConfig(epochs=1, seed=0))
+    bundle = ModelBundle(params, config, experiment.vocab, experiment.scaler)
+    result = eval_inductive(
+        bundle,
+        experiment.train_graphs,
+        experiment.test_graphs,
+        experiment.holdout_ips,
+        experiment.in_role_ips,
+        experiment.out_role_ips,
+    )
+
+    def mean_cosine(es, held, group):
+        values = []
+        for a in held:
+            for b in group:
+                u = es.vectors[es.ips.index(a)]
+                v = es.vectors[es.ips.index(b)]
+                nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+                values.append(0.0 if min(nu, nv) < 1e-12 else float(u @ v) / (nu * nv))
+        return sum(values) / len(values)
+
+    expected = []
+    for graph in experiment.test_graphs:
+        es = infer_embeddings(bundle, graph)
+        held = sorted(ip for ip in experiment.holdout_ips if ip in es.ips)
+        in_ips = [ip for ip in experiment.in_role_ips if ip in es.ips]
+        out_ips = [ip for ip in experiment.out_role_ips if ip in es.ips]
+        if held and in_ips and out_ips:
+            expected.append(
+                (graph.start, mean_cosine(es, held, in_ips), mean_cosine(es, held, out_ips))
+            )
+    assert expected
+    assert [row[0] for row in result.per_graph] == [row[0] for row in expected]
+    np.testing.assert_allclose(
+        [row[1:3] for row in result.per_graph],
+        [row[1:] for row in expected],
+        rtol=0,
+        atol=1e-12,
+    )
+
+
 def test_eval_inductive_requires_scoreable_graph(experiment):
     from ipembed.training import ModelBundle
     from ipembed.model import init_params
