@@ -8,9 +8,25 @@ differences by :func:`grad_check`.
 
 Conventions: every tensor is a 2-D float64 matrix; scalars are (1, 1).
 The only implicit broadcast is adding a (1, m) row vector to an (n, m)
-matrix (bias addition); column scaling has its own primitive. Operations
-record onto the tape in execution order, which is a valid topological
-order, and :func:`backward` replays it once in reverse.
+matrix (bias addition). Operations record onto the tape in execution
+order, which is a valid topological order, and :func:`backward` replays it
+once in reverse.
+
+Fused primitives: :func:`batch_norm` (train and eval) and
+:func:`gate_normalize` each record one node whose vjp is written out in
+closed form, so neither leaves its intermediate steps on the tape.
+
+Segment plan: summing rows by id (the forward of :func:`segment_sum` and the
+backward of :func:`gather_rows`) goes through a :class:`Segments` record,
+which sorts the ids once and then sums with one ``np.add.reduceat`` per
+call. A graph builds one for its receiving and one for its sending
+endpoints and reuses them for every layer and every step; a plain id array
+is grouped on the spot.
+
+Backward copies nothing: the first gradient part reaching a node is stored
+as it is and later parts are added out of place, since one vjp may hand
+the same array to several parents. Gradients are therefore shared between
+nodes and are read-only once :func:`backward` returns.
 
 Memory follows reference counting. A :class:`Tensor` handle holds its tape;
 the tape holds, per node, the parents' ids, the vjp closure (which captures
@@ -34,27 +50,22 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
-    "BatchNormState",
+    "Segments",
+    "BatchNorm",
     "backward",
     "grad_check",
     "linear",
     "add",
     "hadamard",
-    "scale_columns",
-    "div",
     "relu",
     "sigmoid",
     "log_sigmoid",
-    "rsqrt",
-    "neg",
     "scalar_mul",
-    "scalar_add",
     "concat_cols",
     "gather_rows",
     "segment_sum",
     "sum_all",
     "row_sums",
-    "col_sums",
     "bce_with_logits_mean",
     "batch_norm",
     "gate_normalize",
@@ -158,7 +169,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every tensor on its tape.
 
     Visits nodes in reverse insertion order exactly once. Tensors that do
-    not influence the loss receive a zero gradient.
+    not influence the loss receive a zero gradient. Gradient arrays may be
+    shared between tensors, so they are returned read-only.
     """
     if loss.data.shape != (1, 1):
         raise ShapeError(f"loss must be scalar (1, 1), got {loss.data.shape}")
@@ -178,13 +190,12 @@ def backward(loss: Tensor) -> None:
         for pid, part in zip(node.parents, node.vjp(grad)):
             if part is None:
                 continue
-            if grads[pid] is None:
-                grads[pid] = part.copy()
-            else:
-                grads[pid] += part
+            # Out of place: ``part`` may be shared with a sibling parent.
+            grads[pid] = part if grads[pid] is None else grads[pid] + part
     for node, grad in zip(nodes, grads):
         value = node.tensor
         value.grad = np.zeros_like(value.data) if grad is None else grad
+        value.grad.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -227,30 +238,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return a.tape._record(a_data * b_data, (a, b), vjp)
 
 
-def scale_columns(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply column k of ``x`` by ``s[0, k]``."""
-    if s.shape != (1, x.shape[1]):
-        raise ShapeError(f"scale_columns needs (1, {x.shape[1]}), got {s.shape}")
-    x_data, s_data = x.data, s.data
-
-    def vjp(g):
-        return (g * s_data, (g * x_data).sum(axis=0, keepdims=True))
-
-    return x.tape._record(x_data * s_data, (x, s), vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"div mismatch: {a.shape} / {b.shape}")
-    a_data, b_data = a.data, b.data
-    out = a_data / b_data
-
-    def vjp(g):
-        return (g / b_data, -g * a_data / (b_data * b_data))
-
-    return a.tape._record(out, (a, b), vjp)
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
@@ -262,12 +249,8 @@ def relu(x: Tensor) -> Tensor:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log_sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -293,15 +276,6 @@ def log_sigmoid(x: Tensor) -> Tensor:
     return x.tape._record(log_sigmoid_np(x_data), (x,), vjp)
 
 
-def rsqrt(x: Tensor, eps: float = 0.0) -> Tensor:
-    out = 1.0 / np.sqrt(x.data + eps)
-
-    def vjp(g):
-        return (-0.5 * g * out * out * out,)
-
-    return x.tape._record(out, (x,), vjp)
-
-
 def scalar_mul(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -309,17 +283,6 @@ def scalar_mul(x: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return x.tape._record(x.data * c, (x,), vjp)
-
-
-def scalar_add(x: Tensor, c: float) -> Tensor:
-    def vjp(g):
-        return (g,)
-
-    return x.tape._record(x.data + float(c), (x,), vjp)
-
-
-def neg(x: Tensor) -> Tensor:
-    return scalar_mul(x, -1.0)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -340,38 +303,77 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return parts[0].tape._record(data, tuple(parts), vjp)
 
 
+class Segments:
+    """Rows grouped by an id in ``[0, count)``, sorted once for reuse.
+
+    ``order`` is a stable sort of ``ids``, ``starts`` are the offsets in that
+    order at which each non-empty id's run begins, and ``nonempty`` marks the
+    ids that own at least one row. :meth:`sum` then costs one gather and one
+    ``np.add.reduceat``.
+    """
+
+    __slots__ = ("ids", "count", "order", "starts", "nonempty")
+
+    def __init__(self, ids, count: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ShapeError(f"segment ids must be 1-D, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= count):
+            raise ShapeError("segment id out of range")
+        sizes = np.bincount(ids, minlength=count)
+        self.ids = ids
+        self.count = int(count)
+        self.order = np.argsort(ids, kind="stable")
+        self.nonempty = sizes > 0
+        self.starts = (np.cumsum(sizes) - sizes)[self.nonempty]
+
+    def sum(self, rows: np.ndarray) -> np.ndarray:
+        """Sum ``rows`` (one per id) into ``count`` rows; empty ids give 0."""
+        if not self.starts.size:
+            return np.zeros((self.count, rows.shape[1]), dtype=np.float64)
+        sums = np.add.reduceat(rows[self.order], self.starts, axis=0)
+        if self.starts.size == self.count:
+            return sums
+        out = np.zeros((self.count, rows.shape[1]), dtype=np.float64)
+        out[self.nonempty] = sums
+        return out
+
+
+def _segments(ids, count: int | None) -> Segments:
+    if not isinstance(ids, Segments):
+        if count is None:
+            raise ShapeError("a plain id array needs the number of segments")
+        return Segments(ids, count)
+    if count is not None and count != ids.count:
+        raise ShapeError(f"segments cover {ids.count} ids, expected {count}")
+    return ids
+
+
 def gather_rows(x: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows needs 1-D indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError("gather_rows index out of range")
-    n_rows = x.shape[0]
+    """Rows ``x[indices]``; ``indices`` is an id array or :class:`Segments`."""
+    seg = _segments(indices, x.shape[0])
 
     def vjp(g):
-        out = np.zeros((n_rows, g.shape[1]), dtype=np.float64)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (seg.sum(g),)
 
-    return x.tape._record(x.data[idx], (x,), vjp)
+    return x.tape._record(x.data[seg.ids], (x,), vjp)
 
 
-def segment_sum(x: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``n_segments`` buckets; empty buckets are zero."""
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != x.shape[0]:
+def segment_sum(x: Tensor, segment_ids, n_segments: int | None = None) -> Tensor:
+    """Sum rows of ``x`` into ``n_segments`` buckets; empty buckets are zero.
+
+    ``segment_ids`` is an id array (then ``n_segments`` is required) or a
+    :class:`Segments`."""
+    seg = _segments(segment_ids, n_segments)
+    if seg.ids.shape[0] != x.shape[0]:
         raise ShapeError(
-            f"segment ids shape {ids.shape} does not match {x.shape[0]} rows"
+            f"segment ids shape {seg.ids.shape} does not match {x.shape[0]} rows"
         )
-    if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
-        raise ShapeError("segment id out of range")
-    out = np.zeros((n_segments, x.shape[1]), dtype=np.float64)
-    np.add.at(out, ids, x.data)
 
     def vjp(g):
-        return (g[ids],)
+        return (g[seg.ids],)
 
-    return x.tape._record(out, (x,), vjp)
+    return x.tape._record(seg.sum(x.data), (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -390,15 +392,6 @@ def row_sums(x: Tensor) -> Tensor:
         return (np.repeat(g, cols, axis=1),)
 
     return x.tape._record(x.data.sum(axis=1, keepdims=True), (x,), vjp)
-
-
-def col_sums(x: Tensor) -> Tensor:
-    rows = x.shape[0]
-
-    def vjp(g):
-        return (np.repeat(g, rows, axis=0),)
-
-    return x.tape._record(x.data.sum(axis=0, keepdims=True), (x,), vjp)
 
 
 def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
@@ -425,32 +418,50 @@ def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# composites
+# batch norm and gates
 
 
 @dataclass
-class BatchNormState:
-    """Running statistics for one batch normalization, kept outside the tape."""
+class BatchNorm:
+    """Affine parameters and running statistics of one batch normalization.
 
+    ``gamma`` and ``beta`` are trained through their tape leaves; the running
+    statistics live outside the tape and are what eval mode normalizes by.
+    """
+
+    gamma: np.ndarray
+    beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
     initialized: bool = False
 
     @classmethod
-    def create(cls, width: int) -> "BatchNormState":
+    def create(cls, width: int) -> "BatchNorm":
         return cls(
+            gamma=np.ones((1, width), dtype=np.float64),
+            beta=np.zeros((1, width), dtype=np.float64),
             running_mean=np.zeros((1, width), dtype=np.float64),
             running_var=np.ones((1, width), dtype=np.float64),
         )
+
+    @property
+    def state(self) -> "BatchNorm":
+        """The object itself, for callers that reach the running statistics
+        as ``bn.state``."""
+        return self
 
     def set_running(self, mean, var) -> None:
         self.running_mean = np.asarray(mean, dtype=np.float64).reshape(1, -1)
         self.running_var = np.asarray(var, dtype=np.float64).reshape(1, -1)
         self.initialized = True
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(
-            self.running_mean.copy(), self.running_var.copy(), self.initialized
+    def copy(self) -> "BatchNorm":
+        return BatchNorm(
+            self.gamma.copy(),
+            self.beta.copy(),
+            self.running_mean.copy(),
+            self.running_var.copy(),
+            self.initialized,
         )
 
 
@@ -458,68 +469,95 @@ def batch_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    state: BatchNormState,
+    state: BatchNorm,
     mode: str = "train",
     momentum: float = 0.1,
     eps: float = 1e-5,
     update_running: bool = True,
 ) -> Tensor:
-    """Per-column batch normalization with affine parameters.
+    """Per-column batch normalization with affine parameters, one tape node.
 
     Train mode normalizes by the batch mean and population variance and,
-    unless ``update_running`` is off, folds them into the running stats
-    with the given momentum. Eval mode uses the running stats and requires
-    that they have been set at least once.
+    unless ``update_running`` is off, folds them into ``state``'s running
+    stats with the given momentum. Eval mode uses the running stats and
+    requires that they have been set at least once.
     """
     width = x.shape[1]
     if gamma.shape != (1, width) or beta.shape != (1, width):
         raise ShapeError(
             f"affine shapes {gamma.shape}/{beta.shape} do not match width {width}"
         )
+    gamma_data = gamma.data
     if mode == "train":
         n = x.shape[0]
         if n < 2:
             raise ValueError("batch norm in train mode needs at least 2 rows")
-        mu = scalar_mul(col_sums(x), 1.0 / n)
-        centered = add(x, neg(mu))
-        var = scalar_mul(col_sums(hadamard(centered, centered)), 1.0 / n)
-        inv_std = rsqrt(var, eps)
-        normalized = scale_columns(centered, inv_std)
+        mu = x.data.sum(axis=0, keepdims=True) * (1.0 / n)
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        normalized = centered * inv_std
         if update_running:
-            state.running_mean = (
-                (1.0 - momentum) * state.running_mean + momentum * mu.data
-            )
-            state.running_var = (
-                (1.0 - momentum) * state.running_var + momentum * var.data
-            )
+            state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
+            state.running_var = (1.0 - momentum) * state.running_var + momentum * var
             state.initialized = True
+
+        def vjp(g):
+            # dx = inv_std/n * (n*gh - sum(gh) - xhat*sum(gh*xhat)), gh = g*gamma;
+            # both sums are gamma times the affine gradients.
+            g_gamma = (g * normalized).sum(axis=0, keepdims=True)
+            g_beta = g.sum(axis=0, keepdims=True)
+            dx = (gamma_data * inv_std * (1.0 / n)) * (
+                n * g - g_beta - normalized * g_gamma
+            )
+            return (dx, g_gamma, g_beta)
+
     elif mode == "eval":
         if not state.initialized:
             raise RuntimeError(
                 "batch norm used in eval mode before any running-stat update"
             )
-        tape = x.tape
-        shift = tape.leaf(-state.running_mean)
-        scale = tape.leaf(1.0 / np.sqrt(state.running_var + eps))
-        normalized = scale_columns(add(x, shift), scale)
+        inv_std = 1.0 / np.sqrt(state.running_var + eps)
+        normalized = (x.data - state.running_mean) * inv_std
+
+        def vjp(g):
+            return (
+                g * (gamma_data * inv_std),
+                (g * normalized).sum(axis=0, keepdims=True),
+                g.sum(axis=0, keepdims=True),
+            )
+
     else:
         raise ValueError(f"unknown batch norm mode {mode!r}")
-    return add(scale_columns(normalized, gamma), beta)
+    out = normalized * gamma_data + beta.data
+    return x.tape._record(out, (x, gamma, beta), vjp)
 
 
 def gate_normalize(
-    edge_score: Tensor, recv_ids, n_nodes: int, eps: float = 1e-6
+    edge_score: Tensor, recv, n_nodes: int | None = None, eps: float = 1e-6
 ) -> Tensor:
     """Dimension-wise edge gates, normalized over each receiving node.
 
     ``sigmoid(score) / (sum of sigmoids over the node's incoming edges +
     eps)``; every component lies in (0, 1) and each node's gates sum to
-    just under one.
+    just under one. ``recv`` is an id array (then ``n_nodes`` is required)
+    or a :class:`Segments`. One tape node.
     """
-    sig = sigmoid(edge_score)
-    totals = segment_sum(sig, recv_ids, n_nodes)
-    denom = scalar_add(gather_rows(totals, recv_ids), eps)
-    return div(sig, denom)
+    seg = _segments(recv, n_nodes)
+    if seg.ids.shape[0] != edge_score.shape[0]:
+        raise ShapeError(
+            f"receiver ids shape {seg.ids.shape} does not match "
+            f"{edge_score.shape[0]} edges"
+        )
+    sig = stable_sigmoid(edge_score.data)
+    denom = seg.sum(sig)[seg.ids] + eps
+    out = sig / denom
+
+    def vjp(g):
+        d_sig = (g - seg.sum(g * out)[seg.ids]) / denom
+        return (d_sig * (sig * (1.0 - sig)),)
+
+    return edge_score.tape._record(out, (edge_score,), vjp)
 
 
 # ---------------------------------------------------------------------------

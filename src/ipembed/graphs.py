@@ -412,6 +412,8 @@ def drop_nodes(graph: IntervalGraph, ips: Iterable[str]) -> IntervalGraph | None
 def validate_graph(graph: IntervalGraph) -> None:
     """Raise if structural invariants do not hold."""
     n, e = graph.n_nodes, graph.n_edges
+    if len(set(graph.nodes)) != n:
+        raise ValueError("graph names a node twice")
     if e % 2:
         raise ValueError("edge count must be even (forward/reverse pairs)")
     if graph.edge_dst.shape != (e,) or graph.reverse.shape != (e,):

@@ -20,18 +20,17 @@ applies the residual after that projection, so deeper layers work purely in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tape, Tensor
+from .autodiff import BatchNorm, Segments, Tape, Tensor
 from .graphs import N_NUMERIC, IntervalGraph
 
 __all__ = [
     "ModelConfig",
-    "BatchNormPair",
     "ConvParams",
     "ModelParams",
     "GraphTensors",
@@ -41,8 +40,6 @@ __all__ = [
     "input_layer",
     "conv_layer",
     "decode",
-    "reconstruction_loss",
-    "neighbor_loss",
     "edge_dim_for_vocab",
 ]
 
@@ -88,26 +85,6 @@ def edge_dim_for_vocab(vocab_size: int) -> int:
 
 
 @dataclass
-class BatchNormPair:
-    """Affine parameters plus running statistics for one normalization."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    state: BatchNormState
-
-    @classmethod
-    def create(cls, width: int) -> "BatchNormPair":
-        return cls(
-            gamma=np.ones((1, width), dtype=np.float64),
-            beta=np.zeros((1, width), dtype=np.float64),
-            state=BatchNormState.create(width),
-        )
-
-    def copy(self) -> "BatchNormPair":
-        return BatchNormPair(self.gamma.copy(), self.beta.copy(), self.state.copy())
-
-
-@dataclass
 class ConvParams:
     """Weights of one gated graph convolution layer."""
 
@@ -116,8 +93,8 @@ class ConvParams:
     gate_edge: np.ndarray  # (H, d) on the first layer, (H, H) afterwards
     node_self: np.ndarray  # (H, H)
     node_msg: np.ndarray  # (H, H) sender state -> message
-    bn_edge: BatchNormPair
-    bn_node: BatchNormPair
+    bn_edge: BatchNorm
+    bn_node: BatchNorm
 
     def copy(self) -> "ConvParams":
         return ConvParams(
@@ -137,8 +114,8 @@ class ModelParams:
 
     edge_embed: np.ndarray  # (d, d) input edge transform
     edge_to_node: np.ndarray  # (H, d) gated edge features -> node state
-    bn_edge_in: BatchNormPair
-    bn_node_in: BatchNormPair
+    bn_edge_in: BatchNorm
+    bn_node_in: BatchNorm
     convs: list[ConvParams]
     dec_hidden_w: np.ndarray  # (decoder_hidden, 3H)
     dec_hidden_b: np.ndarray  # (1, decoder_hidden)
@@ -168,14 +145,8 @@ class ModelParams:
         yield "dec_out_w", self.dec_out_w
         yield "dec_out_b", self.dec_out_b
 
-    def set_array(self, name: str, value: np.ndarray) -> None:
-        for existing_name, arr in self.named_arrays():
-            if existing_name == name:
-                arr[...] = value
-                return
-        raise KeyError(name)
-
-    def bn_pairs(self) -> Iterator[tuple[str, BatchNormPair]]:
+    def bn_pairs(self) -> Iterator[tuple[str, BatchNorm]]:
+        """Every batch normalization, named as in the model file."""
         yield "bn_edge_in", self.bn_edge_in
         yield "bn_node_in", self.bn_node_in
         for i, conv in enumerate(self.convs):
@@ -183,14 +154,14 @@ class ModelParams:
             yield f"conv{i}.bn_node", conv.bn_node
 
     def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name, pair in self.bn_pairs():
-            yield f"{name}.running_mean", pair.state.running_mean
-            yield f"{name}.running_var", pair.state.running_var
+        for name, bn in self.bn_pairs():
+            yield f"{name}.running_mean", bn.running_mean
+            yield f"{name}.running_var", bn.running_var
 
     def mark_bn_initialized(self) -> None:
         """Declare the current running stats usable for eval mode."""
-        for _, pair in self.bn_pairs():
-            pair.state.initialized = True
+        for _, bn in self.bn_pairs():
+            bn.initialized = True
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -226,15 +197,15 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
                 gate_edge=_glorot(rng, h, edge_in),
                 node_self=_glorot(rng, h, h),
                 node_msg=_glorot(rng, h, h),
-                bn_edge=BatchNormPair.create(h),
-                bn_node=BatchNormPair.create(h),
+                bn_edge=BatchNorm.create(h),
+                bn_node=BatchNorm.create(h),
             )
         )
     return ModelParams(
         edge_embed=_glorot(rng, d, d),
         edge_to_node=_glorot(rng, h, d),
-        bn_edge_in=BatchNormPair.create(d),
-        bn_node_in=BatchNormPair.create(h),
+        bn_edge_in=BatchNorm.create(d),
+        bn_node_in=BatchNorm.create(h),
         convs=convs,
         dec_hidden_w=_glorot(rng, config.decoder_hidden, 3 * h),
         dec_hidden_b=np.zeros((1, config.decoder_hidden)),
@@ -245,12 +216,20 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 @dataclass
 class GraphTensors:
-    """Model-ready view of one interval graph."""
+    """Model-ready view of one interval graph. The endpoint arrays are
+    grouped into :class:`Segments` once, on construction, and every layer
+    and step reuses them."""
 
     n_nodes: int
     recv: np.ndarray  # (E,) receiving node per directed edge
     send: np.ndarray  # (E,) sending node per directed edge
     feats: np.ndarray  # (E, d) inputs in [0, 1], reverse flag last
+    recv_segments: Segments = field(init=False, repr=False, compare=False)
+    send_segments: Segments = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.recv_segments = Segments(self.recv, self.n_nodes)
+        self.send_segments = Segments(self.send, self.n_nodes)
 
     @classmethod
     def from_graph(cls, graph: IntervalGraph) -> "GraphTensors":
@@ -302,12 +281,12 @@ def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
     return {name: tape.leaf(arr) for name, arr in params.named_arrays()}
 
 
-def _bn(x, leaves, name, pair, config, mode, update):
+def _bn(x, leaves, name, bn, config, mode, update):
     return ad.batch_norm(
         x,
         leaves[f"{name}.gamma"],
         leaves[f"{name}.beta"],
-        pair.state,
+        bn,
         mode=mode,
         momentum=config.bn_momentum,
         eps=config.bn_eps,
@@ -328,9 +307,9 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
         )
     )
     edge_state = ad.add(e0, transformed)
-    gates = ad.gate_normalize(edge_state, gt.recv, gt.n_nodes, config.gate_eps)
+    gates = ad.gate_normalize(edge_state, gt.recv_segments, eps=config.gate_eps)
     gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
-    pooled = ad.segment_sum(gated, gt.recv, gt.n_nodes)
+    pooled = ad.segment_sum(gated, gt.recv_segments)
     h = ad.relu(
         _bn(pooled, leaves, "bn_node_in", params.bn_node_in, config, mode, update)
     )
@@ -340,8 +319,8 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
 def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     conv = params.convs[layer]
     prefix = f"conv{layer}"
-    h_recv = ad.gather_rows(h, gt.recv)
-    h_send = ad.gather_rows(h, gt.send)
+    h_recv = ad.gather_rows(h, gt.recv_segments)
+    h_send = ad.gather_rows(h, gt.send_segments)
     projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
     pre = ad.add(
         ad.add(
@@ -357,9 +336,9 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     # layers live in the hidden dimension.
     residual = projected if layer == 0 else edge_state
     new_edge_state = ad.add(residual, update_term)
-    gates = ad.gate_normalize(new_edge_state, gt.recv, gt.n_nodes, config.gate_eps)
+    gates = ad.gate_normalize(new_edge_state, gt.recv_segments, eps=config.gate_eps)
     messages = ad.hadamard(gates, ad.linear(h_send, leaves[f"{prefix}.node_msg"]))
-    pooled = ad.segment_sum(messages, gt.recv, gt.n_nodes)
+    pooled = ad.segment_sum(messages, gt.recv_segments)
     node_pre = ad.add(ad.linear(h, leaves[f"{prefix}.node_self"]), pooled)
     new_h = ad.add(
         h,
@@ -373,8 +352,8 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
 
 
 def _decode(leaves, gt, h, edge_state):
-    h_recv = ad.gather_rows(h, gt.recv)
-    h_send = ad.gather_rows(h, gt.send)
+    h_recv = ad.gather_rows(h, gt.recv_segments)
+    h_send = ad.gather_rows(h, gt.send_segments)
     joined = ad.concat_cols([h_recv, h_send, edge_state])
     hidden = ad.relu(
         ad.add(ad.linear(joined, leaves["dec_hidden_w"]), leaves["dec_hidden_b"])
@@ -493,40 +472,3 @@ def decode(
     leaves = _leaves(tape, params)
     logits, _, _ = _decode(leaves, gt, tape.leaf(h), tape.leaf(edge_state))
     return ad.sigmoid(logits)
-
-
-# ---------------------------------------------------------------------------
-# loss helpers on plain arrays
-
-
-def reconstruction_loss(targets: np.ndarray, probs: np.ndarray, weight: float) -> float:
-    """Weighted mean binary cross entropy of decoded probabilities.
-
-    The limits ``0 * log 0`` are taken as zero so exact hits at 0 or 1 cost
-    nothing.
-    """
-    t = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(t > 0, t * np.log(p), 0.0)
-        right = np.where(t < 1, (1.0 - t) * np.log1p(-p), 0.0)
-    values = -(left + right)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("cross entropy diverged (probability hit 0 or 1)")
-    return float(weight * values.mean())
-
-
-def neighbor_loss(
-    embeddings: np.ndarray, recv, send, weight: float
-) -> float:
-    """``-weight * sum over directed edges of log sigmoid(h_recv . h_send)``."""
-    h = np.asarray(embeddings, dtype=np.float64)
-    recv = np.asarray(recv, dtype=np.int64)
-    send = np.asarray(send, dtype=np.int64)
-    dots = np.einsum("ij,ij->i", h[recv], h[send])
-    return float(-weight * ad.log_sigmoid_np(dots).sum())
-

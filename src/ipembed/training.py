@@ -290,7 +290,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "lambda_recon": config.lambda_recon,
         "lambda_neighbor": config.lambda_neighbor,
         "bn_initialized": {
-            name: pair.state.initialized for name, pair in bundle.params.bn_pairs()
+            name: bn.initialized for name, bn in bundle.params.bn_pairs()
         },
     }
     tensors = list(bundle.params.named_arrays()) + list(
@@ -370,6 +370,6 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"expected {arr.shape}"
             )
         arr[...] = arrays[name]
-    for name, pair in params.bn_pairs():
-        pair.state.initialized = bool(bn_flags.get(name, True))
+    for name, bn in params.bn_pairs():
+        bn.initialized = bool(bn_flags.get(name, True))
     return ModelBundle(params=params, config=config, vocab=vocab, scaler=scaler)

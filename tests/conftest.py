@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from ipembed.autodiff import log_sigmoid_np
 from ipembed.graphs import IntervalGraph
 from ipembed.zeek import ConnRecord
 
@@ -123,6 +124,47 @@ def rewrite_model_config(path, edit):
     rewrite_model_section(
         path, 0, lambda raw: json.dumps(edit(json.loads(raw))).encode("utf-8")
     )
+
+
+def set_array(params, name, value):
+    """Overwrite the trainable array ``name`` of ``params`` in place."""
+    for existing_name, arr in params.named_arrays():
+        if existing_name == name:
+            arr[...] = value
+            return
+    raise KeyError(name)
+
+
+def reconstruction_loss(targets, probs, weight):
+    """Weighted mean binary cross entropy of decoded probabilities, the
+    plain-array oracle for the model's reconstruction term.
+
+    The limits ``0 * log 0`` are taken as zero so exact hits at 0 or 1 cost
+    nothing.
+    """
+    t = np.asarray(targets, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
+    if t.shape != p.shape:
+        raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
+    if np.any((p < 0) | (p > 1)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = np.where(t > 0, t * np.log(p), 0.0)
+        right = np.where(t < 1, (1.0 - t) * np.log1p(-p), 0.0)
+    values = -(left + right)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("cross entropy diverged (probability hit 0 or 1)")
+    return float(weight * values.mean())
+
+
+def neighbor_loss(embeddings, recv, send, weight):
+    """``-weight * sum over directed edges of log sigmoid(h_recv . h_send)``,
+    the plain-array oracle for the model's neighbor term."""
+    h = np.asarray(embeddings, dtype=np.float64)
+    recv = np.asarray(recv, dtype=np.int64)
+    send = np.asarray(send, dtype=np.int64)
+    dots = np.einsum("ij,ij->i", h[recv], h[send])
+    return float(-weight * log_sigmoid_np(dots).sum())
 
 
 @contextmanager

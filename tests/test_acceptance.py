@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, random_graph
+from conftest import (
+    make_record,
+    neighbor_loss,
+    random_graph,
+    reconstruction_loss,
+    set_array,
+)
 from ipembed.autodiff import grad_check
 from ipembed.cli import run
 from ipembed.graphs import N_NUMERIC, NUMERIC_FEATURES, load_graph, normalize
@@ -31,8 +37,6 @@ from ipembed.model import (
     edge_dim_for_vocab,
     forward,
     init_params,
-    neighbor_loss,
-    reconstruction_loss,
 )
 from ipembed.serving import infer_embeddings
 from ipembed.synth import default_roles, eval_inductive, make_experiment
@@ -120,7 +124,7 @@ def test_gates_bounded_componentwise_and_per_node():
         gt = GraphTensors.from_graph(graph)
         params = init_params(config, seed=case)
         for name, arr in params.named_arrays():
-            params.set_array(name, arr + rng.normal(0.0, 0.7, arr.shape))
+            set_array(params, name, arr + rng.normal(0.0, 0.7, arr.shape))
         mode = "train" if case % 2 == 0 else "eval"
         if mode == "eval":
             for name, buf in params.named_buffers():
@@ -159,7 +163,7 @@ def test_zero_weight_layers_reproduce_identities():
     params = init_params(config, seed=0)
     for name, arr in params.named_arrays():
         if name.startswith("conv") and ".bn_" not in name:
-            params.set_array(name, np.zeros_like(arr))
+            set_array(params, name, np.zeros_like(arr))
     params.mark_bn_initialized()
     h = rng.standard_normal((graph.n_nodes, config.hidden))
     for layer, es_dim in ((0, config.edge_dim), (1, config.hidden)):
@@ -172,7 +176,7 @@ def test_zero_weight_layers_reproduce_identities():
 
     dec = init_params(config, seed=1)
     for name in ("dec_hidden_w", "dec_hidden_b", "dec_out_w", "dec_out_b"):
-        dec.set_array(name, np.zeros_like(dict(dec.named_arrays())[name]))
+        set_array(dec, name, np.zeros_like(dict(dec.named_arrays())[name]))
     probs = decode(dec, config, gt, h, rng.standard_normal((n_edges, config.hidden)))
     assert np.all(probs.data == 0.5)
 
@@ -215,7 +219,7 @@ def test_node_relabeling_permutes_embeddings():
         )
         params = init_params(config, seed=case)
         for name, arr in params.named_arrays():
-            params.set_array(name, arr + rng.normal(0.0, 0.3, arr.shape))
+            set_array(params, name, arr + rng.normal(0.0, 0.3, arr.shape))
         for name, buf in params.named_buffers():
             if name.endswith("running_var"):
                 buf[...] = rng.uniform(0.5, 2.0, buf.shape)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
-from ipembed.autodiff import BatchNormState, ShapeError, Tape, backward, grad_check
+from ipembed.autodiff import BatchNorm, Segments, ShapeError, Tape, backward, grad_check
 
 TOL = 1e-6  # far below the 1e-4 contract; these programs are smooth
 
@@ -58,6 +58,48 @@ def test_segment_sum_rejects_bad_ids():
         ad.segment_sum(x, [0, 5], 2)
     with pytest.raises(ValueError):
         ad.segment_sum(x, [0, -1], 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.integers(0, 2**31 - 1),
+)
+def test_segments_sum_matches_add_at(n_rows, count, cols, seed):
+    # Fewer rows than ids leave segments empty; count 1 and 0 rows are
+    # drawn too.
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, count, n_rows)
+    rows = rng.normal(size=(n_rows, cols))
+    expected = np.zeros((count, cols))
+    np.add.at(expected, ids, rows)
+    got = Segments(ids, count).sum(rows)
+    assert got.shape == (count, cols)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_segments_edge_cases_and_plain_ids():
+    empty = Segments(np.zeros(0, dtype=np.int64), 3)
+    np.testing.assert_array_equal(empty.sum(np.zeros((0, 2))), np.zeros((3, 2)))
+    assert Segments([0, 0, 0], 1).sum(np.ones((3, 2))).tolist() == [[3.0, 3.0]]
+    with pytest.raises(ShapeError):
+        Segments([[0, 1]], 2)
+    seg = Segments([2, 0, 2], 4)
+    tape = Tape()
+    x = tape.leaf([[1.0], [2.0], [3.0]])
+    by_seg = ad.segment_sum(x, seg)
+    np.testing.assert_array_equal(
+        by_seg.data, ad.segment_sum(x, [2, 0, 2], 4).data
+    )
+    np.testing.assert_array_equal(by_seg.data, [[2.0], [0.0], [4.0], [0.0]])
+    with pytest.raises(ShapeError):
+        ad.segment_sum(x, seg, 5)  # count disagrees with the segments
+    with pytest.raises(ShapeError):
+        ad.gather_rows(x, seg)  # 4 segments but x has 3 rows
+    with pytest.raises(ShapeError):
+        ad.segment_sum(x, [2, 0, 2])  # plain ids need a count
 
 
 def test_sigmoid_forward_and_grad():
@@ -135,18 +177,6 @@ def test_fd_hadamard(rng):
     assert err < TOL
 
 
-def test_fd_scale_columns(rng):
-    arrays = {"x": rng.normal(size=(5, 4)), "s": rng.uniform(0.5, 2.0, (1, 4))}
-    err = check(lambda t, l: ad.scale_columns(l["x"], l["s"]), arrays, rng)
-    assert err < TOL
-
-
-def test_fd_div(rng):
-    arrays = {"a": rng.normal(size=(4, 3)), "b": rng.uniform(0.5, 2.0, (4, 3))}
-    err = check(lambda t, l: ad.div(l["a"], l["b"]), arrays, rng)
-    assert err < TOL
-
-
 def test_fd_relu_away_from_kink(rng):
     x = rng.normal(size=(6, 6))
     x[np.abs(x) < 0.1] = 0.5
@@ -161,16 +191,12 @@ def test_fd_sigmoid_log_logsigmoid_rsqrt(rng):
         lambda t, l: ad.log_sigmoid(l["x"]), {"x": rng.normal(size=(3, 4))}, rng
     )
     assert err < TOL
-    err = check(
-        lambda t, l: ad.rsqrt(l["x"], 1e-5), {"x": rng.uniform(0.5, 3.0, (3, 4))}, rng
-    )
-    assert err < TOL
 
 
 def test_fd_scalar_ops_and_neg(rng):
     arrays = {"x": rng.normal(size=(3, 3))}
     err = check(
-        lambda t, l: ad.scalar_add(ad.scalar_mul(ad.neg(l["x"]), 2.5), 0.7),
+        lambda t, l: ad.scalar_mul(ad.scalar_mul(l["x"], -1.0), 2.5),
         arrays,
         rng,
     )
@@ -197,8 +223,6 @@ def test_fd_reductions(rng):
     arrays = {"x": rng.normal(size=(5, 4))}
     err = check(lambda t, l: ad.row_sums(l["x"]), arrays, rng)
     assert err < TOL
-    err = check(lambda t, l: ad.col_sums(l["x"]), arrays, rng)
-    assert err < TOL
     err = grad_check(lambda t, l: ad.sum_all(l["x"]), arrays)
     assert err < 1e-10  # linear program, exact to FD resolution
 
@@ -216,7 +240,7 @@ def test_fd_batch_norm_train(rng):
         "g": rng.uniform(0.5, 1.5, (1, 3)),
         "b": rng.normal(size=(1, 3)),
     }
-    state = BatchNormState.create(3)
+    state = BatchNorm.create(3)
 
     def make(tape, leaves):
         return ad.batch_norm(
@@ -229,7 +253,7 @@ def test_fd_batch_norm_train(rng):
 
 
 def test_fd_batch_norm_eval(rng):
-    state = BatchNormState.create(3)
+    state = BatchNorm.create(3)
     state.set_running(rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
     arrays = {
         "x": rng.normal(size=(4, 3)),
@@ -278,7 +302,7 @@ def test_bn_two_point_column():
     x = tape.leaf([[1.0], [3.0]])
     g = tape.leaf([[1.0]])
     b = tape.leaf([[0.0]])
-    state = BatchNormState.create(1)
+    state = BatchNorm.create(1)
     out = ad.batch_norm(x, g, b, state, mode="train")
     # population variance 1, so +-1 up to the 1e-5 epsilon inside the sqrt
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-5)
@@ -290,7 +314,7 @@ def test_bn_affine_parameters():
     x = tape.leaf([[-1.0], [1.0]])  # already standardized
     g = tape.leaf([[2.0]])
     b = tape.leaf([[5.0]])
-    out = ad.batch_norm(x, g, b, BatchNormState.create(1), mode="train")
+    out = ad.batch_norm(x, g, b, BatchNorm.create(1), mode="train")
     np.testing.assert_allclose(out.data, [[3.0], [7.0]], rtol=1e-4)
 
 
@@ -299,12 +323,12 @@ def test_bn_constant_column_guard():
     x = tape.leaf([[4.0], [4.0], [4.0]])
     g = tape.leaf([[1.0]])
     b = tape.leaf([[0.0]])
-    out = ad.batch_norm(x, g, b, BatchNormState.create(1), mode="train")
+    out = ad.batch_norm(x, g, b, BatchNorm.create(1), mode="train")
     np.testing.assert_array_equal(out.data, [[0.0], [0.0], [0.0]])
 
 
 def test_bn_running_stat_update():
-    state = BatchNormState.create(2)
+    state = BatchNorm.create(2)
     tape = Tape()
     x = tape.leaf([[1.0, 10.0], [3.0, 30.0]])
     g = tape.leaf([[1.0, 1.0]])
@@ -315,7 +339,7 @@ def test_bn_running_stat_update():
 
 
 def test_bn_eval_uses_running_stats():
-    state = BatchNormState.create(1)
+    state = BatchNorm.create(1)
     state.set_running([0.0], [1.0])
     tape = Tape()
     x = tape.leaf([[2.0]])
@@ -331,7 +355,7 @@ def test_bn_eval_before_init_rejected():
     g = tape.leaf([[1.0]])
     b = tape.leaf([[0.0]])
     with pytest.raises(RuntimeError):
-        ad.batch_norm(x, g, b, BatchNormState.create(1), mode="eval")
+        ad.batch_norm(x, g, b, BatchNorm.create(1), mode="eval")
 
 
 def test_bn_train_needs_two_rows():
@@ -340,11 +364,11 @@ def test_bn_train_needs_two_rows():
     g = tape.leaf([[1.0]])
     b = tape.leaf([[0.0]])
     with pytest.raises(ValueError):
-        ad.batch_norm(x, g, b, BatchNormState.create(1), mode="train")
+        ad.batch_norm(x, g, b, BatchNorm.create(1), mode="train")
 
 
 def test_bn_update_running_flag_off():
-    state = BatchNormState.create(1)
+    state = BatchNorm.create(1)
     before_mean = state.running_mean.copy()
     tape = Tape()
     x = tape.leaf([[1.0], [9.0]])
@@ -435,6 +459,35 @@ def test_unrecorded_tape_keeps_values_but_refuses_backward():
     assert x.grad is None
     with pytest.raises(ValueError, match="records nothing"):
         backward(loss)
+
+
+def test_tensor_with_two_consumers_gets_summed_gradient():
+    # x feeds hadamard and, later on the tape, add. Backward reaches the add
+    # first, whose vjp hands one array to x, y and the outer add's operands;
+    # adding hadamard's part to x in place would change y's gradient too.
+    tape = Tape()
+    x = tape.leaf([[1.0, -2.0]])
+    y = tape.leaf([[3.0, 5.0]])
+    loss = ad.sum_all(ad.add(ad.hadamard(x, x), ad.add(x, y)))
+    backward(loss)
+    # d/dx sum(x*x + x + y) = 2x + 1; d/dy = 1.
+    np.testing.assert_array_equal(x.grad, [[3.0, -3.0]])
+    np.testing.assert_array_equal(y.grad, [[1.0, 1.0]])
+
+
+def test_gradients_are_read_only_after_backward():
+    # add's vjp passes the same array to both operands, so the two leaves'
+    # gradients may share memory; writing into one must not reach the other.
+    tape = Tape()
+    a = tape.leaf([[1.0, 2.0]])
+    b = tape.leaf([[3.0, 4.0]])
+    unused = tape.leaf([[0.0]])
+    backward(ad.sum_all(ad.add(a, b)))
+    for leaf in (a, b, unused):
+        with pytest.raises(ValueError, match="read-only"):
+            leaf.grad[0, 0] = 99.0
+    np.testing.assert_array_equal(a.grad, [[1.0, 1.0]])
+    np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
 
 
 def test_mixed_tapes_rejected():

@@ -1,6 +1,8 @@
 """Interval graph construction: windowing, aggregation, feature layout,
 normalization, and the binary snapshot format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -454,6 +456,17 @@ def test_snapshot_duplicate_node_name(tmp_path):
     path.write_bytes(blob.replace(b"10.0.0.2", b"10.0.0.1"))
     with pytest.raises(FormatError, match="twice"):
         load_graph(path)
+
+
+def test_validate_graph_rejects_duplicate_node_name():
+    vocab = ProtocolVocab(("dns", "other"))
+    graph = build_graph(
+        {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}, vocab, 0.0, 600.0
+    )
+    validate_graph(graph)
+    twice = replace(graph, nodes=("10.0.0.1", "10.0.0.1"))
+    with pytest.raises(ValueError, match="twice"):
+        validate_graph(twice)
 
 
 def test_load_graph_dir_sorted(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
-from conftest import random_graph, two_node_graph
+from conftest import neighbor_loss, random_graph, reconstruction_loss, two_node_graph
 from ipembed.autodiff import Tape, grad_check
 from ipembed.model import (
     GraphTensors,
@@ -18,9 +18,8 @@ from ipembed.model import (
     forward,
     init_params,
     input_layer,
-    neighbor_loss,
-    reconstruction_loss,
 )
+from ipembed.synth import default_roles, make_experiment
 
 LN2 = 0.6931471805599453
 
@@ -40,10 +39,8 @@ def zero_params(config, seed=0):
 
 
 def set_running_identity(params):
-    for _, pair in params.bn_pairs():
-        pair.state.set_running(
-            np.zeros(pair.gamma.shape[1]), np.ones(pair.gamma.shape[1])
-        )
+    for _, bn in params.bn_pairs():
+        bn.set_running(np.zeros(bn.gamma.shape[1]), np.ones(bn.gamma.shape[1]))
 
 
 def test_edge_dim_for_vocab():
@@ -413,6 +410,16 @@ def test_permutation_equivariance():
         base = forward(params, config, gt, mode="eval").embeddings
         moved = forward(params, config, permuted, mode="eval").embeddings
         np.testing.assert_allclose(moved[perm], base, atol=1e-9, rtol=0)
+
+
+def test_desk_training_step_records_at_most_100_tape_nodes():
+    # Batch norm and gate normalization are one tape node each; as chains
+    # of elementwise nodes they would put a desk step far above 100.
+    data = make_experiment(default_roles(32, 4, 6), duration=1200.0, seed=0)
+    config = ModelConfig(edge_dim=edge_dim_for_vocab(data.vocab.size))
+    gt = GraphTensors.from_graph(data.train_graphs[0])
+    res = forward(init_params(config), config, gt, mode="train")
+    assert len(res.loss.tape) <= 100
 
 
 def test_isolated_nodes_share_constant_embedding():

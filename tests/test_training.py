@@ -355,7 +355,7 @@ def test_model_file_round_trip(tmp_path):
     ):
         np.testing.assert_array_equal(a, b, err_msg=name)
     for (_, pa), (_, pb) in zip(loaded.params.bn_pairs(), bundle.params.bn_pairs()):
-        assert pa.state.initialized == pb.state.initialized
+        assert pa.initialized == pb.initialized
 
 
 def test_loaded_model_reproduces_inference(tmp_path, rng):
