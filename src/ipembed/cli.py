@@ -45,6 +45,7 @@ from .serving import (
 )
 from .synth import (
     DEFAULT_TRANSPORTS,
+    MAX_ROLE_MEMBERS,
     default_roles,
     eval_inductive,
     generate,
@@ -167,14 +168,19 @@ def _embed_graph(args):
 # subcommands
 
 
+def _skipped(stats) -> str:
+    """``skipped N``, followed by the count per reason when N > 0."""
+    if not stats.reasons:
+        return f"skipped {stats.skipped}"
+    reasons = ", ".join(f"{k} {v}" for k, v in sorted(stats.reasons.items()))
+    return f"skipped {stats.skipped}: {reasons}"
+
+
 def _cmd_ingest(args) -> int:
     records, stats = parse_conn_log(args.input, args.format, args.strict)
     with _output(args.out) as fp:
         write_canonical_tsv(records, fp)
-    _log(
-        f"ingest: read {stats.read} rows, emitted {stats.emitted}, "
-        f"skipped {stats.skipped}"
-    )
+    _log(f"ingest: read {stats.read} rows, emitted {stats.emitted}, {_skipped(stats)}")
     return 0
 
 
@@ -201,7 +207,7 @@ def _cmd_build_graphs(args) -> int:
     )
     _log(
         f"build-graphs: {len(aggregates)} graphs from {stats.emitted} records "
-        f"(skipped {stats.skipped}) into {out_dir}"
+        f"({_skipped(stats)}) into {out_dir}"
     )
     return 0
 
@@ -303,6 +309,13 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    for flag in ("clients", "dns_servers", "web_servers"):
+        count = getattr(args, flag)
+        if not 1 <= count <= MAX_ROLE_MEMBERS:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} must lie in [1, {MAX_ROLE_MEMBERS}], "
+                f"got {count}"
+            )
     roles = default_roles(
         clients=args.clients, dns_servers=args.dns_servers, web_servers=args.web_servers
     )

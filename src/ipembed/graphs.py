@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from ipaddress import ip_address
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -184,10 +186,7 @@ def resolve_origin(records: Sequence[ConnRecord], interval_len: float) -> float:
     return math.floor(earliest / interval_len) * interval_len
 
 
-def _record_vector(record: ConnRecord) -> np.ndarray:
-    return np.array(
-        [getattr(record, name) for name in NUMERIC_FEATURES], dtype=np.float64
-    )
+_feature_row = attrgetter(*NUMERIC_FEATURES)
 
 
 def aggregate_flows(
@@ -195,25 +194,59 @@ def aggregate_flows(
 ) -> dict[int, dict[FlowKey, np.ndarray]]:
     """Sum numeric features per interval and flow key.
 
-    With ``origin=None`` the records are materialized once to derive the
-    default origin. Returns ``{interval index: {FlowKey: 8-vector}}`` with
-    only non-empty intervals present.
+    With ``origin=None`` the default origin is derived from the records.
+    Returns ``{interval index: {FlowKey: 8-vector}}`` with only non-empty
+    intervals present, both levels in order of first occurrence.
+
+    One pass numbers the (interval, source, destination, protocol) groups in
+    order of first occurrence; ``np.bincount`` then sums each feature column
+    per group, adding in record order from zero, so every sum equals the
+    record-by-record sum (a group whose only durations are ``-0.0`` sums to
+    ``+0.0``). Interval indices are ``floor((ts - origin) / interval_len)``,
+    the same operations as :func:`assign_interval`.
     """
+    records = list(records)
+    if not records:
+        return {}
     if origin is None:
-        records = list(records)
-        if not records:
-            return {}
         origin = resolve_origin(records, interval_len)
+    if interval_len <= 0:
+        raise ValueError(f"interval_len must be positive, got {interval_len}")
+    ts = np.fromiter((r.ts for r in records), dtype=np.float64, count=len(records))
+    early = ts < origin
+    if early.any():
+        first = float(ts[np.argmax(early)])
+        raise ValueError(f"timestamp {first} precedes stream origin {origin}")
+    interval = np.floor((ts - origin) / interval_len).tolist()
+    groups: dict[tuple, int] = {}
+    gid = np.fromiter(
+        (
+            groups.setdefault(key, len(groups))
+            for key in zip(
+                interval,
+                [r.source_ip for r in records],
+                [r.destination_ip for r in records],
+                [r.protocol_service for r in records],
+            )
+        ),
+        dtype=np.intp,
+        count=len(records),
+    )
+    values = np.fromiter(
+        chain.from_iterable(map(_feature_row, records)),
+        dtype=np.float64,
+        count=len(records) * N_NUMERIC,
+    ).reshape(len(records), N_NUMERIC)
+    sums = np.stack(
+        [
+            np.bincount(gid, weights=values[:, j], minlength=len(groups))
+            for j in range(N_NUMERIC)
+        ],
+        axis=1,
+    )
     out: dict[int, dict[FlowKey, np.ndarray]] = {}
-    for record in records:
-        idx = assign_interval(record.ts, interval_len, origin)
-        key = FlowKey(record.source_ip, record.destination_ip, record.protocol_service)
-        groups = out.setdefault(idx, {})
-        vec = groups.get(key)
-        if vec is None:
-            groups[key] = _record_vector(record)
-        else:
-            vec += _record_vector(record)
+    for (idx, src, dst, proto), vec in zip(groups, sums):
+        out.setdefault(int(idx), {})[FlowKey(src, dst, proto)] = vec
     return out
 
 
@@ -233,6 +266,21 @@ def fit_protocol_vocab(
     return ProtocolVocab(tuple(sorted(tokens)) + (OTHER_TOKEN,))
 
 
+def _stack_vectors(vectors: list) -> np.ndarray:
+    """The aggregate vectors as one (G, 8) float64 matrix; a vector of any
+    other shape raises naming its shape."""
+    try:
+        stacked = np.array(vectors, dtype=np.float64)
+    except ValueError:  # ragged
+        stacked = None
+    if stacked is None or stacked.shape != (len(vectors), N_NUMERIC):
+        for vec in vectors:
+            shape = np.asarray(vec, dtype=np.float64).shape
+            if shape != (N_NUMERIC,):
+                raise ValueError(f"bad aggregate vector shape {shape}")
+    return stacked
+
+
 def build_graph(
     groups: Mapping[FlowKey, np.ndarray],
     vocab: ProtocolVocab,
@@ -242,48 +290,48 @@ def build_graph(
     """Assemble one interval graph from its aggregated flow groups.
 
     Nodes are sorted canonically. Each ordered (source, destination) pair
-    yields exactly one forward edge; protocols stack into the one-hot block
-    and their numeric blocks, with unseen tokens accumulated onto the
-    catch-all slot. Every forward edge is followed by its reverse companion.
+    yields exactly one forward edge, in (source, destination) index order;
+    protocols stack into the one-hot block and their numeric blocks, with
+    unseen tokens accumulated onto the catch-all slot. Every forward edge is
+    followed by its reverse companion.
+
+    The numeric blocks are one ``np.bincount`` over flat (pair, column)
+    cells with the groups in mapping order, so each cell adds its groups'
+    vectors in that order starting from zero.
     """
     if not groups:
         raise ValueError("cannot build a graph from zero flow groups")
+    keys = list(groups)
+    vecs = _stack_vectors(list(groups.values()))
     p = vocab.size
     dim = p + p * N_NUMERIC
-    ips = sorted(
-        {k.source_ip for k in groups} | {k.destination_ip for k in groups},
-        key=ip_sort_key,
-    )
+    sources = [k.source_ip for k in keys]
+    destinations = [k.destination_ip for k in keys]
+    ips = sorted(set(sources) | set(destinations), key=ip_sort_key)
+    n = len(ips)
     index = {ip: i for i, ip in enumerate(ips)}
-    pair_feats: dict[tuple[int, int], np.ndarray] = {}
-    for key, vec in groups.items():
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (N_NUMERIC,):
-            raise ValueError(f"bad aggregate vector shape {vec.shape}")
-        pair = (index[key.source_ip], index[key.destination_ip])
-        row = pair_feats.get(pair)
-        if row is None:
-            row = pair_feats[pair] = np.zeros(dim, dtype=np.float64)
-        slot = vocab.slot(key.protocol_service)
-        row[slot] = 1.0
-        base = p + slot * N_NUMERIC
-        row[base : base + N_NUMERIC] += vec
+    slots = {token: vocab.slot(token) for token in {k.protocol_service for k in keys}}
+    src = np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=len(keys))
+    dst = np.fromiter(
+        map(index.__getitem__, destinations), dtype=np.int64, count=len(keys)
+    )
+    slot = np.fromiter(
+        (slots[k.protocol_service] for k in keys), dtype=np.int64, count=len(keys)
+    )
+    pairs, pair_of = np.unique(src * n + dst, return_inverse=True)
+    cells = (pair_of * dim + p + slot * N_NUMERIC)[:, None] + np.arange(N_NUMERIC)
+    forward = np.bincount(
+        cells.ravel(), weights=vecs.ravel(), minlength=len(pairs) * dim
+    ).reshape(len(pairs), dim)
+    forward[pair_of, slot] = 1.0
 
-    pairs = sorted(pair_feats)
     n_edges = 2 * len(pairs)
     edge_src = np.empty(n_edges, dtype=np.int32)
     edge_dst = np.empty(n_edges, dtype=np.int32)
+    edge_src[0::2] = edge_dst[1::2] = pairs // n
+    edge_dst[0::2] = edge_src[1::2] = pairs % n
     reverse = np.zeros(n_edges, dtype=np.uint8)
-    feats = np.empty((n_edges, dim), dtype=np.float64)
-    for k, (src, dst) in enumerate(pairs):
-        row = pair_feats[(src, dst)]
-        edge_src[2 * k] = src
-        edge_dst[2 * k] = dst
-        feats[2 * k] = row
-        edge_src[2 * k + 1] = dst
-        edge_dst[2 * k + 1] = src
-        reverse[2 * k + 1] = 1
-        feats[2 * k + 1] = row
+    reverse[1::2] = 1
     return IntervalGraph(
         start=float(start),
         end=float(end),
@@ -291,7 +339,7 @@ def build_graph(
         edge_src=edge_src,
         edge_dst=edge_dst,
         reverse=reverse,
-        raw_features=feats,
+        raw_features=np.repeat(forward, 2, axis=0),
     )
 
 

@@ -33,6 +33,7 @@ from .training import ModelBundle, filter_holdout
 from .zeek import ConnRecord
 
 __all__ = [
+    "MAX_ROLE_MEMBERS",
     "FlowProfile",
     "RoleSpec",
     "ExperimentData",
@@ -71,14 +72,28 @@ class FlowProfile:
             raise ValueError("mean_duration must be non-negative")
 
 
+MAX_ROLE_MEMBERS = 255  # host numbers 1..255 under one three-octet prefix
+
+
 @dataclass(frozen=True)
 class RoleSpec:
-    """A named group of hosts with shared traffic behavior."""
+    """A named group of hosts with shared traffic behavior.
+
+    Members are numbered under a three-octet prefix, so a role holds at most
+    :data:`MAX_ROLE_MEMBERS` hosts.
+    """
 
     name: str
     members: int
     ip_prefix: str  # e.g. "10.0.1." -> members 10.0.1.1, 10.0.1.2, ...
     profiles: tuple[FlowProfile, ...] = ()
+
+    def __post_init__(self):
+        if self.members > MAX_ROLE_MEMBERS:
+            raise ValueError(
+                f"role {self.name!r} has {self.members} members; "
+                f"at most {MAX_ROLE_MEMBERS} fit under {self.ip_prefix!r}"
+            )
 
     def ips(self) -> list[str]:
         return [f"{self.ip_prefix}{i + 1}" for i in range(self.members)]

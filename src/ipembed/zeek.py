@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from ipaddress import ip_address
 from itertools import chain
 from pathlib import Path
@@ -32,13 +33,64 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """A malformed row, or a log header the parser cannot use."""
+    """A malformed row, or a log header the parser cannot use.
 
-    def __init__(self, message: str, line: int | None = None):
+    ``reason`` is the skip category of a malformed row (a key of
+    :attr:`ParseStats.reasons`); header errors carry None.
+    """
+
+    def __init__(
+        self, message: str, line: int | None = None, reason: str | None = None
+    ):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.reason = reason
+
+
+class _InvalidField(ValueError):
+    """A record field :class:`ConnRecord` refuses, with its skip category."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
+# Canonical forms of IP and protocol strings, memoized: a log repeats a few
+# hundred hosts and a handful of protocols across all its rows, and its
+# records then share one string object per distinct value.
+@lru_cache(maxsize=1 << 16)
+def _canonical_ip_text(text: str) -> str:
+    return str(ip_address(text))
+
+
+@lru_cache(maxsize=1 << 16)
+def _canonical_token(text: str) -> str:
+    return text.strip().lower()
+
+
+def _canonical_ip(name: str, value) -> str:
+    # Only exact strings go through the memo: 1, True and 1.0 hash alike,
+    # so a cached int could otherwise vouch for a float.
+    try:
+        if type(value) is str:
+            return _canonical_ip_text(value)
+        return str(ip_address(value))
+    except ValueError:
+        raise _InvalidField("bad IP", f"bad {name}: {value!r}") from None
+
+
+def _check_port(name: str, value) -> None:
+    if not isinstance(value, int) or not 0 <= value <= 65535:
+        raise _InvalidField("out of range", f"{name}={value!r} outside [0, 65535]")
+
+
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or value < 0:
+        raise _InvalidField(
+            "out of range", f"{name}={value!r} must be a non-negative integer"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,48 +120,56 @@ class ConnRecord:
     response_ip_bytes: int
 
     def __post_init__(self):
-        for name in ("source_ip", "destination_ip"):
-            try:
-                addr = ip_address(getattr(self, name))
-            except ValueError:
-                raise ValueError(f"bad {name}: {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, str(addr))
-        for name in ("source_port", "destination_port"):
-            port = getattr(self, name)
-            if not isinstance(port, int) or not 0 <= port <= 65535:
-                raise ValueError(f"{name}={port!r} outside [0, 65535]")
-        for name in (
-            "request_bytes",
-            "response_bytes",
-            "bytes",
-            "request_packets",
-            "response_packets",
-            "request_ip_bytes",
-            "response_ip_bytes",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name}={value!r} must be a non-negative integer")
-        for name in ("ts", "duration"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name}={value!r} must be finite")
+        object.__setattr__(
+            self, "source_ip", _canonical_ip("source_ip", self.source_ip)
+        )
+        object.__setattr__(
+            self, "destination_ip", _canonical_ip("destination_ip", self.destination_ip)
+        )
+        _check_port("source_port", self.source_port)
+        _check_port("destination_port", self.destination_port)
+        _check_count("request_bytes", self.request_bytes)
+        _check_count("response_bytes", self.response_bytes)
+        _check_count("bytes", self.bytes)
+        _check_count("request_packets", self.request_packets)
+        _check_count("response_packets", self.response_packets)
+        _check_count("request_ip_bytes", self.request_ip_bytes)
+        _check_count("response_ip_bytes", self.response_ip_bytes)
+        if not math.isfinite(self.ts):
+            raise _InvalidField("non-finite", f"ts={self.ts!r} must be finite")
+        if not math.isfinite(self.duration):
+            raise _InvalidField(
+                "non-finite", f"duration={self.duration!r} must be finite"
+            )
         if self.duration < 0:
-            raise ValueError(f"duration={self.duration!r} must be non-negative")
-        token = self.protocol_service.strip().lower()
+            raise _InvalidField(
+                "out of range", f"duration={self.duration!r} must be non-negative"
+            )
+        token = _canonical_token(self.protocol_service)
         if not token:
-            raise ValueError("protocol_service must not be empty")
+            raise _InvalidField("missing field", "protocol_service must not be empty")
         object.__setattr__(self, "protocol_service", token)
 
 
 @dataclass
 class ParseStats:
     """Row accounting for one parse. ``read == emitted + skipped`` once the
-    record stream has been fully consumed."""
+    record stream has been fully consumed.
+
+    ``reasons`` counts the skipped rows per cause, so its values sum to
+    ``skipped``. The keys are ``column count``, ``missing field``,
+    ``bad integer``, ``bad float``, ``bad IP``, ``out of range``,
+    ``non-finite`` and ``bad JSON``; a cause that never occurred is absent.
+    """
 
     read: int = 0
     emitted: int = 0
     skipped: int = 0
+    reasons: dict[str, int] = field(default_factory=dict)
+
+    def _skip(self, reason: str) -> None:
+        self.skipped += 1
+        self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 
 # Canonical dump columns: timestamp first, then the flow fields in schema
@@ -282,7 +342,11 @@ def _parse_tsv(numbered, strict, stats):
     sep = "\t"
     unset = "-"
     empty_marker = "(empty)"
-    columns: list[str] | None = None
+    # The current #fields header as a plan: its column count, and one
+    # (cell index, slot) pair per known column in header order, so a later
+    # duplicate column overwrites an earlier one.
+    width = 0
+    plan: list[tuple[int, str]] | None = None
     for line_no, raw in numbered:
         line = raw.rstrip("\r\n")
         if not line:
@@ -295,32 +359,39 @@ def _parse_tsv(numbered, strict, stats):
                 name, values = body[0], body[1:]
                 if name == "fields":
                     columns = [v for v in values if v]
+                    width = len(columns)
+                    plan = [
+                        (i, _FIELD_ALIASES[col])
+                        for i, col in enumerate(columns)
+                        if col in _FIELD_ALIASES
+                    ]
                 elif name == "unset_field" and values:
                     unset = values[0]
                 elif name == "empty_field" and values:
                     empty_marker = values[0]
             continue
-        if columns is None:
+        if plan is None:
             # Unusable header is fatal even in lenient mode.
             raise ParseError("data row before #fields header", line_no)
         stats.read += 1
         try:
             cells = line.split(sep)
-            if len(cells) != len(columns):
+            if len(cells) != width:
                 raise ParseError(
-                    f"expected {len(columns)} columns, got {len(cells)}", line_no
+                    f"expected {width} columns, got {len(cells)}",
+                    line_no,
+                    "column count",
                 )
             values = {}
-            for col, cell in zip(columns, cells):
-                slot = _FIELD_ALIASES.get(col)
-                if slot is None or cell == unset or cell == empty_marker:
-                    continue
-                values[slot] = cell
+            for i, slot in plan:
+                cell = cells[i]
+                if cell != unset and cell != empty_marker:
+                    values[slot] = cell
             record = _record_from(values, line_no)
-        except ParseError:
+        except ParseError as exc:
             if strict:
                 raise
-            stats.skipped += 1
+            stats._skip(exc.reason)
             continue
         stats.emitted += 1
         yield record
@@ -336,9 +407,9 @@ def _parse_jsonl(numbered, strict, stats):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line_no) from None
+                raise ParseError(f"bad JSON: {exc}", line_no, "bad JSON") from None
             if not isinstance(obj, dict):
-                raise ParseError("row is not a JSON object", line_no)
+                raise ParseError("row is not a JSON object", line_no, "bad JSON")
             values = {}
             for key, val in obj.items():
                 slot = _FIELD_ALIASES.get(key)
@@ -346,10 +417,10 @@ def _parse_jsonl(numbered, strict, stats):
                     continue
                 values[slot] = val
             record = _record_from(values, line_no)
-        except ParseError:
+        except ParseError as exc:
             if strict:
                 raise
-            stats.skipped += 1
+            stats._skip(exc.reason)
             continue
         stats.emitted += 1
         yield record
@@ -359,14 +430,17 @@ def _float(value, name, line_no) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError):
-        raise ParseError(f"bad {name}: {value!r}", line_no) from None
+        raise ParseError(f"bad {name}: {value!r}", line_no, "bad float") from None
     if not math.isfinite(out):
-        raise ParseError(f"bad {name}: {value!r}", line_no)
+        raise ParseError(f"bad {name}: {value!r}", line_no, "non-finite")
     return out
 
 
 def _int(value, name, line_no) -> int:
     try:
+        if isinstance(value, str):
+            # int() strips surrounding whitespace itself.
+            return int(value, 10)
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, int):
@@ -377,13 +451,17 @@ def _int(value, name, line_no) -> int:
             return int(value)
         return int(str(value).strip(), 10)
     except (TypeError, ValueError):
-        raise ParseError(f"bad integer {name}: {value!r}", line_no) from None
+        raise ParseError(
+            f"bad integer {name}: {value!r}", line_no, "bad integer"
+        ) from None
 
 
 def _record_from(values: dict, line_no: int) -> ConnRecord:
     for required in ("ts", "source_ip", "destination_ip"):
         if required not in values:
-            raise ParseError(f"missing required field {required}", line_no)
+            raise ParseError(
+                f"missing required field {required}", line_no, "missing field"
+            )
     token = (
         values.get("protocol_service")
         or values.get("service")
@@ -423,5 +501,5 @@ def _record_from(values: dict, line_no: int) -> ConnRecord:
                 values.get("response_ip_bytes", 0), "response_ip_bytes", line_no
             ),
         )
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from None
+    except _InvalidField as exc:
+        raise ParseError(str(exc), line_no, exc.reason) from None

@@ -2,15 +2,31 @@
 
 import gc
 import json
+import math
 import sys
 from contextlib import contextmanager
+from ipaddress import ip_address
 
 import numpy as np
 import pytest
 
 from ipembed.autodiff import log_sigmoid_np
-from ipembed.graphs import IntervalGraph
-from ipembed.zeek import ConnRecord
+from ipembed.graphs import (
+    N_NUMERIC,
+    NUMERIC_FEATURES,
+    FlowKey,
+    IntervalGraph,
+    assign_interval,
+    ip_sort_key,
+    resolve_origin,
+)
+from ipembed.zeek import (
+    _FIELD_ALIASES,
+    ConnRecord,
+    ParseError,
+    ParseStats,
+    _parse_separator,
+)
 
 
 def make_record(**kw):
@@ -165,6 +181,287 @@ def neighbor_loss(embeddings, recv, send, weight):
     send = np.asarray(send, dtype=np.int64)
     dots = np.einsum("ij,ij->i", h[recv], h[send])
     return float(-weight * log_sigmoid_np(dots).sum())
+
+
+# ---------------------------------------------------------------------------
+# Per-row reference implementations of the TSV parser and of flow
+# aggregation and graph assembly. The package's array versions must agree
+# with them; see the differential properties in test_zeek.py and
+# test_graphs.py.
+
+
+def legacy_read_tsv(lines, strict=False):
+    """Parse TSV lines one dict per row: ``(records, stats)`` as
+    ``read_conn_log(lines, format="tsv", strict=strict)`` returns them
+    (``stats.reasons`` stays empty)."""
+    stats = ParseStats()
+    records = list(_legacy_parse_tsv(enumerate(lines, 1), strict, stats))
+    return records, stats
+
+
+def _legacy_parse_tsv(numbered, strict, stats):
+    sep = "\t"
+    unset = "-"
+    empty_marker = "(empty)"
+    columns: list[str] | None = None
+    for line_no, raw in numbered:
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("#separator"):
+                sep = _parse_separator(line, line_no)
+            else:
+                body = line[1:].split(sep)
+                name, values = body[0], body[1:]
+                if name == "fields":
+                    columns = [v for v in values if v]
+                elif name == "unset_field" and values:
+                    unset = values[0]
+                elif name == "empty_field" and values:
+                    empty_marker = values[0]
+            continue
+        if columns is None:
+            # Unusable header is fatal even in lenient mode.
+            raise ParseError("data row before #fields header", line_no)
+        stats.read += 1
+        try:
+            cells = line.split(sep)
+            if len(cells) != len(columns):
+                raise ParseError(
+                    f"expected {len(columns)} columns, got {len(cells)}", line_no
+                )
+            values = {}
+            for col, cell in zip(columns, cells):
+                slot = _FIELD_ALIASES.get(col)
+                if slot is None or cell == unset or cell == empty_marker:
+                    continue
+                values[slot] = cell
+            record = _legacy_record_from(values, line_no)
+        except ParseError:
+            if strict:
+                raise
+            stats.skipped += 1
+            continue
+        stats.emitted += 1
+        yield record
+
+
+def _legacy_float(value, name, line_no) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad {name}: {value!r}", line_no) from None
+    if not math.isfinite(out):
+        raise ParseError(f"bad {name}: {value!r}", line_no)
+    return out
+
+
+def _legacy_int(value, name, line_no) -> int:
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float):
+            if not value.is_integer():
+                raise ValueError
+            return int(value)
+        return int(str(value).strip(), 10)
+    except (TypeError, ValueError):
+        raise ParseError(f"bad integer {name}: {value!r}", line_no) from None
+
+
+def _legacy_record_from(values: dict, line_no: int) -> ConnRecord:
+    for required in ("ts", "source_ip", "destination_ip"):
+        if required not in values:
+            raise ParseError(f"missing required field {required}", line_no)
+    token = (
+        values.get("protocol_service")
+        or values.get("service")
+        or values.get("proto")
+        or "unknown"
+    )
+    request_bytes = _legacy_int(
+        values.get("request_bytes", 0), "request_bytes", line_no
+    )
+    response_bytes = _legacy_int(
+        values.get("response_bytes", 0), "response_bytes", line_no
+    )
+    if "bytes" in values:
+        total_bytes = _legacy_int(values["bytes"], "bytes", line_no)
+    else:
+        total_bytes = request_bytes + response_bytes
+    try:
+        return _legacy_conn_record(
+            ts=_legacy_float(values["ts"], "ts", line_no),
+            source_ip=str(values["source_ip"]).strip(),
+            destination_ip=str(values["destination_ip"]).strip(),
+            source_port=_legacy_int(
+                values.get("source_port", 0), "source_port", line_no
+            ),
+            destination_port=_legacy_int(
+                values.get("destination_port", 0), "destination_port", line_no
+            ),
+            protocol_service=str(token),
+            duration=_legacy_float(values.get("duration", 0.0), "duration", line_no),
+            request_bytes=request_bytes,
+            response_bytes=response_bytes,
+            bytes=total_bytes,
+            request_packets=_legacy_int(
+                values.get("request_packets", 0), "request_packets", line_no
+            ),
+            response_packets=_legacy_int(
+                values.get("response_packets", 0), "response_packets", line_no
+            ),
+            request_ip_bytes=_legacy_int(
+                values.get("request_ip_bytes", 0), "request_ip_bytes", line_no
+            ),
+            response_ip_bytes=_legacy_int(
+                values.get("response_ip_bytes", 0), "response_ip_bytes", line_no
+            ),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
+def _legacy_conn_record(**fields) -> ConnRecord:
+    """A ConnRecord validated by the reference checks below instead of its
+    own ``__post_init__``."""
+    record = object.__new__(ConnRecord)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    _legacy_validate(record)
+    return record
+
+
+def _legacy_validate(self):
+    for name in ("source_ip", "destination_ip"):
+        try:
+            addr = ip_address(getattr(self, name))
+        except ValueError:
+            raise ValueError(f"bad {name}: {getattr(self, name)!r}") from None
+        object.__setattr__(self, name, str(addr))
+    for name in ("source_port", "destination_port"):
+        port = getattr(self, name)
+        if not isinstance(port, int) or not 0 <= port <= 65535:
+            raise ValueError(f"{name}={port!r} outside [0, 65535]")
+    for name in (
+        "request_bytes",
+        "response_bytes",
+        "bytes",
+        "request_packets",
+        "response_packets",
+        "request_ip_bytes",
+        "response_ip_bytes",
+    ):
+        value = getattr(self, name)
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name}={value!r} must be a non-negative integer")
+    for name in ("ts", "duration"):
+        value = getattr(self, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value!r} must be finite")
+    if self.duration < 0:
+        raise ValueError(f"duration={self.duration!r} must be non-negative")
+    token = self.protocol_service.strip().lower()
+    if not token:
+        raise ValueError("protocol_service must not be empty")
+    object.__setattr__(self, "protocol_service", token)
+
+
+def _legacy_record_vector(record: ConnRecord) -> np.ndarray:
+    return np.array(
+        [getattr(record, name) for name in NUMERIC_FEATURES], dtype=np.float64
+    )
+
+
+def legacy_aggregate_flows(records, interval_len, origin=None):
+    """Record-by-record ``aggregate_flows``."""
+    if origin is None:
+        records = list(records)
+        if not records:
+            return {}
+        origin = resolve_origin(records, interval_len)
+    out: dict[int, dict[FlowKey, np.ndarray]] = {}
+    for record in records:
+        idx = assign_interval(record.ts, interval_len, origin)
+        key = FlowKey(record.source_ip, record.destination_ip, record.protocol_service)
+        groups = out.setdefault(idx, {})
+        vec = groups.get(key)
+        if vec is None:
+            groups[key] = _legacy_record_vector(record)
+        else:
+            vec += _legacy_record_vector(record)
+    return out
+
+
+def legacy_build_graph(groups, vocab, start, end):
+    """Pair-by-pair ``build_graph``."""
+    if not groups:
+        raise ValueError("cannot build a graph from zero flow groups")
+    p = vocab.size
+    dim = p + p * N_NUMERIC
+    ips = sorted(
+        {k.source_ip for k in groups} | {k.destination_ip for k in groups},
+        key=ip_sort_key,
+    )
+    index = {ip: i for i, ip in enumerate(ips)}
+    pair_feats: dict[tuple[int, int], np.ndarray] = {}
+    for key, vec in groups.items():
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (N_NUMERIC,):
+            raise ValueError(f"bad aggregate vector shape {vec.shape}")
+        pair = (index[key.source_ip], index[key.destination_ip])
+        row = pair_feats.get(pair)
+        if row is None:
+            row = pair_feats[pair] = np.zeros(dim, dtype=np.float64)
+        slot = vocab.slot(key.protocol_service)
+        row[slot] = 1.0
+        base = p + slot * N_NUMERIC
+        row[base : base + N_NUMERIC] += vec
+
+    pairs = sorted(pair_feats)
+    n_edges = 2 * len(pairs)
+    edge_src = np.empty(n_edges, dtype=np.int32)
+    edge_dst = np.empty(n_edges, dtype=np.int32)
+    reverse = np.zeros(n_edges, dtype=np.uint8)
+    feats = np.empty((n_edges, dim), dtype=np.float64)
+    for k, (src, dst) in enumerate(pairs):
+        row = pair_feats[(src, dst)]
+        edge_src[2 * k] = src
+        edge_dst[2 * k] = dst
+        feats[2 * k] = row
+        edge_src[2 * k + 1] = dst
+        edge_dst[2 * k + 1] = src
+        reverse[2 * k + 1] = 1
+        feats[2 * k + 1] = row
+    return IntervalGraph(
+        start=float(start),
+        end=float(end),
+        nodes=tuple(ips),
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        reverse=reverse,
+        raw_features=feats,
+    )
+
+
+def legacy_build_interval_graphs(records, interval_len, vocab, origin=None):
+    """``build_interval_graphs`` over the two reference loops above."""
+    records = list(records)
+    if origin is None:
+        origin = resolve_origin(records, interval_len)
+    aggregates = legacy_aggregate_flows(records, interval_len, origin)
+    return [
+        legacy_build_graph(
+            aggregates[idx],
+            vocab,
+            origin + idx * interval_len,
+            origin + (idx + 1) * interval_len,
+        )
+        for idx in sorted(aggregates)
+    ]
 
 
 @contextmanager

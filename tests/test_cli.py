@@ -19,7 +19,7 @@ from conftest import (
 )
 from ipembed.cli import run
 from ipembed.graphs import ProtocolVocab, build_interval_graphs, load_graph
-from ipembed.zeek import write_canonical_tsv
+from ipembed.zeek import read_conn_log, write_canonical_tsv
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,44 @@ def test_malformed_input_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.log"
     bad.write_text("just some text\nwith no structure\n")
     assert run(["ingest", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--clients", "--dns-servers", "--web-servers"])
+@pytest.mark.parametrize("count", ["300", "0"])
+def test_synth_role_size_outside_range_is_usage_error(tmp_path, capsys, flag, count):
+    out = tmp_path / "conn.log"
+    assert run(["synth", "--out", str(out), "--duration", "60", flag, count]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "255" in err
+    assert not out.exists()
+
+
+def test_synth_255_clients_succeeds(tmp_path, capsys):
+    out = tmp_path / "conn.log"
+    assert run(
+        ["synth", "--out", str(out), "--duration", "60", "--clients", "255"]
+    ) == 0
+    records, stats = read_conn_log(out)
+    assert stats.skipped == 0
+    assert "10.0.0.255" in {r.source_ip for r in records}
+
+
+def test_summaries_count_skips_per_reason(tmp_path, capsys):
+    log = tmp_path / "conn.log"
+    assert run(
+        ["synth", "--out", str(log), "--duration", "600", "--clients", "2",
+         "--dns-servers", "1", "--web-servers", "1", "--seed", "1"]
+    ) == 0
+    lines = log.read_text().splitlines(keepends=True)
+    row = next(line for line in lines if not line.startswith("#"))
+    cells = row.rstrip("\n").split("\t")
+    bad_ip = "\t".join(cells[:2] + ["999.0.0.1"] + cells[3:]) + "\n"
+    log.write_text("".join(lines + [bad_ip, bad_ip, "\t".join(cells[:-1]) + "\n"]))
+    capsys.readouterr()
+    assert run(["ingest", "--input", str(log), "--out", str(tmp_path / "c.tsv")]) == 0
+    assert "skipped 3: bad IP 2, column count 1" in capsys.readouterr().err
+    assert run(["build-graphs", "--input", str(log), "--out", str(tmp_path / "g")]) == 0
+    assert "(skipped 3: bad IP 2, column count 1)" in capsys.readouterr().err
 
 
 def test_empty_input_is_data_error(tmp_path, capsys):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import legacy_aggregate_flows, legacy_build_interval_graphs, make_record
 from ipembed.binio import FormatError
 from ipembed.graphs import (
     NUMERIC_FEATURES,
+    OTHER_TOKEN,
     FeatureScaler,
     FlowKey,
     IntervalGraph,
@@ -483,3 +484,107 @@ def test_load_graph_dir_sorted(tmp_path):
     assert [g.start for g in graphs] == [0.0, 600.0, 1200.0]
     with pytest.raises(FileNotFoundError):
         load_graph_dir(tmp_path / "missing")
+
+
+# ---------------------------------------------------------------------------
+# differential: array aggregation and assembly against the per-record loops
+
+GRAPH_IPS = ["10.0.0.1", "10.0.0.2", "10.0.0.10", "192.168.1.5", "2001:db8::1",
+             "2001:db8::a", "::1"]
+GRAPH_TOKENS = ["dns", "http", "ssh", "ntp", "smtp", OTHER_TOKEN]
+# Fitted tokens; the rest of GRAPH_TOKENS pile into the catch-all slot.
+GRAPH_VOCAB = ProtocolVocab(("dns", "http", OTHER_TOKEN))
+durations = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 1 / 3, 1e-300]),
+    st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+counts = st.one_of(st.integers(0, 2**12), st.integers(0, 2**70))
+
+
+@st.composite
+def flow_streams(draw):
+    """(records, interval length, origin): several intervals past a
+    non-zero origin, IPv4 and IPv6, several protocols per pair."""
+    interval_len = draw(st.sampled_from([60.0, 600.0, 7.5, 1 / 3]))
+    origin = draw(st.sampled_from([0.0, 37.5, 1000.0, 1591367400.0, 0.1]))
+    span = interval_len * draw(st.integers(1, 5))
+    records = []
+    for _ in range(draw(st.integers(1, 40))):
+        src, dst = draw(st.sampled_from(GRAPH_IPS)), draw(st.sampled_from(GRAPH_IPS))
+        request_bytes, response_bytes = draw(counts), draw(counts)
+        records.append(
+            make_record(
+                ts=origin + draw(st.floats(0, span, exclude_max=True)),
+                source_ip=src,
+                destination_ip=dst,
+                protocol_service=draw(st.sampled_from(GRAPH_TOKENS)),
+                duration=draw(durations),
+                request_bytes=request_bytes,
+                response_bytes=response_bytes,
+                bytes=request_bytes + response_bytes,
+                request_packets=draw(counts),
+                response_packets=draw(counts),
+                request_ip_bytes=draw(counts),
+                response_ip_bytes=draw(counts),
+            )
+        )
+    return records, interval_len, origin
+
+
+def _graph_bytes(graph):
+    assert graph.features is None
+    return (
+        graph.start,
+        graph.end,
+        graph.nodes,
+        *(
+            (a.dtype.str, a.shape, a.tobytes())
+            for a in (graph.edge_src, graph.edge_dst, graph.reverse, graph.raw_features)
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_streams(), st.booleans())
+def test_graphs_match_per_record_reference(stream, default_origin):
+    records, interval_len, origin = stream
+    if default_origin:
+        origin = None
+    got = build_interval_graphs(records, interval_len, GRAPH_VOCAB, origin)
+    want = legacy_build_interval_graphs(records, interval_len, GRAPH_VOCAB, origin)
+    assert [_graph_bytes(g) for g in got] == [_graph_bytes(g) for g in want]
+
+    aggregates = aggregate_flows(records, interval_len, origin)
+    expected = legacy_aggregate_flows(records, interval_len, origin)
+    assert list(aggregates) == list(expected)
+    for idx, groups in expected.items():
+        assert list(aggregates[idx]) == list(groups)
+        for key, vec in groups.items():
+            assert aggregates[idx][key].shape == (len(NUMERIC_FEATURES),)
+            assert np.array_equal(aggregates[idx][key], vec)
+
+
+def test_timestamp_before_origin_raises_as_before():
+    records = [make_record(ts=1200.0), make_record(ts=950.5), make_record(ts=10.0)]
+    with pytest.raises(ValueError) as want:
+        legacy_aggregate_flows(records, 600.0, 1000.0)
+    with pytest.raises(ValueError) as got:
+        aggregate_flows(records, 600.0, 1000.0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "timestamp 950.5 precedes stream origin 1000.0"
+    with pytest.raises(ValueError, match="precedes stream origin 1000"):
+        build_interval_graphs(records, 600.0, GRAPH_VOCAB, 1000)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [[np.zeros((2, 4))], [np.zeros(8), np.zeros(7)], [np.zeros((1, 8))] * 2],
+    ids=["matrix", "ragged", "all-2d"],
+)
+def test_build_graph_names_a_bad_vector_shape(vectors):
+    groups = {
+        FlowKey("10.0.0.1", f"10.0.0.{i + 2}", "dns"): vec
+        for i, vec in enumerate(vectors)
+    }
+    with pytest.raises(ValueError, match="bad aggregate vector shape"):
+        build_graph(groups, GRAPH_VOCAB, 0.0, 600.0)

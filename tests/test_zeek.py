@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import legacy_read_tsv, make_record
 from ipembed.zeek import (
+    _FIELD_ALIASES,
     CANONICAL_FIELDS,
     ConnRecord,
     ParseError,
@@ -165,6 +166,46 @@ def test_wrong_column_count_rejected():
     rows = [zeek_row() + "\textra"]
     _, stats = read_conn_log(zeek_tsv(rows))
     assert stats.skipped == 1
+
+
+def test_skip_reasons_count_each_corruption_kind():
+    # One row of each corruption the benchmark injects into its logs.
+    short = zeek_row().rsplit("\t", 1)[0]
+    rows = [
+        zeek_row(),
+        short,
+        zeek_row(orig_h="999.0.0.1"),
+        zeek_row(orig_bytes="12x"),
+        zeek_row(ts="nan"),
+        zeek_row(resp_p="70000"),
+        zeek_row(resp_h="-"),
+        zeek_row(duration="soon"),
+        zeek_row(duration="-1.5"),
+    ]
+    records, stats = read_conn_log(zeek_tsv(rows))
+    assert len(records) == 1
+    assert stats.reasons == {
+        "column count": 1,
+        "bad IP": 1,
+        "bad integer": 1,
+        "non-finite": 1,
+        "out of range": 2,
+        "missing field": 1,
+        "bad float": 1,
+    }
+    assert sum(stats.reasons.values()) == stats.skipped == 8
+
+    _, jstats = read_conn_log(['{"ts": 1', "[1, 2]", json.dumps({"ts": 1.0})])
+    assert jstats.reasons == {"bad JSON": 2, "missing field": 1}
+
+
+def test_strict_error_names_its_reason():
+    with pytest.raises(ParseError) as err:
+        read_conn_log(zeek_tsv([zeek_row(orig_h="999.0.0.1")]), strict=True)
+    assert err.value.reason == "bad IP"
+    with pytest.raises(ParseError) as err:
+        read_conn_log(["#separator"], format="tsv")
+    assert err.value.reason is None
 
 
 def test_1000_row_fixture_with_3_corrupt(tmp_path):
@@ -361,3 +402,131 @@ def test_round_trip_property(records):
     parsed, stats = read_conn_log(buf)
     assert stats.skipped == 0
     assert parsed == records
+
+
+# ---------------------------------------------------------------------------
+# differential: the column-plan parser against the per-row reference
+
+KNOWN_COLUMNS = sorted(_FIELD_ALIASES)
+UNKNOWN_COLUMNS = ["uid", "conn_state", "history", ""]
+# Per cell kind: cells that parse, then cells that do not.
+SLOT_CELLS = {
+    "ts": (["100.0", "1591367999.305988", "7", " 12.5 ", "1e3"],
+           ["nan", "inf", "-inf", "abc", ""]),
+    "ip": (["10.0.0.1", "192.168.1.10", "2001:db8::1", "2001:DB8:0:0::0001",
+            " 10.0.0.3 ", "::ffff:10.0.0.1"],
+           ["999.0.0.1", "10.0.0", ""]),
+    "port": (["53", "0", "65535", " 80 ", "+7", "1_0", "٣", "\xa08"],
+             ["65536", "-1", "8.0", "x", ""]),
+    "token": (["tcp", "udp", "DNS", " http ", "ssh", ""], [" "]),
+    "duration": (["0.5", "0", "-0.0", "1e-9"], ["-0.5", "nan", "x", ""]),
+    "count": (["12", "0", " 5 ", "+4", "99999999999999999999"],
+              ["-3", "1.5", "12x", ""]),
+}
+SPOILS = ["bad", "unset", "empty"]
+SLOT_KIND = {
+    "ts": "ts",
+    "source_ip": "ip",
+    "destination_ip": "ip",
+    "source_port": "port",
+    "destination_port": "port",
+    "proto": "token",
+    "service": "token",
+    "protocol_service": "token",
+    "duration": "duration",
+}
+SEPARATORS = [("\\x09", "\t"), (",", ","), ("|", "|"), ("\\x3b", ";")]
+
+
+@st.composite
+def tsv_logs(draw):
+    """Zeek TSV lines: header directives (including mid-file #fields,
+    #unset_field and #separator changes), unknown and duplicate columns,
+    unset and empty markers, corrupt cells and wrong column counts."""
+    lines = []
+    sep = "\t"
+    unset, empty = "-", "(empty)"
+    columns = None
+    preamble = [event for event in ("sep", "unset", "empty") if draw(st.booleans())]
+    events = draw(
+        st.lists(
+            st.sampled_from(
+                ["row"] * 6 + ["fields", "unset", "empty", "sep", "comment", "blank"]
+            ),
+            min_size=2,
+            max_size=20,
+        )
+    )
+    for event in preamble + ["fields"] + events:
+        if event == "fields":
+            columns = draw(
+                st.lists(
+                    st.sampled_from(KNOWN_COLUMNS + UNKNOWN_COLUMNS),
+                    min_size=1,
+                    max_size=10,
+                )
+            )
+            required = ["ts", draw(st.sampled_from(["id.orig_h", "sourceIP"])),
+                        draw(st.sampled_from(["id.resp_h", "destinationIP"]))]
+            columns = draw(st.permutations(columns + required))
+            lines.append("#fields" + sep + sep.join(columns))
+        elif event == "unset":
+            unset = "NA" if unset == "-" else "-"
+            lines.append("#unset_field" + sep + unset)
+        elif event == "empty":
+            empty = "EMPTY" if empty == "(empty)" else "(empty)"
+            lines.append("#empty_field" + sep + empty)
+        elif event == "sep":
+            token, sep = draw(st.sampled_from(SEPARATORS))
+            lines.append("#separator " + token)
+        elif event == "comment":
+            lines.append("#path" + sep + "conn")
+        elif event == "blank":
+            lines.append("")
+        else:
+            named = [col for col in columns if col]
+            # At most one spoiled cell, so that cell alone decides the row.
+            spoiled = draw(st.integers(-1, len(named) - 1))
+            cells = []
+            for i, col in enumerate(named):
+                slot = _FIELD_ALIASES.get(col)
+                if slot is None:
+                    cells.append("SF")
+                    continue
+                good, bad = SLOT_CELLS[SLOT_KIND.get(slot, "count")]
+                kind = draw(st.sampled_from(SPOILS)) if i == spoiled else "good"
+                if kind == "good":
+                    cells.append(draw(st.sampled_from(good)))
+                elif kind == "bad":
+                    cells.append(draw(st.sampled_from(bad)))
+                else:
+                    cells.append(unset if kind == "unset" else empty)
+            width = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+            if width < 0:
+                cells = cells[:-1]
+            elif width > 0:
+                cells.append("extra")
+            lines.append(sep.join(cells))
+    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return [line + ending for line in lines]
+
+
+def _outcome(parse, lines, strict):
+    # Errors compare by line only: the reference wraps a bad cell inside the
+    # record constructor's arguments a second time ("line 6: line 6: ...").
+    try:
+        records, stats = parse(lines, strict)
+    except ParseError as exc:
+        return ("error", exc.line)
+    return records, (stats.read, stats.emitted, stats.skipped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tsv_logs(), st.booleans())
+def test_parser_matches_per_row_reference(lines, strict):
+    got = _outcome(lambda l, s: read_conn_log(l, format="tsv", strict=s), lines, strict)
+    want = _outcome(legacy_read_tsv, lines, strict)
+    assert got == want
+    if not strict and got[0] != "error":
+        _, stats = read_conn_log(lines, format="tsv")
+        assert sum(stats.reasons.values()) == stats.skipped
