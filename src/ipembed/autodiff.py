@@ -423,26 +423,17 @@ def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
 
 @dataclass
 class BatchNorm:
-    """Affine parameters and running statistics of one batch normalization.
+    """Running statistics of one batch normalization, which eval mode
+    normalizes by. The affine terms are ordinary trained arrays passed to
+    :func:`batch_norm` as tape leaves."""
 
-    ``gamma`` and ``beta`` are trained through their tape leaves; the running
-    statistics live outside the tape and are what eval mode normalizes by.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
     initialized: bool = False
 
     @classmethod
     def create(cls, width: int) -> "BatchNorm":
-        return cls(
-            gamma=np.ones((1, width), dtype=np.float64),
-            beta=np.zeros((1, width), dtype=np.float64),
-            running_mean=np.zeros((1, width), dtype=np.float64),
-            running_var=np.ones((1, width), dtype=np.float64),
-        )
+        return cls(np.zeros((1, width)), np.ones((1, width)))
 
     @property
     def state(self) -> "BatchNorm":
@@ -457,11 +448,7 @@ class BatchNorm:
 
     def copy(self) -> "BatchNorm":
         return BatchNorm(
-            self.gamma.copy(),
-            self.beta.copy(),
-            self.running_mean.copy(),
-            self.running_var.copy(),
-            self.initialized,
+            self.running_mean.copy(), self.running_var.copy(), self.initialized
         )
 
 

@@ -31,7 +31,6 @@ from .graphs import N_NUMERIC, IntervalGraph
 
 __all__ = [
     "ModelConfig",
-    "ConvParams",
     "ModelParams",
     "GraphTensors",
     "ForwardResult",
@@ -72,9 +71,11 @@ class ModelConfig:
             raise ValueError("layers must be >= 1")
         if self.decoder_hidden < 1:
             raise ValueError("decoder_hidden must be >= 1")
-        if self.gate_eps <= 0:
-            raise ValueError("gate_eps must be positive")
-        if self.lambda_recon < 0 or self.lambda_neighbor < 0:
+        if not all(math.isfinite(e) and e > 0 for e in (self.gate_eps, self.bn_eps)):
+            raise ValueError("gate_eps and bn_eps must be finite and positive")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ValueError("bn_momentum must lie in [0, 1]")
+        if not (self.lambda_recon >= 0 and self.lambda_neighbor >= 0):
             raise ValueError("loss weights must be non-negative")
 
 
@@ -85,95 +86,43 @@ def edge_dim_for_vocab(vocab_size: int) -> int:
 
 
 @dataclass
-class ConvParams:
-    """Weights of one gated graph convolution layer."""
-
-    gate_recv: np.ndarray  # (H, H) receiver state -> gate pre-activation
-    gate_send: np.ndarray  # (H, H) sender state -> gate pre-activation
-    gate_edge: np.ndarray  # (H, d) on the first layer, (H, H) afterwards
-    node_self: np.ndarray  # (H, H)
-    node_msg: np.ndarray  # (H, H) sender state -> message
-    bn_edge: BatchNorm
-    bn_node: BatchNorm
-
-    def copy(self) -> "ConvParams":
-        return ConvParams(
-            self.gate_recv.copy(),
-            self.gate_send.copy(),
-            self.gate_edge.copy(),
-            self.node_self.copy(),
-            self.node_msg.copy(),
-            self.bn_edge.copy(),
-            self.bn_node.copy(),
-        )
-
-
-@dataclass
 class ModelParams:
-    """All trainable arrays plus batch norm statistics."""
+    """The model's state as two name tables.
 
-    edge_embed: np.ndarray  # (d, d) input edge transform
-    edge_to_node: np.ndarray  # (H, d) gated edge features -> node state
-    bn_edge_in: BatchNorm
-    bn_node_in: BatchNorm
-    convs: list[ConvParams]
-    dec_hidden_w: np.ndarray  # (decoder_hidden, 3H)
-    dec_hidden_b: np.ndarray  # (1, decoder_hidden)
-    dec_out_w: np.ndarray  # (d, decoder_hidden)
-    dec_out_b: np.ndarray  # (1, d)
+    ``arrays`` holds every trainable array under its model-file name, in
+    model-file order: ``edge_embed`` (d, d), ``edge_to_node`` (H, d), the
+    ``bn_edge_in``/``bn_node_in`` affine terms, then per layer ``conv<i>.``
+    ``gate_recv``, ``gate_send``, ``gate_edge`` ((H, d) on the first layer,
+    (H, H) afterwards), ``node_self``, ``node_msg`` and the ``bn_edge``/
+    ``bn_node`` affine terms, then the decoder's ``dec_hidden_w``
+    (decoder_hidden, 3H), ``dec_hidden_b``, ``dec_out_w`` and ``dec_out_b``.
+    A batch norm ``<name>`` trains ``<name>.gamma`` and ``<name>.beta`` here;
+    ``bns[<name>]`` holds its running statistics.
+    """
+
+    arrays: dict[str, np.ndarray]
+    bns: dict[str, BatchNorm]
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Trainable arrays in a stable order."""
-        yield "edge_embed", self.edge_embed
-        yield "edge_to_node", self.edge_to_node
-        yield "bn_edge_in.gamma", self.bn_edge_in.gamma
-        yield "bn_edge_in.beta", self.bn_edge_in.beta
-        yield "bn_node_in.gamma", self.bn_node_in.gamma
-        yield "bn_node_in.beta", self.bn_node_in.beta
-        for i, conv in enumerate(self.convs):
-            yield f"conv{i}.gate_recv", conv.gate_recv
-            yield f"conv{i}.gate_send", conv.gate_send
-            yield f"conv{i}.gate_edge", conv.gate_edge
-            yield f"conv{i}.node_self", conv.node_self
-            yield f"conv{i}.node_msg", conv.node_msg
-            yield f"conv{i}.bn_edge.gamma", conv.bn_edge.gamma
-            yield f"conv{i}.bn_edge.beta", conv.bn_edge.beta
-            yield f"conv{i}.bn_node.gamma", conv.bn_node.gamma
-            yield f"conv{i}.bn_node.beta", conv.bn_node.beta
-        yield "dec_hidden_w", self.dec_hidden_w
-        yield "dec_hidden_b", self.dec_hidden_b
-        yield "dec_out_w", self.dec_out_w
-        yield "dec_out_b", self.dec_out_b
+        return iter(self.arrays.items())
 
     def bn_pairs(self) -> Iterator[tuple[str, BatchNorm]]:
-        """Every batch normalization, named as in the model file."""
-        yield "bn_edge_in", self.bn_edge_in
-        yield "bn_node_in", self.bn_node_in
-        for i, conv in enumerate(self.convs):
-            yield f"conv{i}.bn_edge", conv.bn_edge
-            yield f"conv{i}.bn_node", conv.bn_node
+        return iter(self.bns.items())
 
     def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name, bn in self.bn_pairs():
+        for name, bn in self.bns.items():
             yield f"{name}.running_mean", bn.running_mean
             yield f"{name}.running_var", bn.running_var
 
     def mark_bn_initialized(self) -> None:
         """Declare the current running stats usable for eval mode."""
-        for _, bn in self.bn_pairs():
+        for bn in self.bns.values():
             bn.initialized = True
 
     def copy(self) -> "ModelParams":
         return ModelParams(
-            edge_embed=self.edge_embed.copy(),
-            edge_to_node=self.edge_to_node.copy(),
-            bn_edge_in=self.bn_edge_in.copy(),
-            bn_node_in=self.bn_node_in.copy(),
-            convs=[c.copy() for c in self.convs],
-            dec_hidden_w=self.dec_hidden_w.copy(),
-            dec_hidden_b=self.dec_hidden_b.copy(),
-            dec_out_w=self.dec_out_w.copy(),
-            dec_out_b=self.dec_out_b.copy(),
+            {name: arr.copy() for name, arr in self.arrays.items()},
+            {name: bn.copy() for name, bn in self.bns.items()},
         )
 
 
@@ -182,36 +131,49 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def _affine(name: str, width: int) -> dict[str, np.ndarray]:
+    return {f"{name}.gamma": np.ones((1, width)), f"{name}.beta": np.zeros((1, width))}
+
+
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Seeded Glorot-uniform weights; unit/zero batch norm affine terms;
-    zero decoder biases."""
+    zero decoder biases.
+
+    The draw order (every conv weight first, then the input and decoder
+    weights) and the table order are the model-file format: together they
+    fix the bytes of every seeded model.
+    """
     rng = np.random.default_rng(seed)
-    d, h = config.edge_dim, config.hidden
-    convs = []
+    d, h, dh = config.edge_dim, config.hidden, config.decoder_hidden
+    convs = {}
     for layer in range(config.layers):
-        edge_in = d if layer == 0 else h
-        convs.append(
-            ConvParams(
-                gate_recv=_glorot(rng, h, h),
-                gate_send=_glorot(rng, h, h),
-                gate_edge=_glorot(rng, h, edge_in),
-                node_self=_glorot(rng, h, h),
-                node_msg=_glorot(rng, h, h),
-                bn_edge=BatchNorm.create(h),
-                bn_node=BatchNorm.create(h),
-            )
-        )
-    return ModelParams(
-        edge_embed=_glorot(rng, d, d),
-        edge_to_node=_glorot(rng, h, d),
-        bn_edge_in=BatchNorm.create(d),
-        bn_node_in=BatchNorm.create(h),
-        convs=convs,
-        dec_hidden_w=_glorot(rng, config.decoder_hidden, 3 * h),
-        dec_hidden_b=np.zeros((1, config.decoder_hidden)),
-        dec_out_w=_glorot(rng, d, config.decoder_hidden),
-        dec_out_b=np.zeros((1, d)),
-    )
+        p = f"conv{layer}."
+        convs.update({
+            p + "gate_recv": _glorot(rng, h, h),
+            p + "gate_send": _glorot(rng, h, h),
+            p + "gate_edge": _glorot(rng, h, d if layer == 0 else h),
+            p + "node_self": _glorot(rng, h, h),
+            p + "node_msg": _glorot(rng, h, h),
+            **_affine(p + "bn_edge", h),
+            **_affine(p + "bn_node", h),
+        })
+    arrays = {
+        "edge_embed": _glorot(rng, d, d),
+        "edge_to_node": _glorot(rng, h, d),
+        **_affine("bn_edge_in", d),
+        **_affine("bn_node_in", h),
+        **convs,
+        "dec_hidden_w": _glorot(rng, dh, 3 * h),
+        "dec_hidden_b": np.zeros((1, dh)),
+        "dec_out_w": _glorot(rng, d, dh),
+        "dec_out_b": np.zeros((1, d)),
+    }
+    bns = {
+        name.removesuffix(".gamma"): BatchNorm.create(arr.shape[1])
+        for name, arr in arrays.items()
+        if name.endswith(".gamma")
+    }
+    return ModelParams(arrays, bns)
 
 
 @dataclass
@@ -281,12 +243,12 @@ def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
     return {name: tape.leaf(arr) for name, arr in params.named_arrays()}
 
 
-def _bn(x, leaves, name, bn, config, mode, update):
+def _bn(x, leaves, params, name, config, mode, update):
     return ad.batch_norm(
         x,
         leaves[f"{name}.gamma"],
         leaves[f"{name}.beta"],
-        bn,
+        params.bns[name],
         mode=mode,
         momentum=config.bn_momentum,
         eps=config.bn_eps,
@@ -298,12 +260,7 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
     transformed = ad.relu(
         _bn(
             ad.linear(e0, leaves["edge_embed"]),
-            leaves,
-            "bn_edge_in",
-            params.bn_edge_in,
-            config,
-            mode,
-            update,
+            leaves, params, "bn_edge_in", config, mode, update,
         )
     )
     edge_state = ad.add(e0, transformed)
@@ -311,13 +268,12 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
     gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
     pooled = ad.segment_sum(gated, gt.recv_segments)
     h = ad.relu(
-        _bn(pooled, leaves, "bn_node_in", params.bn_node_in, config, mode, update)
+        _bn(pooled, leaves, params, "bn_node_in", config, mode, update)
     )
     return h, edge_state, gates
 
 
 def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
-    conv = params.convs[layer]
     prefix = f"conv{layer}"
     h_recv = ad.gather_rows(h, gt.recv_segments)
     h_send = ad.gather_rows(h, gt.send_segments)
@@ -330,7 +286,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
         projected,
     )
     update_term = ad.relu(
-        _bn(pre, leaves, f"{prefix}.bn_edge", conv.bn_edge, config, mode, update)
+        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode, update)
     )
     # First layer: the residual carries the projected edge state so deeper
     # layers live in the hidden dimension.
@@ -343,9 +299,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     new_h = ad.add(
         h,
         ad.relu(
-            _bn(
-                node_pre, leaves, f"{prefix}.bn_node", conv.bn_node, config, mode, update
-            )
+            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode, update)
         ),
     )
     return new_h, new_edge_state, gates

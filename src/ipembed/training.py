@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from ipaddress import ip_address
 from itertools import chain
 from pathlib import Path
@@ -278,20 +278,9 @@ def _json_section(fp, what: str):
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize a model bundle; loading restores it bit-exactly."""
-    config = bundle.config
-    config_doc = {
-        "edge_dim": config.edge_dim,
-        "hidden": config.hidden,
-        "layers": config.layers,
-        "decoder_hidden": config.decoder_hidden,
-        "gate_eps": config.gate_eps,
-        "bn_eps": config.bn_eps,
-        "bn_momentum": config.bn_momentum,
-        "lambda_recon": config.lambda_recon,
-        "lambda_neighbor": config.lambda_neighbor,
-        "bn_initialized": {
-            name: bn.initialized for name, bn in bundle.params.bn_pairs()
-        },
+    config_doc = asdict(bundle.config)
+    config_doc["bn_initialized"] = {
+        name: bn.initialized for name, bn in bundle.params.bn_pairs()
     }
     tensors = list(bundle.params.named_arrays()) + list(
         bundle.params.named_buffers()
@@ -315,7 +304,12 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
-    """Read a model bundle written by :func:`save_model`."""
+    """Read a model bundle written by :func:`save_model`.
+
+    The config section fixes which tensors the file holds and their shapes;
+    an unknown, repeated, missing or misshapen tensor record is a
+    ``FormatError``, raised before its payload is read.
+    """
     with open(path, "rb") as fp:
         magic = read_exact(fp, 4)
         if magic != _MODEL_MAGIC:
@@ -326,14 +320,44 @@ def load_model(path: str | Path) -> ModelBundle:
         config_doc = _json_section(fp, "config")
         tokens = _json_section(fp, "vocab")
         scaler_raw = _read_section(fp)
+        if not isinstance(config_doc, dict):
+            raise FormatError("model config section is not a JSON object")
+        bn_flags = config_doc.pop("bn_initialized", {})
+        if not isinstance(bn_flags, dict):
+            raise FormatError("model config bn_initialized is not a JSON object")
+        # Older files store the removed negative-sampling count, always 0.
+        if config_doc.pop("neg_samples", 0) != 0:
+            raise FormatError("model file uses negative sampling, which is unsupported")
+        try:
+            config = ModelConfig(**config_doc)
+            params = init_params(config, seed=0)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad model config: {exc}") from None
+        for name, flag in bn_flags.items():
+            if name not in params.bns or not isinstance(flag, bool):
+                raise FormatError(f"bad bn_initialized entry {name!r}: {flag!r}")
+        for name, bn in params.bn_pairs():
+            bn.initialized = bn_flags.get(name, True)
+        expected = dict(chain(params.named_arrays(), params.named_buffers()))
         (n_tensors,) = read_struct(fp, "<I")
-        arrays: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
             (name_len,) = read_struct(fp, "<H")
-            name = read_exact(fp, name_len).decode("utf-8")
-            rows, cols = read_struct(fp, "<II")
-            data = np.frombuffer(read_exact(fp, 8 * rows * cols), dtype="<f8")
-            arrays[name] = data.reshape(rows, cols).astype(np.float64)
+            try:
+                name = read_exact(fp, name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("model tensor name is not UTF-8") from None
+            if name not in expected:
+                raise FormatError(f"unknown or repeated model tensor {name!r}")
+            arr = expected.pop(name)
+            shape = read_struct(fp, "<II")
+            if shape != arr.shape:
+                raise FormatError(
+                    f"tensor {name!r} has shape {shape}, expected {arr.shape}"
+                )
+            data = np.frombuffer(read_exact(fp, arr.nbytes), dtype="<f8")
+            arr[...] = data.reshape(shape)
+        if expected:
+            raise FormatError(f"model file is missing tensor {next(iter(expected))!r}")
         if fp.read(1):
             raise FormatError("trailing bytes after model payload")
 
@@ -348,28 +372,4 @@ def load_model(path: str | Path) -> ModelBundle:
         scaler = FeatureScaler(log_max=np.frombuffer(scaler_raw[4:], dtype="<f8").copy())
     except ValueError as exc:
         raise FormatError(f"bad model scaler: {exc}") from None
-    if not isinstance(config_doc, dict):
-        raise FormatError("model config section is not a JSON object")
-    bn_flags = config_doc.pop("bn_initialized", {})
-    if not isinstance(bn_flags, dict):
-        raise FormatError("model config bn_initialized is not a JSON object")
-    # Older files store the removed negative-sampling count, always 0.
-    if config_doc.pop("neg_samples", 0) != 0:
-        raise FormatError("model file uses negative sampling, which is unsupported")
-    try:
-        config = ModelConfig(**config_doc)
-        params = init_params(config, seed=0)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad model config: {exc}") from None
-    for name, arr in chain(params.named_arrays(), params.named_buffers()):
-        if name not in arrays:
-            raise FormatError(f"model file is missing tensor {name!r}")
-        if arrays[name].shape != arr.shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {arrays[name].shape}, "
-                f"expected {arr.shape}"
-            )
-        arr[...] = arrays[name]
-    for name, bn in params.bn_pairs():
-        bn.initialized = bool(bn_flags.get(name, True))
     return ModelBundle(params=params, config=config, vocab=vocab, scaler=scaler)

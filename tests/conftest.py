@@ -116,15 +116,20 @@ def assert_graphs_equal(a, b):
 
 def rewrite_model_section(path, index, edit):
     """Replace section ``index`` of a model file (0 config, 1 vocab,
-    2 scaler) with ``edit(payload_bytes)``.
+    2 scaler, 3 tensor table) with ``edit(payload_bytes)``.
 
     Sections follow the 4-byte magic and 2-byte version, each a u64 length
-    plus payload.
+    plus payload. The tensor table fills the rest of the file: a u32 count,
+    then per tensor a u16 name length, the name, u32 rows and cols, and the
+    float64 values.
     """
     blob = path.read_bytes()
     start = 6
     for _ in range(index):
         start += 8 + int.from_bytes(blob[start : start + 8], "little")
+    if index == 3:
+        path.write_bytes(blob[:start] + edit(blob[start:]))
+        return
     length = int.from_bytes(blob[start : start + 8], "little")
     payload = edit(blob[start + 8 : start + 8 + length])
     path.write_bytes(
@@ -133,6 +138,24 @@ def rewrite_model_section(path, index, edit):
         + payload
         + blob[start + 8 + length :]
     )
+
+
+def model_tensor_record(name, rows=1, cols=1):
+    """One model-file tensor record holding zeros."""
+    encoded = name.encode("utf-8")
+    return (
+        len(encoded).to_bytes(2, "little")
+        + encoded
+        + rows.to_bytes(4, "little")
+        + cols.to_bytes(4, "little")
+        + bytes(8 * rows * cols)
+    )
+
+
+def with_model_tensor(table, record):
+    """A model tensor table (section 3) with ``record`` appended."""
+    count = int.from_bytes(table[:4], "little")
+    return (count + 1).to_bytes(4, "little") + table[4:] + record
 
 
 def rewrite_model_config(path, edit):

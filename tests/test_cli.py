@@ -14,8 +14,10 @@ import ipembed
 from conftest import (
     assert_graphs_equal,
     make_record,
+    model_tensor_record,
     rewrite_model_config,
     rewrite_model_section,
+    with_model_tensor,
 )
 from ipembed.cli import run
 from ipembed.graphs import ProtocolVocab, build_interval_graphs, load_graph
@@ -167,6 +169,29 @@ def test_bad_model_vocab_is_data_error(workspace, tmp_path, capsys):
         ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
     ) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "index, edit",
+    [
+        (3, lambda table: with_model_tensor(table, model_tensor_record("bogus.w"))),
+        (0, lambda raw: raw.replace(b'"bn_eps": 1e-05', b'"bn_eps": -5')),
+    ],
+    ids=["extra-tensor", "negative-bn-eps"],
+)
+def test_refused_model_file_is_data_error(
+    workspace, tmp_path, capsys, index, edit
+):
+    model = tmp_path / "bad.ipgm"
+    shutil.copy(workspace["model"], model)
+    rewrite_model_section(model, index, edit)
+    out = tmp_path / "embed.csv"
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(workspace["graph0"]),
+         "--out", str(out)]
+    ) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,8 @@ def zero_params(config, seed=0):
 
 def set_running_identity(params):
     for _, bn in params.bn_pairs():
-        bn.set_running(np.zeros(bn.gamma.shape[1]), np.ones(bn.gamma.shape[1]))
+        width = bn.running_mean.shape[1]
+        bn.set_running(np.zeros(width), np.ones(width))
 
 
 def test_edge_dim_for_vocab():
@@ -67,8 +68,8 @@ def test_input_layer_hand_oracle():
     # Pair A<->B carrying 0.8 forward and 0.3 back; scalar weights 1.5 / 2.0.
     config = unit_config(edge_dim=1, layers=1)
     params = zero_params(config)
-    params.edge_embed[:] = 1.5
-    params.edge_to_node[:] = 2.0
+    params.arrays["edge_embed"][:] = 1.5
+    params.arrays["edge_to_node"][:] = 2.0
     graph = two_node_graph([0.8], [0.3])
     gt = GraphTensors.from_graph(graph)
     gt.feats = gt.feats[:, :1]  # drop the direction flag: oracle is 1-D
@@ -99,12 +100,11 @@ def test_conv_layer_hand_oracle():
     # unit running stats.
     config = unit_config(edge_dim=1)
     params = zero_params(config)
-    conv = params.convs[1]
-    conv.gate_recv[:] = 1.1
-    conv.gate_send[:] = 0.9
-    conv.gate_edge[:] = 1.3
-    conv.node_self[:] = 0.6
-    conv.node_msg[:] = 1.7
+    params.arrays["conv1.gate_recv"][:] = 1.1
+    params.arrays["conv1.gate_send"][:] = 0.9
+    params.arrays["conv1.gate_edge"][:] = 1.3
+    params.arrays["conv1.node_self"][:] = 0.6
+    params.arrays["conv1.node_msg"][:] = 1.7
     set_running_identity(params)
 
     gt = GraphTensors(
@@ -135,10 +135,10 @@ def test_conv_layer_hand_oracle():
 def test_decode_hand_oracle():
     config = unit_config(edge_dim=1)
     params = zero_params(config)
-    params.dec_hidden_w[:] = [[1.0, -2.0, 3.0]]
-    params.dec_hidden_b[:] = 0.1
-    params.dec_out_w[:] = 0.5
-    params.dec_out_b[:] = -0.3
+    params.arrays["dec_hidden_w"][:] = [[1.0, -2.0, 3.0]]
+    params.arrays["dec_hidden_b"][:] = 0.1
+    params.arrays["dec_out_w"][:] = 0.5
+    params.arrays["dec_out_b"][:] = -0.3
 
     gt = GraphTensors(
         n_nodes=2,

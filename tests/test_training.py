@@ -1,7 +1,10 @@
 """Training loop behavior, holdout filtering, the optimizer, and the model
 file round trip."""
 
+import importlib.util
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,16 @@ from hypothesis import strategies as st
 from conftest import (
     cyclic_gc_off,
     make_record,
+    model_tensor_record,
     random_graph,
     rewrite_model_config,
     rewrite_model_section,
+    with_model_tensor,
 )
 from ipembed.autodiff import backward
 from ipembed.binio import FormatError
 from ipembed.graphs import (
+    N_NUMERIC,
     FeatureScaler,
     ProtocolVocab,
     aggregate_flows,
@@ -278,7 +284,7 @@ def test_history_lengths_and_best_epoch():
 def test_divergence_aborts_with_location():
     graphs, config = training_setup()
     poisoned = init_params(config, seed=0)
-    poisoned.dec_out_w[0, 0] = np.nan
+    poisoned.arrays["dec_out_w"][0, 0] = np.nan
     with pytest.raises(TrainingDivergedError) as err, np.errstate(invalid="ignore"):
         train(graphs, config, TrainConfig(epochs=3, seed=0), initial_params=poisoned)
     assert err.value.epoch == 0
@@ -425,8 +431,29 @@ def test_model_file_trailing_garbage(tmp_path):
         lambda doc: list(doc),
         lambda doc: {**doc, "hidden": "x"},
         lambda doc: {**doc, "bn_initialized": [True]},
+        lambda doc: {**doc, "bn_eps": -5},
+        lambda doc: {**doc, "bn_eps": float("inf")},
+        lambda doc: {**doc, "gate_eps": 0.0},
+        lambda doc: {**doc, "gate_eps": float("nan")},
+        lambda doc: {**doc, "bn_momentum": 1.5},
+        lambda doc: {**doc, "bn_momentum": -0.1},
+        lambda doc: {**doc, "lambda_recon": -0.5},
+        lambda doc: {**doc, "lambda_neighbor": float("nan")},
     ],
-    ids=["unknown-key", "json-list", "hidden-not-int", "bn-flags-not-object"],
+    ids=[
+        "unknown-key",
+        "json-list",
+        "hidden-not-int",
+        "bn-flags-not-object",
+        "bn-eps-negative",
+        "bn-eps-infinite",
+        "gate-eps-zero",
+        "gate-eps-nan",
+        "bn-momentum-above-one",
+        "bn-momentum-negative",
+        "loss-weight-negative",
+        "loss-weight-nan",
+    ],
 )
 def test_model_file_bad_config_section(tmp_path, edit):
     path = tmp_path / "model.ipgm"
@@ -434,6 +461,29 @@ def test_model_file_bad_config_section(tmp_path, edit):
     rewrite_model_config(path, edit)
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def edit_bn_flags(edit):
+    """A config-section edit that applies ``edit`` to the batch norm flags."""
+
+    def apply(raw):
+        doc = json.loads(raw)
+        edit(doc["bn_initialized"])
+        return json.dumps(doc).encode("utf-8")
+
+    return apply
+
+
+def first_tensor_record(table):
+    name_len = int.from_bytes(table[4:6], "little")
+    rows = int.from_bytes(table[6 + name_len : 10 + name_len], "little")
+    cols = int.from_bytes(table[10 + name_len : 14 + name_len], "little")
+    return table[4 : 14 + name_len + 8 * rows * cols]
+
+
+def huge_first_shape(table):
+    name_len = int.from_bytes(table[4:6], "little")
+    return table[: 6 + name_len] + b"\xff" * 8 + table[14 + name_len :]
 
 
 @pytest.mark.parametrize(
@@ -448,6 +498,13 @@ def test_model_file_bad_config_section(tmp_path, edit):
         (2, lambda raw: raw + b"\x00" * 8),
         (2, lambda raw: raw[:2]),
         (2, lambda raw: raw[:4] + np.zeros((len(raw) - 4) // 8).tobytes()),
+        (0, edit_bn_flags(lambda flags: flags.update(bn_edge_in="false"))),
+        (0, edit_bn_flags(lambda flags: flags.update(bn_edge_in=1))),
+        (0, edit_bn_flags(lambda flags: flags.update(bn_bogus=True))),
+        (3, lambda table: with_model_tensor(table, model_tensor_record("bogus.w"))),
+        (3, lambda table: with_model_tensor(table, first_tensor_record(table))),
+        (3, lambda table: table.replace(b"edge_embed", b"\xffdge_embed", 1)),
+        (3, huge_first_shape),
     ],
     ids=[
         "config-not-json",
@@ -459,6 +516,13 @@ def test_model_file_bad_config_section(tmp_path, edit):
         "scaler-bytes-past-count",
         "scaler-truncated-count",
         "scaler-zero-maxima",
+        "bn-flag-string",
+        "bn-flag-int",
+        "bn-flag-unknown-key",
+        "tensor-unknown-name",
+        "tensor-repeated",
+        "tensor-name-not-utf8",
+        "tensor-huge-shape",
     ],
 )
 def test_model_file_malformed_section(tmp_path, index, edit):
@@ -467,6 +531,50 @@ def test_model_file_malformed_section(tmp_path, index, edit):
     rewrite_model_section(path, index, edit)
     with pytest.raises(FormatError):
         load_model(path)
+
+
+FIXTURE = Path(__file__).parent / "data" / "init_seed7.ipgm"
+
+
+def fixture_bundle():
+    """The bundle ``tests/data/init_seed7.ipgm`` was saved from, by the
+    ``save_model`` of the release before parameters became name tables."""
+    config = ModelConfig(edge_dim=19, hidden=4, layers=2, decoder_hidden=4)
+    params = init_params(config, seed=7)
+    params.mark_bn_initialized()
+    scaler = FeatureScaler(log_max=np.arange(1.0, 1.0 + 2 * N_NUMERIC))
+    return ModelBundle(params, config, ProtocolVocab(("tcp", "other")), scaler)
+
+
+def test_committed_model_file_resaves_byte_for_byte(tmp_path):
+    path = tmp_path / "model.ipgm"
+    save_model(load_model(FIXTURE), path)
+    assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+def test_seeded_init_saves_to_the_committed_bytes(tmp_path):
+    # Pins the random draw order of init_params and the tensor order.
+    path = tmp_path / "model.ipgm"
+    save_model(fixture_bundle(), path)
+    assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+def test_perfbench_bundle_check_reads_the_package_surface():
+    # perfbench/checks.py is loaded as it stands: a rename in ModelParams
+    # or BatchNorm that it still spells the old way fails here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+
+    bundle = load_model(FIXTURE)
+    assert checks.bundles_equal(bundle, load_model(FIXTURE))
+    flipped = load_model(FIXTURE)
+    flipped.params.bns["conv1.bn_node"].initialized = False
+    assert not checks.bundles_equal(bundle, flipped)
+    nudged = load_model(FIXTURE)
+    nudged.params.arrays["conv0.gate_edge"][2, 3] += 1e-9
+    assert not checks.bundles_equal(bundle, nudged)
 
 
 def test_model_file_legacy_neg_samples_key(tmp_path):
