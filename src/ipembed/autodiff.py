@@ -15,13 +15,15 @@ once in reverse.
 Fused primitives: :func:`batch_norm` (train and eval) and
 :func:`gate_normalize` each record one node whose vjp is written out in
 closed form, so neither leaves its intermediate steps on the tape.
+:func:`gather_linear` applies a weight to node rows and gathers the product
+to edge rows, so a per-endpoint product costs n rows of work, not E.
 
 Segment plan: summing rows by id (the forward of :func:`segment_sum` and the
-backward of :func:`gather_rows`) goes through a :class:`Segments` record,
-which sorts the ids once and then sums with one ``np.add.reduceat`` per
-call. A graph builds one for its receiving and one for its sending
-endpoints and reuses them for every layer and every step; a plain id array
-is grouped on the spot.
+backward of :func:`gather_rows` and :func:`gather_linear`) goes through a
+:class:`Segments` record, which sorts the ids once and then sums with one
+``np.add.reduceat`` per call. A graph builds one for its receiving and one
+for its sending endpoints and reuses them for every layer and every step; a
+plain id array is grouped on the spot.
 
 Backward copies nothing: the first gradient part reaching a node is stored
 as it is and later parts are added out of place, since one vjp may hand
@@ -42,7 +44,7 @@ be differentiated. Training and gradient checks record; serving does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -61,8 +63,9 @@ __all__ = [
     "sigmoid",
     "log_sigmoid",
     "scalar_mul",
-    "concat_cols",
+    "columns",
     "gather_rows",
+    "gather_linear",
     "segment_sum",
     "sum_all",
     "row_sums",
@@ -285,22 +288,19 @@ def scalar_mul(x: Tensor, c: float) -> Tensor:
     return x.tape._record(x.data * c, (x,), vjp)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors side by side (extend each row)."""
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
-    for t in parts:
-        if t.shape[0] != rows:
-            raise ShapeError("concat_cols operands disagree on row count")
-    sizes = [t.shape[1] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+def columns(w: Tensor, start: int, stop: int) -> Tensor:
+    """Column block ``w[:, start:stop]``; its gradient fills that block of a
+    zero matrix shaped like ``w``."""
+    if not 0 <= start < stop <= w.shape[1]:
+        raise ShapeError(f"columns [{start}, {stop}) outside width {w.shape[1]}")
+    shape = w.shape
 
     def vjp(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(sizes)))
+        out = np.zeros(shape, dtype=np.float64)
+        out[:, start:stop] = g
+        return (out,)
 
-    data = np.concatenate([t.data for t in parts], axis=1)
-    return parts[0].tape._record(data, tuple(parts), vjp)
+    return w.tape._record(w.data[:, start:stop], (w,), vjp)
 
 
 class Segments:
@@ -357,6 +357,26 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         return (seg.sum(g),)
 
     return x.tape._record(x.data[seg.ids], (x,), vjp)
+
+
+def gather_linear(x: Tensor, w: Tensor, indices) -> Tensor:
+    """Rows ``indices`` of ``x @ w.T``, one tape node.
+
+    Equal to ``linear(gather_rows(x, indices), w)``, but the product runs on
+    the rows of ``x`` and only its result is gathered; the vjp sums the
+    gradient per row of ``x`` first, so both of its products run on those
+    rows too. ``indices`` is an id array or :class:`Segments`.
+    """
+    seg = _segments(indices, x.shape[0])
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"gather_linear mismatch: {x.shape} with weight {w.shape}")
+    x_data, w_data = x.data, w.data
+
+    def vjp(g):
+        pooled = seg.sum(g)
+        return (pooled @ w_data, pooled.T @ x_data)
+
+    return x.tape._record((x_data @ w_data.T)[seg.ids], (x, w), vjp)
 
 
 def segment_sum(x: Tensor, segment_ids, n_segments: int | None = None) -> Tensor:

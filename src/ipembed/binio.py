@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from typing import BinaryIO
 
@@ -11,10 +13,29 @@ class FormatError(ValueError):
 
 
 def read_exact(fp: BinaryIO, n: int) -> bytes:
+    """Read exactly ``n`` bytes from a file opened in binary mode.
+
+    A length above one I/O buffer is checked against the bytes left in the
+    file before anything is read, so a corrupt length field ends in
+    ``FormatError`` instead of a buffer as large as the field claims.
+    Shorter reads are checked once they return.
+    """
+    if n > io.DEFAULT_BUFFER_SIZE:
+        left = os.fstat(fp.fileno()).st_size - fp.tell()
+        if n > left:
+            raise FormatError(f"truncated file: wanted {n} bytes, {left} left")
     buf = fp.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated file: wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def read_text(fp: BinaryIO, n: int, what: str) -> str:
+    """Read ``n`` bytes of UTF-8 text; other bytes are a ``FormatError``."""
+    try:
+        return read_exact(fp, n).decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} is not UTF-8") from None
 
 
 def read_struct(fp: BinaryIO, fmt: str) -> tuple:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .binio import FormatError, read_exact, read_struct, write_struct
+from .binio import FormatError, read_exact, read_struct, read_text, write_struct
 from .zeek import ConnRecord
 
 __all__ = [
@@ -525,7 +525,7 @@ def load_graph(path: str | Path) -> IntervalGraph:
         nodes = []
         for _ in range(n_nodes):
             (length,) = read_struct(fp, "<H")
-            nodes.append(read_exact(fp, length).decode("utf-8"))
+            nodes.append(read_text(fp, length, "graph snapshot node name"))
         if len(set(nodes)) != n_nodes:
             raise FormatError("graph snapshot names a node twice")
         (n_edges,) = read_struct(fp, "<I")

@@ -15,6 +15,14 @@ Edge states stay ``d``-dimensional through the input layer; the first conv
 layer projects them into ``H`` dimensions with its edge weight matrix and
 applies the residual after that projection, so deeper layers work purely in
 ``H`` dimensions.
+
+Work placement: a weight that reads one endpoint's state (the conv gates'
+``gate_recv``/``gate_send``, ``node_msg`` and the decoder's endpoint columns)
+is applied to the ``n`` node rows and only the product is gathered to the
+``E`` edges, as in the reference gated GCN; the input layer likewise pools
+its gated edge features per node before projecting them. Edges outnumber
+nodes 13 to 50 times on the synthetic graphs, so this removes about two
+thirds of the forward multiply-adds.
 """
 
 from __future__ import annotations
@@ -265,8 +273,12 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
     )
     edge_state = ad.add(e0, transformed)
     gates = ad.gate_normalize(edge_state, gt.recv_segments, eps=config.gate_eps)
-    gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
-    pooled = ad.segment_sum(gated, gt.recv_segments)
+    # Pool, then project: the sum is linear, so edge_to_node can act on the
+    # n pooled rows instead of the E gated ones.
+    pooled = ad.linear(
+        ad.segment_sum(ad.hadamard(gates, e0), gt.recv_segments),
+        leaves["edge_to_node"],
+    )
     h = ad.relu(
         _bn(pooled, leaves, params, "bn_node_in", config, mode, update)
     )
@@ -275,13 +287,11 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
 
 def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     prefix = f"conv{layer}"
-    h_recv = ad.gather_rows(h, gt.recv_segments)
-    h_send = ad.gather_rows(h, gt.send_segments)
     projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
     pre = ad.add(
         ad.add(
-            ad.linear(h_recv, leaves[f"{prefix}.gate_recv"]),
-            ad.linear(h_send, leaves[f"{prefix}.gate_send"]),
+            ad.gather_linear(h, leaves[f"{prefix}.gate_recv"], gt.recv_segments),
+            ad.gather_linear(h, leaves[f"{prefix}.gate_send"], gt.send_segments),
         ),
         projected,
     )
@@ -293,7 +303,9 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     residual = projected if layer == 0 else edge_state
     new_edge_state = ad.add(residual, update_term)
     gates = ad.gate_normalize(new_edge_state, gt.recv_segments, eps=config.gate_eps)
-    messages = ad.hadamard(gates, ad.linear(h_send, leaves[f"{prefix}.node_msg"]))
+    messages = ad.hadamard(
+        gates, ad.gather_linear(h, leaves[f"{prefix}.node_msg"], gt.send_segments)
+    )
     pooled = ad.segment_sum(messages, gt.recv_segments)
     node_pre = ad.add(ad.linear(h, leaves[f"{prefix}.node_self"]), pooled)
     new_h = ad.add(
@@ -306,14 +318,22 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
 
 
 def _decode(leaves, gt, h, edge_state):
-    h_recv = ad.gather_rows(h, gt.recv_segments)
-    h_send = ad.gather_rows(h, gt.send_segments)
-    joined = ad.concat_cols([h_recv, h_send, edge_state])
-    hidden = ad.relu(
-        ad.add(ad.linear(joined, leaves["dec_hidden_w"]), leaves["dec_hidden_b"])
+    # dec_hidden_w is (dh, 3H) over [h_recv | h_send | edge_state]; the two
+    # endpoint blocks act on node rows before the gather.
+    w = leaves["dec_hidden_w"]
+    width = w.shape[1] // 3
+    w_recv, w_send, w_edge = (
+        ad.columns(w, k * width, (k + 1) * width) for k in range(3)
     )
-    logits = ad.add(ad.linear(hidden, leaves["dec_out_w"]), leaves["dec_out_b"])
-    return logits, h_recv, h_send
+    pre = ad.add(
+        ad.add(
+            ad.gather_linear(h, w_recv, gt.recv_segments),
+            ad.gather_linear(h, w_send, gt.send_segments),
+        ),
+        ad.linear(edge_state, w_edge),
+    )
+    hidden = ad.relu(ad.add(pre, leaves["dec_hidden_b"]))
+    return ad.add(ad.linear(hidden, leaves["dec_out_w"]), leaves["dec_out_b"])
 
 
 def forward(
@@ -354,12 +374,14 @@ def forward(
         )
         all_gates.append(gates)
 
-    logits, h_recv, h_send = _decode(leaves, gt, h, edge_state)
+    logits = _decode(leaves, gt, h, edge_state)
     decoded = ad.sigmoid(logits)
 
     recon = ad.scalar_mul(
         ad.bce_with_logits_mean(logits, gt.feats), config.lambda_recon
     )
+    h_recv = ad.gather_rows(h, gt.recv_segments)
+    h_send = ad.gather_rows(h, gt.send_segments)
     dots = ad.row_sums(ad.hadamard(h_recv, h_send))
     neighbor = ad.scalar_mul(
         ad.sum_all(ad.log_sigmoid(dots)), -config.lambda_neighbor
@@ -424,5 +446,4 @@ def decode(
     if tape is None:
         tape = Tape()
     leaves = _leaves(tape, params)
-    logits, _, _ = _decode(leaves, gt, tape.leaf(h), tape.leaf(edge_state))
-    return ad.sigmoid(logits)
+    return ad.sigmoid(_decode(leaves, gt, tape.leaf(h), tape.leaf(edge_state)))

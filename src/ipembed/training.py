@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .binio import FormatError, read_exact, read_struct, write_struct
+from .binio import FormatError, read_exact, read_struct, read_text, write_struct
 from .graphs import FeatureScaler, IntervalGraph, ProtocolVocab
 from .model import (
     GraphTensors,
@@ -342,10 +342,7 @@ def load_model(path: str | Path) -> ModelBundle:
         (n_tensors,) = read_struct(fp, "<I")
         for _ in range(n_tensors):
             (name_len,) = read_struct(fp, "<H")
-            try:
-                name = read_exact(fp, name_len).decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError("model tensor name is not UTF-8") from None
+            name = read_text(fp, name_len, "model tensor name")
             if name not in expected:
                 raise FormatError(f"unknown or repeated model tensor {name!r}")
             arr = expected.pop(name)

@@ -10,7 +10,8 @@ from ipaddress import ip_address
 import numpy as np
 import pytest
 
-from ipembed.autodiff import log_sigmoid_np
+import ipembed.autodiff as ad
+from ipembed.autodiff import Tape, log_sigmoid_np
 from ipembed.graphs import (
     N_NUMERIC,
     NUMERIC_FEATURES,
@@ -20,6 +21,7 @@ from ipembed.graphs import (
     ip_sort_key,
     resolve_origin,
 )
+from ipembed.model import ForwardResult, _bn
 from ipembed.zeek import (
     _FIELD_ALIASES,
     ConnRecord,
@@ -204,6 +206,121 @@ def neighbor_loss(embeddings, recv, send, weight):
     send = np.asarray(send, dtype=np.int64)
     dots = np.einsum("ij,ij->i", h[recv], h[send])
     return float(-weight * log_sigmoid_np(dots).sum())
+
+
+# ---------------------------------------------------------------------------
+# Edge-side reference model. Every endpoint weight is applied after the
+# gather, to E edge rows, and the input layer projects before it pools. The
+# package's node-side layers must agree with it; see the differential tests
+# in test_model.py.
+
+
+def _concat_cols(parts):
+    """Stack tape tensors side by side (extend each row)."""
+    offsets = np.cumsum([0] + [t.shape[1] for t in parts])
+
+    def vjp(g):
+        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+
+    data = np.concatenate([t.data for t in parts], axis=1)
+    return parts[0].tape._record(data, tuple(parts), vjp)
+
+
+def legacy_input_layer(leaves, params, config, gt, e0, mode, update):
+    transformed = ad.relu(
+        _bn(
+            ad.linear(e0, leaves["edge_embed"]),
+            leaves, params, "bn_edge_in", config, mode, update,
+        )
+    )
+    edge_state = ad.add(e0, transformed)
+    gates = ad.gate_normalize(edge_state, gt.recv_segments, eps=config.gate_eps)
+    gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
+    pooled = ad.segment_sum(gated, gt.recv_segments)
+    h = ad.relu(
+        _bn(pooled, leaves, params, "bn_node_in", config, mode, update)
+    )
+    return h, edge_state, gates
+
+
+def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
+    prefix = f"conv{layer}"
+    h_recv = ad.gather_rows(h, gt.recv_segments)
+    h_send = ad.gather_rows(h, gt.send_segments)
+    projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
+    pre = ad.add(
+        ad.add(
+            ad.linear(h_recv, leaves[f"{prefix}.gate_recv"]),
+            ad.linear(h_send, leaves[f"{prefix}.gate_send"]),
+        ),
+        projected,
+    )
+    update_term = ad.relu(
+        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode, update)
+    )
+    # First layer: the residual carries the projected edge state so deeper
+    # layers live in the hidden dimension.
+    residual = projected if layer == 0 else edge_state
+    new_edge_state = ad.add(residual, update_term)
+    gates = ad.gate_normalize(new_edge_state, gt.recv_segments, eps=config.gate_eps)
+    messages = ad.hadamard(gates, ad.linear(h_send, leaves[f"{prefix}.node_msg"]))
+    pooled = ad.segment_sum(messages, gt.recv_segments)
+    node_pre = ad.add(ad.linear(h, leaves[f"{prefix}.node_self"]), pooled)
+    new_h = ad.add(
+        h,
+        ad.relu(
+            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode, update)
+        ),
+    )
+    return new_h, new_edge_state, gates
+
+
+def legacy_decode(leaves, gt, h, edge_state):
+    h_recv = ad.gather_rows(h, gt.recv_segments)
+    h_send = ad.gather_rows(h, gt.send_segments)
+    joined = _concat_cols([h_recv, h_send, edge_state])
+    hidden = ad.relu(
+        ad.add(ad.linear(joined, leaves["dec_hidden_w"]), leaves["dec_hidden_b"])
+    )
+    logits = ad.add(ad.linear(hidden, leaves["dec_out_w"]), leaves["dec_out_b"])
+    return logits, h_recv, h_send
+
+
+def legacy_forward(params, config, gt, mode="train"):
+    """The model's forward pass and loss, with the edge-side layers above.
+    Returns the ``ForwardResult`` of a fresh recording tape."""
+    update = mode == "train"
+    tape = Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in params.named_arrays()}
+    e0 = tape.leaf(gt.feats)
+    h, edge_state, gates0 = legacy_input_layer(
+        leaves, params, config, gt, e0, mode, update
+    )
+    all_gates = [gates0]
+    for layer in range(config.layers):
+        h, edge_state, gates = legacy_conv_layer(
+            leaves, params, config, gt, h, edge_state, layer, mode, update
+        )
+        all_gates.append(gates)
+    logits, h_recv, h_send = legacy_decode(leaves, gt, h, edge_state)
+    recon = ad.scalar_mul(
+        ad.bce_with_logits_mean(logits, gt.feats), config.lambda_recon
+    )
+    dots = ad.row_sums(ad.hadamard(h_recv, h_send))
+    neighbor = ad.scalar_mul(
+        ad.sum_all(ad.log_sigmoid(dots)), -config.lambda_neighbor
+    )
+    return ForwardResult(
+        node_states=h,
+        edge_states=edge_state,
+        logits=logits,
+        decoded=ad.sigmoid(logits),
+        gates=all_gates,
+        recon_loss=recon,
+        neighbor_loss=neighbor,
+        loss=ad.add(recon, neighbor),
+        leaves=leaves,
+    )
 
 
 # ---------------------------------------------------------------------------

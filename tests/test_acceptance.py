@@ -257,7 +257,19 @@ def test_unseen_ips_embed_near_their_role():
     four dns servers held out, default loss weights, at most 300 epochs.
     In at least 90% of scoreable test windows across 3 seeds the held-out
     IP's mean cosine to its role is >= 0.9 with a margin >= 0.2 over the
-    contrast role. Budget: 5 minutes."""
+    contrast role. Budget: 5 minutes.
+
+    What this shows: the trained pipeline (graph build, inductive inference
+    on an unseen IP, cosine scoring) places a held-out DNS server with its
+    role. What it does not show: that training taught the network anything.
+    DNS servers receive only ``dns`` and web servers only ``http``/``ssl``,
+    so the protocol one-hot blocks separate the roles from any single edge.
+    An untrained network (one epoch at learning rate 0, which only sets the
+    batch norm statistics) passes every window with a margin near 0.21, and
+    a feature-only baseline that gives each node the mean of its incoming
+    normalized edge features passes with a margin of 1.0. A check of
+    learned structure needs roles that share a protocol and both controls
+    reported next to the trained margin."""
     started = time.perf_counter()
     wins = total = 0
     for seed in (0, 1, 2):
@@ -420,10 +432,13 @@ def test_inflated_edges_score_above_training_p95():
         medians.append(median)
         cutoffs.append(p95)
         wins += median > p95
+    ratios = [median / cutoff for median, cutoff in zip(medians, cutoffs)]
+    thinnest = int(np.argmin(ratios))
     DETAILS["anomaly-signal"] = (
         f"{wins}/20 trials above the cutoff; inflated medians "
         f"{min(medians):.3f}-{max(medians):.3f} vs train p95 "
-        f"{min(cutoffs):.3f}-{max(cutoffs):.3f}"
+        f"{min(cutoffs):.3f}-{max(cutoffs):.3f}; thinnest trial {thinnest} "
+        f"at median/p95 {ratios[thinnest]:.4f}"
     )
     assert wins >= 19, (
         "inflated-edge reconstruction error does not clear the training p95: "

@@ -203,10 +203,54 @@ def test_fd_scalar_ops_and_neg(rng):
     assert err < TOL
 
 
-def test_fd_concat(rng):
-    arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 5))}
-    err = check(lambda t, l: ad.concat_cols([l["a"], l["b"]]), arrays, rng)
-    assert err < TOL
+def test_fd_columns(rng):
+    arrays = {"w": rng.normal(size=(3, 7))}
+    for start, stop in ((0, 2), (2, 5), (5, 7), (0, 7)):
+        err = check(lambda t, l: ad.columns(l["w"], start, stop), arrays, rng)
+        assert err < TOL
+
+
+def test_columns_forward_and_bad_ranges():
+    tape = Tape()
+    w = tape.leaf(np.arange(12.0).reshape(3, 4))
+    np.testing.assert_array_equal(ad.columns(w, 1, 3).data, w.data[:, 1:3])
+    for start, stop in ((-1, 2), (2, 2), (3, 1), (0, 5)):
+        with pytest.raises(ShapeError):
+            ad.columns(w, start, stop)
+
+
+def test_fd_gather_linear(rng):
+    # Node 2 owns no row, so its gradient rows come only from zeros.
+    ids = np.array([0, 3, 3, 1, 0, 3])
+    arrays = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(5, 3))}
+    for indices in (ids, Segments(ids, 4)):
+        err = check(
+            lambda t, l: ad.gather_linear(l["x"], l["w"], indices), arrays, rng
+        )
+        assert err < TOL
+
+
+def test_gather_linear_matches_gather_then_linear(rng):
+    ids = np.array([1, 0, 1, 1, 4])
+    x_data, w_data = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+    g = rng.normal(size=(5, 2))
+    results = []
+    for fused in (True, False):
+        tape = Tape()
+        x, w = tape.leaf(x_data), tape.leaf(w_data)
+        if fused:
+            out = ad.gather_linear(x, w, ids)
+        else:
+            out = ad.linear(ad.gather_rows(x, ids), w)
+        backward(ad.sum_all(ad.hadamard(out, tape.leaf(g))))
+        results.append((out.data, x.grad, w.grad))
+    for fused, plain in zip(*results):
+        np.testing.assert_allclose(fused, plain, rtol=0, atol=1e-12)
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        ad.gather_linear(tape.leaf(x_data), tape.leaf(rng.normal(size=(2, 4))), ids)
+    with pytest.raises(ShapeError):
+        ad.gather_linear(tape.leaf(x_data), tape.leaf(w_data), Segments(ids, 6))
 
 
 def test_fd_gather_and_segment(rng):

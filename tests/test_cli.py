@@ -171,6 +171,17 @@ def test_bad_model_vocab_is_data_error(workspace, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_model_section_length_past_end_is_data_error(workspace, tmp_path, capsys):
+    model = tmp_path / "bad.ipgm"
+    blob = bytearray(workspace["model"].read_bytes())
+    blob[6:14] = (2**40).to_bytes(8, "little")  # config section length
+    model.write_bytes(bytes(blob))
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
+    ) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "index, edit",
     [

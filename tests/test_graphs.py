@@ -445,6 +445,36 @@ def test_snapshot_edge_index_out_of_range(tmp_path, array, value):
         load_graph(path)
 
 
+def test_snapshot_edge_count_past_end_is_refused_before_reading(tmp_path):
+    vocab = ProtocolVocab(("dns", "other"))
+    graph = build_graph(
+        {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}, vocab, 0.0, 600.0
+    )
+    path = tmp_path / "graph.ipgr"
+    save_graph(graph, path)
+    blob = bytearray(path.read_bytes())
+    # magic, version, start/end, dim/n_nodes, node table
+    offset = 4 + 2 + 16 + 8 + sum(2 + len(ip) for ip in graph.nodes)
+    assert int.from_bytes(blob[offset : offset + 4], "little") == graph.n_edges
+    blob[offset : offset + 4] = (2**32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="truncated"):
+        load_graph(path)
+
+
+def test_snapshot_node_name_not_utf8(tmp_path):
+    vocab = ProtocolVocab(("dns", "other"))
+    graph = build_graph(
+        {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}, vocab, 0.0, 600.0
+    )
+    path = tmp_path / "graph.ipgr"
+    save_graph(graph, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"10.0.0.2", b"\xff0.0.0.2"))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_graph(path)
+
+
 def test_snapshot_duplicate_node_name(tmp_path):
     vocab = ProtocolVocab(("dns", "other"))
     graph = build_graph(

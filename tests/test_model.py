@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
-from conftest import neighbor_loss, random_graph, reconstruction_loss, two_node_graph
-from ipembed.autodiff import Tape, grad_check
+from conftest import (
+    legacy_forward,
+    neighbor_loss,
+    random_graph,
+    reconstruction_loss,
+    two_node_graph,
+)
+from ipembed.autodiff import Tape, backward, grad_check
 from ipembed.model import (
     GraphTensors,
     ModelConfig,
@@ -420,6 +426,51 @@ def test_desk_training_step_records_at_most_100_tape_nodes():
     gt = GraphTensors.from_graph(data.train_graphs[0])
     res = forward(init_params(config), config, gt, mode="train")
     assert len(res.loss.tape) <= 100
+
+
+def _desk_cases():
+    data = make_experiment(default_roles(32, 4, 6), duration=1800.0, seed=3)
+    config = ModelConfig(edge_dim=edge_dim_for_vocab(data.vocab.size))
+    params = init_params(config, seed=3)
+    return [(params, config, GraphTensors.from_graph(g)) for g in data.train_graphs]
+
+
+def _isolated_case():
+    # Three trailing nodes own no edge, so their segments are empty.
+    params, config, gt = small_setup(seed=61, n_nodes=7, n_pairs=9, hidden=5)
+    wider = GraphTensors(gt.n_nodes + 3, gt.recv, gt.send, gt.feats)
+    return [(params, config, wider)]
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("cases", [_desk_cases, _isolated_case])
+def test_node_side_layers_match_edge_side_oracle(cases, mode):
+    # Projecting on nodes and then gathering only reorders sums, so states,
+    # logits, loss, every parameter gradient and the running statistics
+    # agree with the edge-side reference to rounding.
+    for params, config, gt in cases():
+        if mode == "eval":
+            forward(params, config, gt, mode="train")  # set running stats
+        ours, ref = params.copy(), params.copy()
+        got = forward(ours, config, gt, mode=mode)
+        want = legacy_forward(ref, config, gt, mode=mode)
+        backward(got.loss)
+        backward(want.loss)
+        pairs = [
+            ("node states", got.node_states.data, want.node_states.data),
+            ("logits", got.logits.data, want.logits.data),
+            ("loss", got.loss.data, want.loss.data),
+        ]
+        pairs += [
+            (name, got.leaves[name].grad, want.leaves[name].grad)
+            for name in params.arrays
+        ]
+        pairs += [
+            (name, a, b)
+            for (name, a), (_, b) in zip(ours.named_buffers(), ref.named_buffers())
+        ]
+        for what, a, b in pairs:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=what)
 
 
 def test_isolated_nodes_share_constant_embedding():

@@ -407,6 +407,18 @@ def test_model_file_truncated(tmp_path):
         load_model(path)
 
 
+def test_model_file_section_length_past_end_is_refused_before_reading(tmp_path):
+    # A 2**40-byte config section would need a terabyte buffer; the length
+    # is checked against the file before any is allocated.
+    path = tmp_path / "model.ipgm"
+    save_model(trained_bundle(), path)
+    blob = bytearray(path.read_bytes())
+    blob[6:14] = (2**40).to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="truncated"):
+        load_model(path)
+
+
 def test_model_file_missing_running_stats(tmp_path):
     path = tmp_path / "model.ipgm"
     save_model(trained_bundle(), path)
