@@ -21,13 +21,18 @@ def read_exact(fp: BinaryIO, n: int) -> bytes:
     Shorter reads are checked once they return.
     """
     if n > io.DEFAULT_BUFFER_SIZE:
-        left = os.fstat(fp.fileno()).st_size - fp.tell()
-        if n > left:
-            raise FormatError(f"truncated file: wanted {n} bytes, {left} left")
+        ensure_left(fp, n)
     buf = fp.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated file: wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def ensure_left(fp: BinaryIO, n: int) -> None:
+    """Raise ``FormatError`` unless ``n`` bytes are left in the file."""
+    left = os.fstat(fp.fileno()).st_size - fp.tell()
+    if n > left:
+        raise FormatError(f"truncated file: wanted {n} bytes, {left} left")
 
 
 def read_text(fp: BinaryIO, n: int, what: str) -> str:

@@ -22,7 +22,6 @@ from .binio import FormatError
 from .graphs import (
     ProtocolVocab,
     aggregate_flows,
-    drop_nodes,
     fit_protocol_vocab,
     fit_scaler,
     iter_interval_graphs,
@@ -186,10 +185,15 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_build_graphs(args) -> int:
     records, stats = read_conn_log(args.input, args.format, args.strict)
-    if args.holdout:
-        records = filter_holdout(records, _ip_list(args.holdout))
     if not records:
         raise ValueError("no usable records in input")
+    held_out = ""
+    if args.holdout:
+        kept = filter_holdout(records, _ip_list(args.holdout))
+        if not kept:
+            raise ValueError("no records left after holdout")
+        held_out = f", held out {len(records) - len(kept)} records"
+        records = kept
     origin = args.origin if args.origin is not None else resolve_origin(
         records, args.interval
     )
@@ -207,7 +211,7 @@ def _cmd_build_graphs(args) -> int:
     )
     _log(
         f"build-graphs: {len(aggregates)} graphs from {stats.emitted} records "
-        f"({_skipped(stats)}) into {out_dir}"
+        f"({_skipped(stats)}{held_out}) into {out_dir}"
     )
     return 0
 
@@ -219,15 +223,6 @@ def _cmd_train(args) -> int:
     if not vocab_path.exists():
         raise FileNotFoundError(f"vocab file {vocab_path} not found")
     vocab = _load_vocab(vocab_path)
-    if args.holdout:
-        kept = []
-        for graph in graphs:
-            filtered = drop_nodes(graph, _ip_list(args.holdout))
-            if filtered is not None:
-                kept.append(filtered)
-        graphs = kept
-    if not graphs:
-        raise ValueError("no training graphs left after holdout filtering")
     if graphs[0].feat_dim != edge_dim_for_vocab(vocab.size) - 1:
         raise ValueError(
             f"graph feature dim {graphs[0].feat_dim} does not match vocab "
@@ -438,7 +433,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("--interval", type=float, default=600.0)
     p.add_argument("--origin", type=float, default=None)
-    p.add_argument("--holdout", help="comma-separated IPs to remove first")
+    p.add_argument("--holdout", help="comma-separated IPs to drop before fitting")
     p.add_argument("--vocab", help="reuse a fitted vocab.json")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
@@ -447,7 +442,6 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("train", help="train a model on graph snapshots")
     p.add_argument("--graphs", required=True, help="directory of .ipgr files")
     p.add_argument("--vocab", help="vocab.json (defaults to the graphs directory)")
-    p.add_argument("--holdout", help="comma-separated IPs to drop from the graphs")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--learning-rate", type=float, default=1e-3)

@@ -43,7 +43,6 @@ __all__ = [
     "build_interval_graphs",
     "fit_scaler",
     "normalize",
-    "drop_nodes",
     "ip_sort_key",
     "save_graph",
     "load_graph",
@@ -424,39 +423,6 @@ def normalize(graph: IntervalGraph, scaler: FeatureScaler) -> IntervalGraph:
     return replace(graph, features=feats)
 
 
-def drop_nodes(graph: IntervalGraph, ips: Iterable[str]) -> IntervalGraph | None:
-    """Remove the given IPs and every edge touching them.
-
-    Equivalent to filtering the source records before aggregation. Nodes
-    left with no incident edges are dropped too; returns None if nothing
-    remains.
-    """
-    banned = {str(ip_address(ip)) for ip in ips}
-    if not banned.intersection(graph.nodes):
-        return graph
-    node_banned = np.array([ip in banned for ip in graph.nodes], dtype=bool)
-    keep = ~(node_banned[graph.edge_src] | node_banned[graph.edge_dst])
-    if not keep.any():
-        return None
-    src = graph.edge_src[keep]
-    dst = graph.edge_dst[keep]
-    used = np.zeros(graph.n_nodes, dtype=bool)
-    used[src] = True
-    used[dst] = True
-    remap = np.full(graph.n_nodes, -1, dtype=np.int32)
-    remap[used] = np.arange(int(used.sum()), dtype=np.int32)
-    return IntervalGraph(
-        start=graph.start,
-        end=graph.end,
-        nodes=tuple(ip for ip, u in zip(graph.nodes, used) if u),
-        edge_src=remap[src],
-        edge_dst=remap[dst],
-        reverse=graph.reverse[keep].copy(),
-        raw_features=graph.raw_features[keep].copy(),
-        features=None if graph.features is None else graph.features[keep].copy(),
-    )
-
-
 def validate_graph(graph: IntervalGraph) -> None:
     """Raise if structural invariants do not hold."""
     n, e = graph.n_nodes, graph.n_edges
@@ -472,25 +438,16 @@ def validate_graph(graph: IntervalGraph) -> None:
         raise ValueError("edge source index out of range")
     if e and (graph.edge_dst.min() < 0 or graph.edge_dst.max() >= n):
         raise ValueError("edge destination index out of range")
-    forward = [
-        (int(s), int(d))
-        for s, d, r in zip(graph.edge_src, graph.edge_dst, graph.reverse)
-        if not r
-    ]
-    if len(set(forward)) != len(forward):
+    src, dst, rev = graph.edge_src, graph.edge_dst, graph.reverse
+    if rev[0::2].any() or not rev[1::2].all():
+        raise ValueError("edges must interleave forward/reverse")
+    if np.any(src[0::2] != dst[1::2]) or np.any(dst[0::2] != src[1::2]):
+        raise ValueError("companion edge endpoints do not mirror")
+    if not np.array_equal(graph.raw_features[0::2], graph.raw_features[1::2]):
+        raise ValueError("companion edge features differ")
+    pairs = src[0::2].astype(np.int64) * n + dst[0::2]
+    if len(np.unique(pairs)) != len(pairs):
         raise ValueError("duplicate forward edge for an ordered pair")
-    if 2 * len(forward) != e:
-        raise ValueError("forward and reverse edge counts differ")
-    for k in range(0, e, 2):
-        if graph.reverse[k] or not graph.reverse[k + 1]:
-            raise ValueError("edges must interleave forward/reverse")
-        if (
-            graph.edge_src[k] != graph.edge_dst[k + 1]
-            or graph.edge_dst[k] != graph.edge_src[k + 1]
-        ):
-            raise ValueError("companion edge endpoints do not mirror")
-        if not np.array_equal(graph.raw_features[k], graph.raw_features[k + 1]):
-            raise ValueError("companion edge features differ")
 
 
 def save_graph(graph: IntervalGraph, path: str | Path) -> None:

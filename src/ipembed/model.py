@@ -43,6 +43,7 @@ __all__ = [
     "GraphTensors",
     "ForwardResult",
     "init_params",
+    "param_shapes",
     "forward",
     "input_layer",
     "conv_layer",
@@ -98,13 +99,8 @@ class ModelParams:
     """The model's state as two name tables.
 
     ``arrays`` holds every trainable array under its model-file name, in
-    model-file order: ``edge_embed`` (d, d), ``edge_to_node`` (H, d), the
-    ``bn_edge_in``/``bn_node_in`` affine terms, then per layer ``conv<i>.``
-    ``gate_recv``, ``gate_send``, ``gate_edge`` ((H, d) on the first layer,
-    (H, H) afterwards), ``node_self``, ``node_msg`` and the ``bn_edge``/
-    ``bn_node`` affine terms, then the decoder's ``dec_hidden_w``
-    (decoder_hidden, 3H), ``dec_hidden_b``, ``dec_out_w`` and ``dec_out_b``.
-    A batch norm ``<name>`` trains ``<name>.gamma`` and ``<name>.beta`` here;
+    model-file order, with the shapes :func:`param_shapes` gives. A batch
+    norm ``<name>`` trains ``<name>.gamma`` and ``<name>.beta`` here;
     ``bns[<name>]`` holds its running statistics.
     """
 
@@ -139,8 +135,41 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _affine(name: str, width: int) -> dict[str, np.ndarray]:
-    return {f"{name}.gamma": np.ones((1, width)), f"{name}.beta": np.zeros((1, width))}
+def _affine(name: str, width: int) -> dict[str, tuple[int, int]]:
+    return {f"{name}.gamma": (1, width), f"{name}.beta": (1, width)}
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every trainable array, in model-file order.
+
+    This is the one shape table: :func:`init_params` allocates from it and
+    the model loader sizes a file's tensors by it before allocating.
+    """
+    d, h, dh = config.edge_dim, config.hidden, config.decoder_hidden
+    shapes = {
+        "edge_embed": (d, d),
+        "edge_to_node": (h, d),
+        **_affine("bn_edge_in", d),
+        **_affine("bn_node_in", h),
+    }
+    for layer in range(config.layers):
+        p = f"conv{layer}."
+        shapes.update({
+            p + "gate_recv": (h, h),
+            p + "gate_send": (h, h),
+            p + "gate_edge": (h, d if layer == 0 else h),
+            p + "node_self": (h, h),
+            p + "node_msg": (h, h),
+            **_affine(p + "bn_edge", h),
+            **_affine(p + "bn_node", h),
+        })
+    shapes.update({
+        "dec_hidden_w": (dh, 3 * h),
+        "dec_hidden_b": (1, dh),
+        "dec_out_w": (d, dh),
+        "dec_out_b": (1, d),
+    })
+    return shapes
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
@@ -148,34 +177,19 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     zero decoder biases.
 
     The draw order (every conv weight first, then the input and decoder
-    weights) and the table order are the model-file format: together they
-    fix the bytes of every seeded model.
+    weights, each in table order) and the table order of
+    :func:`param_shapes` are the model-file format: together they fix the
+    bytes of every seeded model.
     """
     rng = np.random.default_rng(seed)
-    d, h, dh = config.edge_dim, config.hidden, config.decoder_hidden
-    convs = {}
-    for layer in range(config.layers):
-        p = f"conv{layer}."
-        convs.update({
-            p + "gate_recv": _glorot(rng, h, h),
-            p + "gate_send": _glorot(rng, h, h),
-            p + "gate_edge": _glorot(rng, h, d if layer == 0 else h),
-            p + "node_self": _glorot(rng, h, h),
-            p + "node_msg": _glorot(rng, h, h),
-            **_affine(p + "bn_edge", h),
-            **_affine(p + "bn_node", h),
-        })
+    shapes = param_shapes(config)
     arrays = {
-        "edge_embed": _glorot(rng, d, d),
-        "edge_to_node": _glorot(rng, h, d),
-        **_affine("bn_edge_in", d),
-        **_affine("bn_node_in", h),
-        **convs,
-        "dec_hidden_w": _glorot(rng, dh, 3 * h),
-        "dec_hidden_b": np.zeros((1, dh)),
-        "dec_out_w": _glorot(rng, d, dh),
-        "dec_out_b": np.zeros((1, d)),
+        name: (np.ones if name.endswith(".gamma") else np.zeros)(shape)
+        for name, shape in shapes.items()
     }
+    weights = [n for n in shapes if not n.endswith((".gamma", ".beta", "_b"))]
+    for name in sorted(weights, key=lambda n: not n.startswith("conv")):
+        arrays[name] = _glorot(rng, *shapes[name])
     bns = {
         name.removesuffix(".gamma"): BatchNorm.create(arr.shape[1])
         for name, arr in arrays.items()

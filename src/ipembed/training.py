@@ -13,7 +13,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .binio import FormatError, read_exact, read_struct, read_text, write_struct
+from .binio import (
+    FormatError, ensure_left, read_exact, read_struct, read_text, write_struct
+)
 from .graphs import FeatureScaler, IntervalGraph, ProtocolVocab
 from .model import (
     GraphTensors,
@@ -21,6 +23,7 @@ from .model import (
     ModelParams,
     forward,
     init_params,
+    param_shapes,
 )
 from .zeek import ConnRecord
 
@@ -158,7 +161,7 @@ def filter_holdout(
 
 
 def train(
-    graphs: Sequence[IntervalGraph | GraphTensors],
+    graphs: Sequence[IntervalGraph],
     model_config: ModelConfig,
     train_config: TrainConfig = TrainConfig(),
     log: Callable[[str], None] | None = None,
@@ -178,10 +181,7 @@ def train(
         raise ValueError("no training graphs")
     if train_config.checkpoint_every and (vocab is None or scaler is None):
         raise ValueError("checkpointing needs the vocab and scaler of the model")
-    tensors = [
-        g if isinstance(g, GraphTensors) else GraphTensors.from_graph(g)
-        for g in graphs
-    ]
+    tensors = [GraphTensors.from_graph(g) for g in graphs]
     for gt in tensors:
         gt.validate(model_config)
 
@@ -330,6 +330,12 @@ def load_model(path: str | Path) -> ModelBundle:
             raise FormatError("model file uses negative sampling, which is unsupported")
         try:
             config = ModelConfig(**config_doc)
+            # Refuse a config the file cannot hold before allocating for it.
+            # A batch norm also stores running statistics as wide as gamma.
+            ensure_left(fp, 8 * sum(
+                rows * cols * (3 if name.endswith(".gamma") else 1)
+                for name, (rows, cols) in param_shapes(config).items()
+            ))
             params = init_params(config, seed=0)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad model config: {exc}") from None

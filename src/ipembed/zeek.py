@@ -12,6 +12,7 @@ unset ``service`` falls back to the transport protocol.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -159,7 +160,8 @@ class ParseStats:
     ``reasons`` counts the skipped rows per cause, so its values sum to
     ``skipped``. The keys are ``column count``, ``missing field``,
     ``bad integer``, ``bad float``, ``bad IP``, ``out of range``,
-    ``non-finite`` and ``bad JSON``; a cause that never occurred is absent.
+    ``non-finite``, ``bad JSON`` and ``bad UTF-8`` (a line read from a path or
+    as bytes that does not decode); a cause that never occurred is absent.
     """
 
     read: int = 0
@@ -260,8 +262,8 @@ def parse_conn_log(
     stats = ParseStats()
     # Open the source now so a missing file fails at call time, not on the
     # first pull from the stream.
-    owned, lines = _iter_lines(source)
-    return _parse(owned, lines, format, strict, stats), stats
+    owned, numbered = _numbered_lines(source, strict, stats)
+    return _parse(owned, numbered, format, strict, stats), stats
 
 
 def read_conn_log(
@@ -290,21 +292,38 @@ def write_canonical_tsv(records: Iterable[ConnRecord], fp: IO[str]) -> int:
     return count
 
 
-def _iter_lines(source: Source):
-    """Return (owned_file_or_None, iterator of str lines)."""
+def _numbered_lines(source: Source, strict: bool, stats: ParseStats):
+    """Return (owned file or None, iterator of (line number, str line)).
+    Only the lines of a text stream skip :func:`_utf8_lines`."""
     if isinstance(source, (str, Path)):
-        fp = open(source, "r", encoding="utf-8", newline="")
-        return fp, iter(fp)
-    decoded = (
-        line.decode("utf-8") if isinstance(line, (bytes, bytearray)) else line
-        for line in source
-    )
-    return None, decoded
+        # Bad bytes become lone surrogates; line splitting stays text mode's.
+        fp = open(source, encoding="utf-8", errors="surrogateescape", newline="")
+        return fp, _utf8_lines(fp, strict, stats)
+    if isinstance(source, io.TextIOBase):
+        return None, enumerate(source, 1)
+    return None, _utf8_lines(source, strict, stats)
 
 
-def _parse(owned, lines, format, strict, stats):
+def _utf8_lines(lines, strict, stats):
+    """Number the lines and decode bytes; a line that is not UTF-8 is a row
+    skipped for ``bad UTF-8``, or a :class:`ParseError` in strict mode."""
+    for line_no, line in enumerate(lines, 1):
+        try:
+            if isinstance(line, (bytes, bytearray)):
+                line = line.decode("utf-8")
+            elif not line.isascii():
+                line.encode("utf-8")
+        except UnicodeError:
+            if strict:
+                raise ParseError("line is not UTF-8", line_no, "bad UTF-8") from None
+            stats.read += 1
+            stats._skip("bad UTF-8")
+            continue
+        yield line_no, line
+
+
+def _parse(owned, numbered, format, strict, stats):
     try:
-        numbered = enumerate(lines, 1)
         fmt = format
         if fmt == "auto":
             head = None

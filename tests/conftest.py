@@ -9,6 +9,7 @@ from ipaddress import ip_address
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
 from ipembed.autodiff import Tape, log_sigmoid_np
@@ -114,6 +115,21 @@ def assert_graphs_equal(a, b):
     assert (a.features is None) == (b.features is None)
     if a.features is not None:
         np.testing.assert_array_equal(a.features, b.features)
+
+
+def damaged(blob):
+    """Hypothesis strategy over every truncation and every single-bit flip
+    of ``blob``."""
+
+    def flip(bit):
+        out = bytearray(blob)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+
+    return st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda n: blob[:n]),
+        st.integers(0, 8 * len(blob) - 1).map(flip),
+    )
 
 
 def rewrite_model_section(path, index, edit):

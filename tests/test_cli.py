@@ -145,10 +145,71 @@ def test_holdout_of_everything_is_data_error(workspace, tmp_path, capsys):
         + ["10.0.1.1", "10.0.1.2", "10.0.2.1", "10.0.2.2"]
     )
     code = run(
-        ["train", "--graphs", str(workspace["gdir"]), "--out",
-         str(tmp_path / "m.ipgm"), "--holdout", everyone, "--epochs", "1"]
+        ["build-graphs", "--input", str(workspace["canon"]), "--out",
+         str(tmp_path / "g"), "--holdout", everyone]
     )
     assert code == 2
+    assert "no records left after holdout" in capsys.readouterr().err
+
+
+def test_build_graphs_holdout_leaves_no_trace(workspace, tmp_path, capsys):
+    # One DNS server is the only host that also speaks ssh: held out, it
+    # must shape neither the graphs nor the vocab the model is sized by.
+    records, _ = read_conn_log(workspace["canon"])
+    ssh = [
+        make_record(ts=100.0 + 60 * i, source_ip="10.0.0.1",
+                    destination_ip="10.0.1.1", destination_port=22,
+                    protocol_service="ssh")
+        for i in range(30)
+    ]
+    log = tmp_path / "conn.tsv"
+    with open(log, "w") as fp:
+        write_canonical_tsv(records + ssh, fp)
+    touching = sum("10.0.1.1" in (r.source_ip, r.destination_ip) for r in records + ssh)
+
+    assert run(["build-graphs", "--input", str(log), "--origin", "0",
+                "--out", str(tmp_path / "all")]) == 0
+    tokens = json.loads((tmp_path / "all" / "vocab.json").read_text())["tokens"]
+    assert "ssh" in tokens
+    capsys.readouterr()
+
+    held = tmp_path / "held"
+    assert run(["build-graphs", "--input", str(log), "--origin", "0",
+                "--holdout", "10.0.1.1", "--out", str(held)]) == 0
+    assert f"held out {touching} records" in capsys.readouterr().err
+    tokens = json.loads((held / "vocab.json").read_text())["tokens"]
+    assert "ssh" not in tokens
+    paths = sorted(held.glob("graph_*.ipgr"))
+    assert paths
+    for path in paths:
+        assert "10.0.1.1" not in load_graph(path).nodes
+
+
+def test_model_config_larger_than_its_file_is_data_error(workspace, tmp_path, capsys):
+    model = tmp_path / "huge.ipgm"
+    shutil.copy(Path(__file__).parent / "data" / "init_seed7.ipgm", model)
+    rewrite_model_config(model, lambda doc: {**doc, "hidden": 10**9})
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
+def test_row_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    log = tmp_path / "conn.log"
+    assert run(
+        ["synth", "--out", str(log), "--duration", "600", "--clients", "2",
+         "--dns-servers", "1", "--web-servers", "1", "--seed", "1"]
+    ) == 0
+    lines = log.read_bytes().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+    lines[at] = lines[at].replace(b"\tSF\t", b"\tS\xff\t")
+    assert b"\xff" in lines[at]
+    log.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run(["ingest", "--input", str(log), "--out", str(tmp_path / "c.tsv")]) == 0
+    assert "skipped 1: bad UTF-8 1" in capsys.readouterr().err
 
 
 def test_bad_model_config_is_data_error(workspace, tmp_path, capsys):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import legacy_aggregate_flows, legacy_build_interval_graphs, make_record
+from conftest import (
+    damaged,
+    legacy_aggregate_flows,
+    legacy_build_interval_graphs,
+    make_record,
+)
 from ipembed.binio import FormatError
 from ipembed.graphs import (
     NUMERIC_FEATURES,
@@ -21,7 +26,6 @@ from ipembed.graphs import (
     assign_interval,
     build_graph,
     build_interval_graphs,
-    drop_nodes,
     fit_protocol_vocab,
     fit_scaler,
     ip_sort_key,
@@ -352,33 +356,6 @@ def test_normalize_bounds_property(values):
     assert np.all(normed.features <= 1.0)
 
 
-def test_drop_nodes_removes_touching_edges():
-    groups = {
-        FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8),
-        FlowKey("10.0.0.2", "10.0.0.3", "dns"): np.ones(8) * 2,
-        FlowKey("10.0.0.3", "10.0.0.4", "dns"): np.ones(8) * 3,
-    }
-    vocab = ProtocolVocab(("dns", "other"))
-    graph = build_graph(groups, vocab, 0.0, 600.0)
-    kept = drop_nodes(graph, ["10.0.0.2"])
-
-    assert kept is not None
-    validate_graph(kept)
-    assert kept.nodes == ("10.0.0.3", "10.0.0.4")
-    assert kept.n_edges == 2
-    expected = np.concatenate([[1.0, 0.0], np.full(8, 3.0), np.zeros(8)])
-    np.testing.assert_array_equal(kept.raw_features[0], expected)
-
-
-def test_drop_nodes_can_empty_graph():
-    groups = {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}
-    vocab = ProtocolVocab(("dns", "other"))
-    graph = build_graph(groups, vocab, 0.0, 600.0)
-    assert drop_nodes(graph, ["10.0.0.1"]) is None
-    unchanged = drop_nodes(graph, ["192.168.1.1"])
-    assert unchanged.nodes == graph.nodes
-
-
 def test_snapshot_round_trip(tmp_path, rng):
     vocab = ProtocolVocab(("dns", "http", "other"))
     groups = {
@@ -489,6 +466,30 @@ def test_snapshot_duplicate_node_name(tmp_path):
         load_graph(path)
 
 
+@pytest.fixture(scope="module")
+def saved_snapshot(tmp_path_factory):
+    """Bytes of one small saved graph, and a path to write damaged copies to."""
+    vocab = ProtocolVocab(("dns", "http", "other"))
+    groups = {
+        FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.arange(8.0),
+        FlowKey("10.0.0.2", "10.0.0.3", "http"): np.ones(8),
+    }
+    path = tmp_path_factory.mktemp("snapshot") / "graph.ipgr"
+    save_graph(build_graph(groups, vocab, 0.0, 600.0), path)
+    return path.read_bytes(), path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_snapshot_loads_or_is_format_error(saved_snapshot, data):
+    blob, path = saved_snapshot
+    path.write_bytes(data.draw(damaged(blob)))
+    try:
+        load_graph(path)
+    except FormatError:
+        pass
+
+
 def test_validate_graph_rejects_duplicate_node_name():
     vocab = ProtocolVocab(("dns", "other"))
     graph = build_graph(
@@ -498,6 +499,40 @@ def test_validate_graph_rejects_duplicate_node_name():
     twice = replace(graph, nodes=("10.0.0.1", "10.0.0.1"))
     with pytest.raises(ValueError, match="twice"):
         validate_graph(twice)
+
+
+def _swap_edge_pairs(graph):
+    # Second forward edge becomes a copy of the first, companion included.
+    src, dst = graph.edge_src.copy(), graph.edge_dst.copy()
+    src[2:4], dst[2:4] = src[0:2], dst[0:2]
+    return replace(graph, edge_src=src, edge_dst=dst)
+
+
+def _with(graph, name, k, value):
+    arr = getattr(graph, name).copy()
+    arr[k] = value
+    return replace(graph, **{name: arr})
+
+
+@pytest.mark.parametrize(
+    "break_graph,message",
+    [
+        (lambda g: _with(g, "reverse", 0, 1), "interleave"),
+        (lambda g: _with(g, "reverse", 3, 0), "interleave"),
+        (lambda g: _with(g, "edge_dst", 1, 2), "mirror"),
+        (lambda g: _with(g, "raw_features", 1, np.zeros(g.feat_dim)), "features differ"),
+        (_swap_edge_pairs, "duplicate forward edge"),
+    ],
+)
+def test_validate_graph_rejects_broken_companions(break_graph, message):
+    groups = {
+        FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8),
+        FlowKey("10.0.0.2", "10.0.0.3", "dns"): np.ones(8),
+    }
+    graph = build_graph(groups, ProtocolVocab(("dns", "other")), 0.0, 600.0)
+    validate_graph(graph)
+    with pytest.raises(ValueError, match=message):
+        validate_graph(break_graph(graph))
 
 
 def test_load_graph_dir_sorted(tmp_path):

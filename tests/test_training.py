@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cyclic_gc_off,
+    damaged,
     make_record,
     model_tensor_record,
     random_graph,
@@ -28,7 +29,6 @@ from ipembed.graphs import (
     ProtocolVocab,
     aggregate_flows,
     build_interval_graphs,
-    drop_nodes,
     fit_protocol_vocab,
     fit_scaler,
     normalize,
@@ -149,34 +149,6 @@ def test_filter_holdout_commutes_with_interval_split(rng):
         assert set(filtered_first[idx]) == set(pruned[idx])
         for key in pruned[idx]:
             np.testing.assert_array_equal(filtered_first[idx][key], pruned[idx][key])
-
-
-def test_drop_nodes_equals_record_level_filtering(rng):
-    records = toy_records(rng, n=80)
-    holdout = ["192.168.2.11", "192.168.2.18"]
-    vocab = fit_protocol_vocab(
-        aggregate_flows(filter_holdout(records, holdout), 600.0, 0.0)
-    )
-
-    by_records = build_interval_graphs(
-        filter_holdout(records, holdout), 600.0, vocab, origin=0.0
-    )
-    by_graphs = [
-        g
-        for g in (
-            drop_nodes(graph, holdout)
-            for graph in build_interval_graphs(records, 600.0, vocab, origin=0.0)
-        )
-        if g is not None
-    ]
-
-    assert len(by_records) == len(by_graphs)
-    for a, b in zip(by_records, by_graphs):
-        assert a.nodes == b.nodes
-        np.testing.assert_array_equal(a.edge_src, b.edge_src)
-        np.testing.assert_array_equal(a.edge_dst, b.edge_dst)
-        np.testing.assert_array_equal(a.reverse, b.reverse)
-        np.testing.assert_array_equal(a.raw_features, b.raw_features)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +541,21 @@ def test_seeded_init_saves_to_the_committed_bytes(tmp_path):
     path = tmp_path / "model.ipgm"
     save_model(fixture_bundle(), path)
     assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def damaged_model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged") / "model.ipgm"
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=damaged(FIXTURE.read_bytes()))
+def test_damaged_model_file_loads_or_is_format_error(damaged_model_path, blob):
+    damaged_model_path.write_bytes(blob)
+    try:
+        load_model(damaged_model_path)
+    except FormatError:
+        pass
 
 
 def test_perfbench_bundle_check_reads_the_package_surface():

@@ -208,6 +208,22 @@ def test_strict_error_names_its_reason():
     assert err.value.reason is None
 
 
+def test_row_that_is_not_utf8_is_skipped_or_strict_error(tmp_path):
+    # One 0xff byte in the ignored conn_state column of the second row.
+    lines = [line.encode() + b"\n" for line in zeek_tsv([zeek_row()] * 3)]
+    lines[6] = lines[6].replace(b"\tSF\t", b"\tS\xff\t")
+    path = tmp_path / "conn.log"
+    path.write_bytes(b"".join(lines))
+    for source in (lambda: path, lambda: lines, lambda: io.BytesIO(path.read_bytes())):
+        records, stats = read_conn_log(source())
+        assert len(records) == 2
+        assert (stats.read, stats.skipped) == (3, 1)
+        assert stats.reasons == {"bad UTF-8": 1}
+        with pytest.raises(ParseError) as err:
+            read_conn_log(source(), strict=True)
+        assert (err.value.line, err.value.reason) == (7, "bad UTF-8")
+
+
 def test_1000_row_fixture_with_3_corrupt(tmp_path):
     rows = []
     for i in range(1000):
