@@ -155,8 +155,11 @@ class Tape:
         return len(self._nodes)
 
     def leaf(self, data) -> Tensor:
-        """Record an input tensor (parameter or constant)."""
-        return self._record(_as_matrix(data).copy(), (), None)
+        """Record an input tensor (parameter or constant). A float64 matrix
+        is not copied: the leaf aliases the caller's array. That is safe as
+        no primitive writes into an operand, and a training step finishes
+        :func:`backward` before the optimizer updates its weights in place."""
+        return self._record(_as_matrix(data), (), None)
 
     def _record(self, data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
         for parent in parents:

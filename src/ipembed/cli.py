@@ -235,7 +235,6 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        shuffle=not args.no_shuffle,
         patience=args.patience,
         min_delta=args.min_delta,
     )
@@ -452,7 +451,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda-neighbor", type=float, default=0.01)
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--min-delta", type=float, default=1e-4)
-    p.add_argument("--no-shuffle", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_train)
 

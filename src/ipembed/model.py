@@ -41,9 +41,11 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "GraphTensors",
+    "Encoding",
     "ForwardResult",
     "init_params",
     "param_shapes",
+    "encode",
     "forward",
     "input_layer",
     "conv_layer",
@@ -242,23 +244,28 @@ class GraphTensors:
 
 
 @dataclass
-class ForwardResult:
-    """Everything produced by one forward pass. Values are tape tensors;
-    use ``.data`` for plain arrays."""
+class Encoding:
+    """The network's outputs on one graph, without the loss terms: all that
+    serving needs. Values are tape tensors; use ``.data`` for plain arrays."""
 
     node_states: Tensor  # (n, H) final embeddings
     edge_states: Tensor  # (E, H) final edge states
     logits: Tensor  # (E, d) decoder pre-activations
-    decoded: Tensor  # (E, d) sigmoid reconstruction
     gates: list[Tensor]  # per layer, input layer first
-    recon_loss: Tensor
-    neighbor_loss: Tensor
-    loss: Tensor
     leaves: dict[str, Tensor]
 
     @property
     def embeddings(self) -> np.ndarray:
         return self.node_states.data
+
+
+@dataclass
+class ForwardResult(Encoding):
+    """An :class:`Encoding` plus the loss terms, recorded on its tape."""
+
+    recon_loss: Tensor
+    neighbor_loss: Tensor
+    loss: Tensor
 
 
 def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
@@ -350,7 +357,7 @@ def _decode(leaves, gt, h, edge_state):
     return ad.add(ad.linear(hidden, leaves["dec_out_w"]), leaves["dec_out_b"])
 
 
-def forward(
+def encode(
     params: ModelParams,
     config: ModelConfig,
     gt: GraphTensors,
@@ -358,14 +365,14 @@ def forward(
     tape: Tape | None = None,
     update_running: bool | None = None,
     leaves: dict[str, Tensor] | None = None,
-) -> ForwardResult:
-    """Run the full network and both loss terms on one graph.
+) -> Encoding:
+    """Run the input layer, the conv stack and the decoder on one graph.
 
     The pass draws no random numbers, so its result depends only on the
     parameters, the batch norm statistics and the graph. ``leaves`` lets a
     caller supply pre-registered parameter tensors (same names as
     ``params.named_arrays``) on an existing tape, which is how the gradient
-    checker reuses this function.
+    checker reuses :func:`forward`.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -387,30 +394,40 @@ def forward(
             leaves, params, config, gt, h, edge_state, layer, mode, update_running
         )
         all_gates.append(gates)
-
-    logits = _decode(leaves, gt, h, edge_state)
-    decoded = ad.sigmoid(logits)
-
-    recon = ad.scalar_mul(
-        ad.bce_with_logits_mean(logits, gt.feats), config.lambda_recon
+    return Encoding(
+        node_states=h,
+        edge_states=edge_state,
+        logits=_decode(leaves, gt, h, edge_state),
+        gates=all_gates,
+        leaves=leaves,
     )
-    h_recv = ad.gather_rows(h, gt.recv_segments)
-    h_send = ad.gather_rows(h, gt.send_segments)
+
+
+def forward(
+    params: ModelParams,
+    config: ModelConfig,
+    gt: GraphTensors,
+    mode: str = "train",
+    tape: Tape | None = None,
+    update_running: bool | None = None,
+    leaves: dict[str, Tensor] | None = None,
+) -> ForwardResult:
+    """:func:`encode`, then both loss terms on the same tape."""
+    enc = encode(params, config, gt, mode, tape, update_running, leaves)
+    recon = ad.scalar_mul(
+        ad.bce_with_logits_mean(enc.logits, gt.feats), config.lambda_recon
+    )
+    h_recv = ad.gather_rows(enc.node_states, gt.recv_segments)
+    h_send = ad.gather_rows(enc.node_states, gt.send_segments)
     dots = ad.row_sums(ad.hadamard(h_recv, h_send))
     neighbor = ad.scalar_mul(
         ad.sum_all(ad.log_sigmoid(dots)), -config.lambda_neighbor
     )
-    loss = ad.add(recon, neighbor)
     return ForwardResult(
-        node_states=h,
-        edge_states=edge_state,
-        logits=logits,
-        decoded=decoded,
-        gates=all_gates,
+        **vars(enc),
         recon_loss=recon,
         neighbor_loss=neighbor,
-        loss=loss,
-        leaves=leaves,
+        loss=ad.add(recon, neighbor),
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .graphs import IntervalGraph, ip_sort_key, normalize
-from .model import GraphTensors, forward
+from .model import GraphTensors, encode
 from .training import ModelBundle
 
 __all__ = [
@@ -77,15 +77,9 @@ class SimilarityReport:
     n_graphs: int
 
 
-def _prepare(bundle: ModelBundle, graph: IntervalGraph) -> GraphTensors:
-    if graph.features is None:
-        graph = normalize(graph, bundle.scaler)
-    return GraphTensors.from_graph(graph)
-
-
 def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
-    """Eval-mode forward pass over one graph, on a tape that records
-    nothing, so each intermediate is freed as soon as the pass moves on.
+    """Eval-mode ``encode`` (no loss terms) over one graph, on a tape that
+    records nothing, so each intermediate is freed as soon as it is used.
 
     Per-edge error is the unweighted mean over columns of the Bernoulli KL
     divergence between the edge's input t and its reconstruction p,
@@ -96,8 +90,10 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     score is the mean error over its incident directed edges, zero when
     isolated.
     """
-    gt = _prepare(bundle, graph)
-    result = forward(
+    if graph.features is None:
+        graph = normalize(graph, bundle.scaler)
+    gt = GraphTensors.from_graph(graph)
+    result = encode(
         bundle.params, bundle.config, gt, mode="eval", tape=Tape(record=False)
     )
     logits = result.logits.data
@@ -119,7 +115,7 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     return EmbeddingSet(
         interval=graph.start,
         ips=tuple(graph.nodes),
-        vectors=result.embeddings.copy(),
+        vectors=result.embeddings,
         edge_errors=errors,
         anomaly=dict(zip(graph.nodes, mean_error.tolist())),
     )

@@ -63,7 +63,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
     patience: int = 20
     min_delta: float = 1e-4
     checkpoint_every: int = 0
@@ -165,7 +164,6 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig = TrainConfig(),
     log: Callable[[str], None] | None = None,
-    initial_params: ModelParams | None = None,
     vocab: ProtocolVocab | None = None,
     scaler: FeatureScaler | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
@@ -185,11 +183,7 @@ def train(
     for gt in tensors:
         gt.validate(model_config)
 
-    params = (
-        initial_params.copy() if initial_params is not None else init_params(
-            model_config, seed=train_config.seed
-        )
-    )
+    params = init_params(model_config, seed=train_config.seed)
     optimizer = Adam(
         lr=train_config.learning_rate,
         beta1=train_config.beta1,
@@ -204,11 +198,8 @@ def train(
 
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
-        order = rng.permutation(len(tensors)) if train_config.shuffle else np.arange(
-            len(tensors)
-        )
         sum_loss = sum_recon = sum_neighbor = 0.0
-        for graph_index in order:
+        for graph_index in rng.permutation(len(tensors)):
             gt = tensors[int(graph_index)]
             result = forward(params, model_config, gt, mode="train")
             value = result.loss.item()
@@ -233,17 +224,12 @@ def train(
                 f"neighbor {sum_neighbor / n!r} seconds {history.seconds[-1]:.3f}"
             )
 
-        if epoch_loss < best_loss - train_config.min_delta:
+        stall = 0 if epoch_loss < best_loss - train_config.min_delta else stall + 1
+        if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_params = params.copy()
-            stall = 0
-        else:
-            if epoch_loss < best_loss:
-                best_loss = epoch_loss
-                best_params = params.copy()
-            stall += 1
-            if stall >= train_config.patience:
-                break
+        if stall >= train_config.patience:
+            break
 
         every = train_config.checkpoint_every
         if every and (epoch + 1) % every == 0:

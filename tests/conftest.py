@@ -330,7 +330,6 @@ def legacy_forward(params, config, gt, mode="train"):
         node_states=h,
         edge_states=edge_state,
         logits=logits,
-        decoded=ad.sigmoid(logits),
         gates=all_gates,
         recon_loss=recon,
         neighbor_loss=neighbor,

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipembed.autodiff as ad
 from conftest import (
     make_record,
     neighbor_loss,
@@ -190,7 +191,8 @@ def test_zero_weight_layers_reproduce_identities():
             decoder_hidden=config.decoder_hidden, lambda_recon=weight,
         )
         res = forward(dec, cfg, gt_half, mode="train", update_running=False)
-        assert np.array_equal(res.decoded.data, np.full_like(gt.feats, 0.5))
+        decoded = ad.stable_sigmoid(res.logits.data)
+        assert np.array_equal(decoded, np.full_like(gt.feats, 0.5))
         assert abs(res.recon_loss.data.item() - weight * math.log(2.0)) <= 1e-12
     DETAILS["zero-weight-identities"] = (
         "conv pass-through exact, decoder at 0.5, weighted ln2 within 1e-12"

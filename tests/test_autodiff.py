@@ -102,6 +102,13 @@ def test_segments_edge_cases_and_plain_ids():
         ad.segment_sum(x, [2, 0, 2])  # plain ids need a count
 
 
+def test_leaf_aliases_a_float64_matrix():
+    # No copy: a leaf is the caller's array, recorded or not.
+    arr = np.arange(6.0).reshape(2, 3)
+    for record in (True, False):
+        assert np.shares_memory(Tape(record=record).leaf(arr).data, arr)
+
+
 def test_sigmoid_forward_and_grad():
     tape = Tape()
     x = tape.leaf([[0.0]])

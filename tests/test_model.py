@@ -16,11 +16,14 @@ from conftest import (
 )
 from ipembed.autodiff import Tape, backward, grad_check
 from ipembed.model import (
+    Encoding,
+    ForwardResult,
     GraphTensors,
     ModelConfig,
     conv_layer,
     decode,
     edge_dim_for_vocab,
+    encode,
     forward,
     init_params,
     input_layer,
@@ -305,7 +308,8 @@ def test_forward_losses_match_numpy_helpers():
     params, config, gt = small_setup()
     res = forward(params, config, gt, mode="train")
 
-    recon = reconstruction_loss(gt.feats, res.decoded.data, config.lambda_recon)
+    decoded = ad.stable_sigmoid(res.logits.data)
+    recon = reconstruction_loss(gt.feats, decoded, config.lambda_recon)
     assert res.recon_loss.item() == pytest.approx(recon, abs=1e-12)
 
     neighbor = neighbor_loss(res.embeddings, gt.recv, gt.send, config.lambda_neighbor)
@@ -321,12 +325,31 @@ def test_forward_shapes_and_ranges():
     n_edges = gt.feats.shape[0]
     assert res.embeddings.shape == (gt.n_nodes, config.hidden)
     assert res.edge_states.data.shape == (n_edges, config.hidden)
-    assert res.decoded.data.shape == (n_edges, config.edge_dim)
-    assert np.all(res.decoded.data > 0.0) and np.all(res.decoded.data < 1.0)
+    decoded = ad.stable_sigmoid(res.logits.data)
+    assert decoded.shape == (n_edges, config.edge_dim)
+    assert np.all(decoded > 0.0) and np.all(decoded < 1.0)
     assert len(res.gates) == 1 + config.layers
     for gates in res.gates:
         assert np.all(gates.data > 0.0) and np.all(gates.data < 1.0)
     assert np.all(np.isfinite(res.embeddings))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_encode_is_forward_without_the_losses(mode):
+    params, config, gt = small_setup(seed=31)
+    forward(params, config, gt, mode="train")  # eval mode needs running stats
+    a, b = params.copy(), params.copy()
+    enc = encode(a, config, gt, mode=mode)
+    res = forward(b, config, gt, mode=mode)
+    assert type(enc) is Encoding and isinstance(res, ForwardResult)
+    for name in ("node_states", "edge_states", "logits"):
+        assert getattr(enc, name).data.tobytes() == getattr(res, name).data.tobytes()
+    assert len(enc.gates) == len(res.gates) == 1 + config.layers
+    for x, y in zip(enc.gates, res.gates):
+        assert x.data.tobytes() == y.data.tobytes()
+    for (name, x), (_, y) in zip(a.named_buffers(), b.named_buffers()):
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert not hasattr(res, "decoded")
 
 
 def test_forward_rejects_bad_inputs():
@@ -350,7 +373,9 @@ def test_eval_deterministic_after_stats_frozen():
     a = forward(params, config, gt, mode="eval")
     b = forward(params, config, gt, mode="eval")
     np.testing.assert_array_equal(a.embeddings, b.embeddings)
-    np.testing.assert_array_equal(a.decoded.data, b.decoded.data)
+    np.testing.assert_array_equal(
+        ad.stable_sigmoid(a.logits.data), ad.stable_sigmoid(b.logits.data)
+    )
 
 
 def test_train_mode_gradient_check_full_model():
@@ -490,7 +515,7 @@ def test_isolated_nodes_share_constant_embedding():
 def test_bce_from_logits_matches_literal_formula():
     params, config, gt = small_setup(seed=51)
     res = forward(params, config, gt, mode="train")
-    p = res.decoded.data
+    p = ad.stable_sigmoid(res.logits.data)
     t = gt.feats
     literal = -np.mean(t * np.log(p) + (1 - t) * np.log(1 - p))
     assert res.recon_loss.item() == pytest.approx(literal, abs=1e-12)

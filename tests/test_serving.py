@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipembed.autodiff as ad
 from conftest import cyclic_gc_off, make_record
 from ipembed import model, serving
 from ipembed.autodiff import Tape
@@ -370,6 +371,21 @@ def test_infer_embeddings_equals_a_recording_forward(pipeline, monkeypatch):
     np.testing.assert_array_equal(served.vectors, recorded.vectors)
     np.testing.assert_array_equal(served.edge_errors, recorded.edge_errors)
     assert served.anomaly == recorded.anomaly
+
+
+def test_infer_embeddings_computes_no_loss(pipeline, monkeypatch):
+    bundle, graphs, _ = pipeline
+    served = infer_embeddings(bundle, graphs[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serving ran a loss primitive")
+
+    for name in ("bce_with_logits_mean", "log_sigmoid", "sigmoid"):
+        monkeypatch.setattr(ad, name, refuse)
+    again = infer_embeddings(bundle, graphs[0])
+    assert again.vectors.tobytes() == served.vectors.tobytes()
+    assert again.edge_errors.tobytes() == served.edge_errors.tobytes()
+    assert again.anomaly == served.anomaly
 
 
 def test_infer_embeddings_normalizes_raw_graph(pipeline):
