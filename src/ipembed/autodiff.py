@@ -464,11 +464,6 @@ class BatchNorm:
         as ``bn.state``."""
         return self
 
-    def set_running(self, mean, var) -> None:
-        self.running_mean = np.asarray(mean, dtype=np.float64).reshape(1, -1)
-        self.running_var = np.asarray(var, dtype=np.float64).reshape(1, -1)
-        self.initialized = True
-
     def copy(self) -> "BatchNorm":
         return BatchNorm(
             self.running_mean.copy(), self.running_var.copy(), self.initialized
@@ -483,14 +478,14 @@ def batch_norm(
     mode: str = "train",
     momentum: float = 0.1,
     eps: float = 1e-5,
-    update_running: bool = True,
 ) -> Tensor:
     """Per-column batch normalization with affine parameters, one tape node.
 
-    Train mode normalizes by the batch mean and population variance and,
-    unless ``update_running`` is off, folds them into ``state``'s running
-    stats with the given momentum. Eval mode uses the running stats and
-    requires that they have been set at least once.
+    Train mode normalizes by the batch mean and population variance and
+    folds them into ``state``'s running stats with the given momentum; its
+    output reads no running statistic. Eval mode normalizes by the running
+    stats, never changes them, and requires that they have been set at
+    least once.
     """
     width = x.shape[1]
     if gamma.shape != (1, width) or beta.shape != (1, width):
@@ -507,10 +502,9 @@ def batch_norm(
         var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
         inv_std = 1.0 / np.sqrt(var + eps)
         normalized = centered * inv_std
-        if update_running:
-            state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
-            state.running_var = (1.0 - momentum) * state.running_var + momentum * var
-            state.initialized = True
+        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
+        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+        state.initialized = True
 
         def vjp(g):
             # dx = inv_std/n * (n*gh - sum(gh) - xhat*sum(gh*xhat)), gh = g*gamma;
@@ -543,28 +537,25 @@ def batch_norm(
     return x.tape._record(out, (x, gamma, beta), vjp)
 
 
-def gate_normalize(
-    edge_score: Tensor, recv, n_nodes: int | None = None, eps: float = 1e-6
-) -> Tensor:
+def gate_normalize(edge_score: Tensor, recv: Segments, eps: float = 1e-6) -> Tensor:
     """Dimension-wise edge gates, normalized over each receiving node.
 
     ``sigmoid(score) / (sum of sigmoids over the node's incoming edges +
     eps)``; every component lies in (0, 1) and each node's gates sum to
-    just under one. ``recv`` is an id array (then ``n_nodes`` is required)
-    or a :class:`Segments`. One tape node.
+    just under one. ``recv`` groups the edges by receiving node, one id per
+    edge. One tape node.
     """
-    seg = _segments(recv, n_nodes)
-    if seg.ids.shape[0] != edge_score.shape[0]:
+    if recv.ids.shape[0] != edge_score.shape[0]:
         raise ShapeError(
-            f"receiver ids shape {seg.ids.shape} does not match "
+            f"receiver ids shape {recv.ids.shape} does not match "
             f"{edge_score.shape[0]} edges"
         )
     sig = stable_sigmoid(edge_score.data)
-    denom = seg.sum(sig)[seg.ids] + eps
+    denom = recv.sum(sig)[recv.ids] + eps
     out = sig / denom
 
     def vjp(g):
-        d_sig = (g - seg.sum(g * out)[seg.ids]) / denom
+        d_sig = (g - recv.sum(g * out)[recv.ids]) / denom
         return (d_sig * (sig * (1.0 - sig)),)
 
     return edge_score.tape._record(out, (edge_score,), vjp)
@@ -584,8 +575,9 @@ def grad_check(
     """Compare analytic gradients with central finite differences.
 
     ``build(tape, leaves)`` must rebuild the same deterministic scalar loss
-    from the given leaf tensors; it must be a pure function of them (batch
-    norm must not update running statistics between calls). Checks every
+    from the given leaf tensors; it must be a pure function of them. Train
+    mode batch norm qualifies: it updates running statistics but its output
+    never reads them, while eval mode reads them without updating. Checks every
     coordinate unless ``sample`` limits the count. Returns the maximum
     relative error ``|a - n| / max(1, |a|, |n|)``.
     """

@@ -238,9 +238,7 @@ def _cmd_train(args) -> int:
         patience=args.patience,
         min_delta=args.min_delta,
     )
-    params, history = train(
-        graphs, config, train_config, log=_log, vocab=vocab, scaler=scaler
-    )
+    params, history = train(graphs, config, train_config, log=_log)
     save_model(ModelBundle(params, config, vocab, scaler), args.out)
     _log(
         f"train: {len(history)} epochs, best loss {min(history.loss)!r}, "
@@ -550,10 +548,7 @@ def run(argv: list[str] | None = None) -> int:
     except (
         ParseError,
         FormatError,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-        PermissionError,
+        OSError,
         KeyError,
         ValueError,
         json.JSONDecodeError,

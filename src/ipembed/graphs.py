@@ -34,6 +34,7 @@ __all__ = [
     "ProtocolVocab",
     "FeatureScaler",
     "IntervalGraph",
+    "check_interval_len",
     "assign_interval",
     "resolve_origin",
     "aggregate_flows",
@@ -167,10 +168,18 @@ class IntervalGraph:
         return self.raw_features.shape[1]
 
 
+def check_interval_len(interval_len: float) -> None:
+    """Refuse an interval length that is not a finite positive number,
+    before anything divides by it."""
+    if not (math.isfinite(interval_len) and interval_len > 0):
+        raise ValueError(
+            f"interval_len must be finite and positive, got {interval_len}"
+        )
+
+
 def assign_interval(ts: float, interval_len: float, origin: float = 0.0) -> int:
     """Map a timestamp to its zero-based interval index."""
-    if interval_len <= 0:
-        raise ValueError(f"interval_len must be positive, got {interval_len}")
+    check_interval_len(interval_len)
     if ts < origin:
         raise ValueError(f"timestamp {ts} precedes stream origin {origin}")
     return int(math.floor((ts - origin) / interval_len))
@@ -179,6 +188,7 @@ def assign_interval(ts: float, interval_len: float, origin: float = 0.0) -> int:
 def resolve_origin(records: Sequence[ConnRecord], interval_len: float) -> float:
     """Default stream origin: earliest timestamp floored to a whole
     interval boundary."""
+    check_interval_len(interval_len)
     if not records:
         raise ValueError("cannot derive an origin from zero records")
     earliest = min(r.ts for r in records)
@@ -204,13 +214,12 @@ def aggregate_flows(
     ``+0.0``). Interval indices are ``floor((ts - origin) / interval_len)``,
     the same operations as :func:`assign_interval`.
     """
+    check_interval_len(interval_len)
     records = list(records)
     if not records:
         return {}
     if origin is None:
         origin = resolve_origin(records, interval_len)
-    if interval_len <= 0:
-        raise ValueError(f"interval_len must be positive, got {interval_len}")
     ts = np.fromiter((r.ts for r in records), dtype=np.float64, count=len(records))
     early = ts < origin
     if early.any():

@@ -272,7 +272,7 @@ def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
     return {name: tape.leaf(arr) for name, arr in params.named_arrays()}
 
 
-def _bn(x, leaves, params, name, config, mode, update):
+def _bn(x, leaves, params, name, config, mode):
     return ad.batch_norm(
         x,
         leaves[f"{name}.gamma"],
@@ -281,15 +281,14 @@ def _bn(x, leaves, params, name, config, mode, update):
         mode=mode,
         momentum=config.bn_momentum,
         eps=config.bn_eps,
-        update_running=update,
     )
 
 
-def _input_layer(leaves, params, config, gt, e0, mode, update):
+def _input_layer(leaves, params, config, gt, e0, mode):
     transformed = ad.relu(
         _bn(
             ad.linear(e0, leaves["edge_embed"]),
-            leaves, params, "bn_edge_in", config, mode, update,
+            leaves, params, "bn_edge_in", config, mode,
         )
     )
     edge_state = ad.add(e0, transformed)
@@ -300,13 +299,11 @@ def _input_layer(leaves, params, config, gt, e0, mode, update):
         ad.segment_sum(ad.hadamard(gates, e0), gt.recv_segments),
         leaves["edge_to_node"],
     )
-    h = ad.relu(
-        _bn(pooled, leaves, params, "bn_node_in", config, mode, update)
-    )
+    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", config, mode))
     return h, edge_state, gates
 
 
-def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
+def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
     prefix = f"conv{layer}"
     projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
     pre = ad.add(
@@ -317,7 +314,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
         projected,
     )
     update_term = ad.relu(
-        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode, update)
+        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode)
     )
     # First layer: the residual carries the projected edge state so deeper
     # layers live in the hidden dimension.
@@ -332,7 +329,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
     new_h = ad.add(
         h,
         ad.relu(
-            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode, update)
+            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode)
         ),
     )
     return new_h, new_edge_state, gates
@@ -363,13 +360,14 @@ def encode(
     gt: GraphTensors,
     mode: str = "train",
     tape: Tape | None = None,
-    update_running: bool | None = None,
     leaves: dict[str, Tensor] | None = None,
 ) -> Encoding:
     """Run the input layer, the conv stack and the decoder on one graph.
 
     The pass draws no random numbers, so its result depends only on the
-    parameters, the batch norm statistics and the graph. ``leaves`` lets a
+    parameters, the batch norm statistics and the graph. Train mode folds
+    each batch's statistics into the running ones; eval mode normalizes by
+    the running ones and leaves them unchanged. ``leaves`` lets a
     caller supply pre-registered parameter tensors (same names as
     ``params.named_arrays``) on an existing tape, which is how the gradient
     checker reuses :func:`forward`.
@@ -377,21 +375,17 @@ def encode(
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     gt.validate(config)
-    if update_running is None:
-        update_running = mode == "train"
     if tape is None:
         tape = Tape()
     if leaves is None:
         leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
 
-    h, edge_state, gates0 = _input_layer(
-        leaves, params, config, gt, e0, mode, update_running
-    )
+    h, edge_state, gates0 = _input_layer(leaves, params, config, gt, e0, mode)
     all_gates = [gates0]
     for layer in range(config.layers):
         h, edge_state, gates = _conv_layer(
-            leaves, params, config, gt, h, edge_state, layer, mode, update_running
+            leaves, params, config, gt, h, edge_state, layer, mode
         )
         all_gates.append(gates)
     return Encoding(
@@ -409,11 +403,10 @@ def forward(
     gt: GraphTensors,
     mode: str = "train",
     tape: Tape | None = None,
-    update_running: bool | None = None,
     leaves: dict[str, Tensor] | None = None,
 ) -> ForwardResult:
     """:func:`encode`, then both loss terms on the same tape."""
-    enc = encode(params, config, gt, mode, tape, update_running, leaves)
+    enc = encode(params, config, gt, mode, tape, leaves)
     recon = ad.scalar_mul(
         ad.bce_with_logits_mean(enc.logits, gt.feats), config.lambda_recon
     )
@@ -443,7 +436,7 @@ def input_layer(
         tape = Tape()
     leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
-    return _input_layer(leaves, params, config, gt, e0, mode, update=(mode == "train"))
+    return _input_layer(leaves, params, config, gt, e0, mode)
 
 
 def conv_layer(
@@ -461,8 +454,7 @@ def conv_layer(
         tape = Tape()
     leaves = _leaves(tape, params)
     h, edge_state = tape.leaf(h), tape.leaf(edge_state)
-    update = mode == "train"
-    return _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update)
+    return _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode)
 
 
 def decode(

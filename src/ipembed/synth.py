@@ -23,6 +23,7 @@ from .graphs import (
     ProtocolVocab,
     aggregate_flows,
     build_interval_graphs,
+    check_interval_len,
     fit_protocol_vocab,
     fit_scaler,
     iter_interval_graphs,
@@ -56,7 +57,6 @@ class FlowProfile:
     """
 
     service: str
-    transport: str
     peer_role: str
     flows_per_min: float
     request_bytes: tuple[float, float]  # (arithmetic mean, log-space sigma)
@@ -121,8 +121,8 @@ def generate(
     for role in roles:
         if role.members < 1:
             raise ValueError(f"role {role.name!r} has no members")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
 
     rng = np.random.default_rng(seed)
     records: list[ConnRecord] = []
@@ -238,7 +238,6 @@ def default_roles(
             profiles=(
                 FlowProfile(
                     service="dns",
-                    transport="udp",
                     peer_role="dns_server",
                     flows_per_min=2.5,
                     request_bytes=(120.0, 0.4),
@@ -249,7 +248,6 @@ def default_roles(
                 ),
                 FlowProfile(
                     service="http",
-                    transport="tcp",
                     peer_role="web_server",
                     flows_per_min=1.2,
                     request_bytes=(900.0, 0.6),
@@ -260,7 +258,6 @@ def default_roles(
                 ),
                 FlowProfile(
                     service="ssl",
-                    transport="tcp",
                     peer_role="web_server",
                     flows_per_min=0.8,
                     request_bytes=(1500.0, 0.6),
@@ -320,6 +317,7 @@ def make_experiment(
     by_name = {r.name: r for r in roles}
     if holdout_role not in by_name or contrast_role not in by_name:
         raise ValueError("holdout_role and contrast_role must name roles")
+    check_interval_len(interval_len)
 
     records = generate(roles, duration, seed)
     n_intervals = max(1, int(math.floor(duration / interval_len)))

@@ -65,8 +65,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 20
     min_delta: float = 1e-4
-    checkpoint_every: int = 0
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -75,10 +73,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if self.checkpoint_every and not self.checkpoint_path:
-            raise ValueError("checkpoint_every needs a checkpoint_path")
 
 
 @dataclass
@@ -164,8 +158,6 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig = TrainConfig(),
     log: Callable[[str], None] | None = None,
-    vocab: ProtocolVocab | None = None,
-    scaler: FeatureScaler | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Optimize the model over normalized interval graphs.
 
@@ -177,8 +169,6 @@ def train(
     """
     if not graphs:
         raise ValueError("no training graphs")
-    if train_config.checkpoint_every and (vocab is None or scaler is None):
-        raise ValueError("checkpointing needs the vocab and scaler of the model")
     tensors = [GraphTensors.from_graph(g) for g in graphs]
     for gt in tensors:
         gt.validate(model_config)
@@ -230,13 +220,6 @@ def train(
             best_params = params.copy()
         if stall >= train_config.patience:
             break
-
-        every = train_config.checkpoint_every
-        if every and (epoch + 1) % every == 0:
-            save_model(
-                ModelBundle(params, model_config, vocab, scaler),
-                train_config.checkpoint_path,
-            )
 
     return best_params, history
 

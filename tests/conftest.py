@@ -242,24 +242,22 @@ def _concat_cols(parts):
     return parts[0].tape._record(data, tuple(parts), vjp)
 
 
-def legacy_input_layer(leaves, params, config, gt, e0, mode, update):
+def legacy_input_layer(leaves, params, config, gt, e0, mode):
     transformed = ad.relu(
         _bn(
             ad.linear(e0, leaves["edge_embed"]),
-            leaves, params, "bn_edge_in", config, mode, update,
+            leaves, params, "bn_edge_in", config, mode,
         )
     )
     edge_state = ad.add(e0, transformed)
     gates = ad.gate_normalize(edge_state, gt.recv_segments, eps=config.gate_eps)
     gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
     pooled = ad.segment_sum(gated, gt.recv_segments)
-    h = ad.relu(
-        _bn(pooled, leaves, params, "bn_node_in", config, mode, update)
-    )
+    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", config, mode))
     return h, edge_state, gates
 
 
-def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, update):
+def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
     prefix = f"conv{layer}"
     h_recv = ad.gather_rows(h, gt.recv_segments)
     h_send = ad.gather_rows(h, gt.send_segments)
@@ -272,7 +270,7 @@ def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, up
         projected,
     )
     update_term = ad.relu(
-        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode, update)
+        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode)
     )
     # First layer: the residual carries the projected edge state so deeper
     # layers live in the hidden dimension.
@@ -285,7 +283,7 @@ def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode, up
     new_h = ad.add(
         h,
         ad.relu(
-            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode, update)
+            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode)
         ),
     )
     return new_h, new_edge_state, gates
@@ -305,17 +303,14 @@ def legacy_decode(leaves, gt, h, edge_state):
 def legacy_forward(params, config, gt, mode="train"):
     """The model's forward pass and loss, with the edge-side layers above.
     Returns the ``ForwardResult`` of a fresh recording tape."""
-    update = mode == "train"
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in params.named_arrays()}
     e0 = tape.leaf(gt.feats)
-    h, edge_state, gates0 = legacy_input_layer(
-        leaves, params, config, gt, e0, mode, update
-    )
+    h, edge_state, gates0 = legacy_input_layer(leaves, params, config, gt, e0, mode)
     all_gates = [gates0]
     for layer in range(config.layers):
         h, edge_state, gates = legacy_conv_layer(
-            leaves, params, config, gt, h, edge_state, layer, mode, update
+            leaves, params, config, gt, h, edge_state, layer, mode
         )
         all_gates.append(gates)
     logits, h_recv, h_send = legacy_decode(leaves, gt, h, edge_state)

@@ -89,8 +89,7 @@ def test_gradients_match_central_differences():
 
         def build(tape, leaves, params=params, config=config, gt=gt):
             return forward(
-                params, config, gt, mode="train", tape=tape,
-                update_running=False, leaves=leaves,
+                params, config, gt, mode="train", tape=tape, leaves=leaves
             ).loss
 
         worst = max(worst, grad_check(build, arrays, step=1e-5))
@@ -190,7 +189,7 @@ def test_zero_weight_layers_reproduce_identities():
             edge_dim=config.edge_dim, hidden=config.hidden, layers=config.layers,
             decoder_hidden=config.decoder_hidden, lambda_recon=weight,
         )
-        res = forward(dec, cfg, gt_half, mode="train", update_running=False)
+        res = forward(dec, cfg, gt_half, mode="train")
         decoded = ad.stable_sigmoid(res.logits.data)
         assert np.array_equal(decoded, np.full_like(gt.feats, 0.5))
         assert abs(res.recon_loss.data.item() - weight * math.log(2.0)) <= 1e-12

@@ -295,8 +295,7 @@ def test_fd_batch_norm_train(rng):
 
     def make(tape, leaves):
         return ad.batch_norm(
-            leaves["x"], leaves["g"], leaves["b"], state,
-            mode="train", update_running=False,
+            leaves["x"], leaves["g"], leaves["b"], state, mode="train"
         )
 
     err = check(make, arrays, rng)
@@ -304,8 +303,7 @@ def test_fd_batch_norm_train(rng):
 
 
 def test_fd_batch_norm_eval(rng):
-    state = BatchNorm.create(3)
-    state.set_running(rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
+    state = BatchNorm(rng.normal(size=(1, 3)), rng.uniform(0.5, 2.0, (1, 3)), True)
     arrays = {
         "x": rng.normal(size=(4, 3)),
         "g": rng.uniform(0.5, 1.5, (1, 3)),
@@ -324,7 +322,7 @@ def test_fd_batch_norm_eval(rng):
 def test_fd_gate_normalize(rng):
     ids = np.array([0, 0, 1, 2, 2, 2])
     arrays = {"s": rng.normal(size=(6, 3))}
-    err = check(lambda t, l: ad.gate_normalize(l["s"], ids, 3), arrays, rng)
+    err = check(lambda t, l: ad.gate_normalize(l["s"], Segments(ids, 3)), arrays, rng)
     assert err < TOL
 
 
@@ -390,8 +388,7 @@ def test_bn_running_stat_update():
 
 
 def test_bn_eval_uses_running_stats():
-    state = BatchNorm.create(1)
-    state.set_running([0.0], [1.0])
+    state = BatchNorm(np.zeros((1, 1)), np.ones((1, 1)), True)
     tape = Tape()
     x = tape.leaf([[2.0]])
     g = tape.leaf([[1.0]])
@@ -418,18 +415,6 @@ def test_bn_train_needs_two_rows():
         ad.batch_norm(x, g, b, BatchNorm.create(1), mode="train")
 
 
-def test_bn_update_running_flag_off():
-    state = BatchNorm.create(1)
-    before_mean = state.running_mean.copy()
-    tape = Tape()
-    x = tape.leaf([[1.0], [9.0]])
-    g = tape.leaf([[1.0]])
-    b = tape.leaf([[0.0]])
-    ad.batch_norm(x, g, b, state, mode="train", update_running=False)
-    np.testing.assert_array_equal(state.running_mean, before_mean)
-    assert not state.initialized
-
-
 # ---------------------------------------------------------------------------
 # gate normalization semantics
 
@@ -437,14 +422,14 @@ def test_bn_update_running_flag_off():
 def test_gate_single_edge_value():
     tape = Tape()
     score = tape.leaf([[0.0]])
-    gates = ad.gate_normalize(score, [0], 1, eps=1e-6)
+    gates = ad.gate_normalize(score, Segments([0], 1), eps=1e-6)
     assert gates.data[0, 0] == pytest.approx(0.5 / (0.5 + 1e-6), abs=1e-12)
 
 
 def test_gate_two_edges_split():
     tape = Tape()
     score = tape.leaf([[0.0], [0.0]])
-    gates = ad.gate_normalize(score, [0, 0], 1, eps=1e-6)
+    gates = ad.gate_normalize(score, Segments([0, 0], 1), eps=1e-6)
     np.testing.assert_allclose(gates.data, 0.5 / (1.0 + 1e-6), atol=1e-12)
 
 
@@ -456,7 +441,7 @@ def test_gate_bounds_property(n_edges, n_dims, seed):
     ids = rng.integers(0, n_nodes, n_edges)
     tape = Tape()
     score = tape.leaf(rng.normal(scale=4.0, size=(n_edges, n_dims)))
-    gates = ad.gate_normalize(score, ids, n_nodes).data
+    gates = ad.gate_normalize(score, Segments(ids, n_nodes)).data
     assert np.all(gates > 0.0)
     assert np.all(gates < 1.0)
     sums = np.zeros((n_nodes, n_dims))

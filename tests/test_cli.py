@@ -139,6 +139,41 @@ def test_empty_input_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-graphs", "--interval", "0"],
+        ["build-graphs", "--interval", "nan"],
+        ["build-graphs", "--interval", "inf"],
+        ["build-graphs", "--interval", "nan", "--origin", "0"],
+        ["eval-holdout", "--intervals", "0"],
+        ["eval-holdout", "--intervals", "nan"],
+        ["eval-holdout", "--intervals", "inf"],
+        ["eval-holdout", "--duration", "inf"],
+        ["synth", "--duration", "nan"],
+        ["synth", "--duration", "inf"],
+    ],
+)
+def test_bad_interval_or_duration_is_data_error(workspace, tmp_path, capsys, argv):
+    if argv[0] == "build-graphs":
+        argv = argv + ["--input", str(workspace["canon"])]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    if argv[0] == "synth":
+        assert not out.exists()
+
+
+def test_out_name_too_long_is_data_error(workspace, tmp_path, capsys):
+    out = tmp_path / ("g" * 300)
+    assert run(
+        ["build-graphs", "--input", str(workspace["canon"]), "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
 def test_holdout_of_everything_is_data_error(workspace, tmp_path, capsys):
     everyone = ",".join(
         [f"10.0.0.{i}" for i in range(1, 5)]

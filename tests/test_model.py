@@ -50,7 +50,8 @@ def zero_params(config, seed=0):
 def set_running_identity(params):
     for _, bn in params.bn_pairs():
         width = bn.running_mean.shape[1]
-        bn.set_running(np.zeros(width), np.ones(width))
+        bn.running_mean, bn.running_var = np.zeros((1, width)), np.ones((1, width))
+        bn.initialized = True
 
 
 def test_edge_dim_for_vocab():
@@ -384,11 +385,29 @@ def test_train_mode_gradient_check_full_model():
 
     def build(tape, leaves):
         return forward(
-            params, config, gt, mode="train", tape=tape,
-            update_running=False, leaves=leaves,
+            params, config, gt, mode="train", tape=tape, leaves=leaves
         ).loss
 
     assert grad_check(build, named, step=1e-5) < 1e-4
+
+
+def test_train_mode_reads_no_running_statistic():
+    # Why the train-mode gradient checks are pure although every call folds
+    # its batch statistics into the running ones.
+    params, config, gt = small_setup(seed=24)
+    rng = np.random.default_rng(24)
+
+    def step():
+        res = forward(params, config, gt, mode="train")
+        backward(res.loss)
+        grads = {name: leaf.grad.tobytes() for name, leaf in res.leaves.items()}
+        return res.loss.data.tobytes(), grads
+
+    first = step()
+    for bn in params.bns.values():
+        bn.running_mean = rng.normal(size=bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.1, 10.0, bn.running_var.shape)
+    assert step() == first
 
 
 def test_eval_mode_gradient_check_full_model():

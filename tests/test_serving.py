@@ -324,6 +324,19 @@ def test_infer_embeddings_is_pure(pipeline):
     assert a.anomaly == b.anomaly
 
 
+def test_infer_embeddings_leaves_the_running_statistics_alone(pipeline):
+    bundle, graphs, _ = pipeline
+
+    def bn_state():
+        buffers = [(name, arr.tobytes()) for name, arr in bundle.params.named_buffers()]
+        return buffers, [bn.initialized for _, bn in bundle.params.bn_pairs()]
+
+    before = bn_state()
+    for graph in graphs:
+        infer_embeddings(bundle, graph)
+    assert bn_state() == before
+
+
 def test_anomaly_scores_are_the_incident_edge_mean_bit_for_bit(pipeline):
     # The reference is the per-node accumulation the scores were first
     # defined by: np.add.at over receiving ends, then over sending ends.

@@ -26,7 +26,6 @@ from ipembed.zeek import parse_conn_log
 def simple_profile(peer, service="dns", fpm=6.0, req=(200.0, 0.4)):
     return FlowProfile(
         service=service,
-        transport="udp",
         peer_role=peer,
         flows_per_min=fpm,
         request_bytes=req,
@@ -123,7 +122,7 @@ def test_flow_profile_validation():
         simple_profile("x", fpm=0.0)
     with pytest.raises(ValueError):
         FlowProfile(
-            service="dns", transport="udp", peer_role="x", flows_per_min=1.0,
+            service="dns", peer_role="x", flows_per_min=1.0,
             request_bytes=(1.0, 0.1), response_bytes=(1.0, 0.1),
             request_packets=(1.0, 0.1), response_packets=(1.0, 0.1),
             mean_duration=-1.0,

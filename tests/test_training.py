@@ -589,35 +589,3 @@ def test_model_file_legacy_neg_samples_key(tmp_path):
     rewrite_model_config(path, lambda doc: {**doc, "neg_samples": 2})
     with pytest.raises(FormatError):
         load_model(path)
-
-
-def test_checkpointing(tmp_path):
-    graphs, config = training_setup()
-    ckpt = tmp_path / "ckpt.ipgm"
-    scaler = toy_scaler()
-    train(
-        graphs,
-        config,
-        TrainConfig(epochs=4, seed=0, checkpoint_every=2, checkpoint_path=str(ckpt)),
-        vocab=VOCAB,
-        scaler=scaler,
-    )
-    assert ckpt.exists()
-    loaded = load_model(ckpt)
-    assert loaded.vocab.tokens == VOCAB.tokens
-
-
-def test_checkpointing_that_would_write_nothing_is_refused(tmp_path):
-    with pytest.raises(ValueError, match="checkpoint_path"):
-        TrainConfig(checkpoint_every=2)
-    with pytest.raises(ValueError, match="checkpoint_every"):
-        TrainConfig(checkpoint_every=-1, checkpoint_path=str(tmp_path / "c.ipgm"))
-    graphs, config = training_setup()
-    ckpt = tmp_path / "ckpt.ipgm"
-    every_epoch = TrainConfig(
-        epochs=2, seed=0, checkpoint_every=1, checkpoint_path=str(ckpt)
-    )
-    for bundle_parts in ({}, {"vocab": VOCAB}, {"scaler": toy_scaler()}):
-        with pytest.raises(ValueError, match="vocab and scaler"):
-            train(graphs, config, every_epoch, **bundle_parts)
-    assert not ckpt.exists()
