@@ -1,4 +1,4 @@
-"""Dense reverse-mode automatic differentiation on 2-D float64 arrays.
+"""Dense reverse-mode automatic differentiation on 2-D float arrays.
 
 A small tape-based engine with just the primitives the gated graph
 convolution model uses: linear maps, elementwise maps, row gathers,
@@ -6,11 +6,18 @@ segment sums, batch normalization and gate normalization. Backward rules
 are hand-written per primitive and checked against central finite
 differences by :func:`grad_check`.
 
-Conventions: every tensor is a 2-D float64 matrix; scalars are (1, 1).
-The only implicit broadcast is adding a (1, m) row vector to an (n, m)
-matrix (bias addition). Operations record onto the tape in execution
+Conventions: every tensor is a 2-D float32 or float64 matrix; scalars are
+(1, 1). The only implicit broadcast is adding a (1, m) row vector to an
+(n, m) matrix (bias addition). Operations record onto the tape in execution
 order, which is a valid topological order, and :func:`backward` replays it
 once in reverse.
+
+Dtype: a leaf keeps a float32 array as float32 and turns anything else into
+float64. Every primitive's result and vjp parts keep the dtype of its
+operands, so a tape on float32 leaves runs in float32 throughout and one on
+float64 leaves computes exactly as a float64-only engine would. Training
+takes float32 steps on float64 master weights; serving and
+:func:`grad_check` work in float64.
 
 Fused primitives: :func:`batch_norm` (train and eval) and
 :func:`gate_normalize` each record one node whose vjp is written out in
@@ -82,7 +89,9 @@ class ShapeError(ValueError):
 
 
 def _as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"tensors must be 2-D, got shape {arr.shape}")
     return arr
@@ -155,10 +164,11 @@ class Tape:
         return len(self._nodes)
 
     def leaf(self, data) -> Tensor:
-        """Record an input tensor (parameter or constant). A float64 matrix
-        is not copied: the leaf aliases the caller's array. That is safe as
-        no primitive writes into an operand, and a training step finishes
-        :func:`backward` before the optimizer updates its weights in place."""
+        """Record an input tensor (parameter or constant). A float32 or
+        float64 matrix is not copied: the leaf aliases the caller's array.
+        That is safe as no primitive writes into an operand, and a training
+        step finishes :func:`backward` before the optimizer updates its
+        weights in place. Anything else becomes a float64 matrix."""
         return self._record(_as_matrix(data), (), None)
 
     def _record(self, data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -187,7 +197,7 @@ def backward(loss: Tensor) -> None:
         )
     nodes = loss.tape._nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
-    grads[loss.nid] = np.ones((1, 1), dtype=np.float64)
+    grads[loss.nid] = np.ones((1, 1), dtype=loss.data.dtype)
     for nid in range(len(nodes) - 1, -1, -1):
         grad = grads[nid]
         node = nodes[nid]
@@ -296,10 +306,10 @@ def columns(w: Tensor, start: int, stop: int) -> Tensor:
     zero matrix shaped like ``w``."""
     if not 0 <= start < stop <= w.shape[1]:
         raise ShapeError(f"columns [{start}, {stop}) outside width {w.shape[1]}")
-    shape = w.shape
+    shape, dtype = w.shape, w.data.dtype
 
     def vjp(g):
-        out = np.zeros(shape, dtype=np.float64)
+        out = np.zeros(shape, dtype=dtype)
         out[:, start:stop] = g
         return (out,)
 
@@ -333,11 +343,11 @@ class Segments:
     def sum(self, rows: np.ndarray) -> np.ndarray:
         """Sum ``rows`` (one per id) into ``count`` rows; empty ids give 0."""
         if not self.starts.size:
-            return np.zeros((self.count, rows.shape[1]), dtype=np.float64)
+            return np.zeros((self.count, rows.shape[1]), dtype=rows.dtype)
         sums = np.add.reduceat(rows[self.order], self.starts, axis=0)
         if self.starts.size == self.count:
             return sums
-        out = np.zeros((self.count, rows.shape[1]), dtype=np.float64)
+        out = np.zeros((self.count, rows.shape[1]), dtype=rows.dtype)
         out[self.nonempty] = sums
         return out
 
@@ -421,12 +431,13 @@ def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
     """Mean binary cross entropy against constant targets, from logits.
 
     Numerically equal to ``-mean(t*log(p) + (1-t)*log(1-p))`` with
-    ``p = sigmoid(logits)`` but immune to saturation.
+    ``p = sigmoid(logits)`` but immune to saturation. The targets are cast
+    to the logits' dtype, which the mean keeps.
     """
-    t = _as_matrix(targets)
+    z = logits.data
+    t = _as_matrix(targets).astype(z.dtype, copy=False)
     if t.shape != logits.shape:
         raise ShapeError(f"target shape {t.shape} != logits shape {logits.shape}")
-    z = logits.data
     n = z.size
     if n == 0:
         raise ShapeError("bce_with_logits_mean needs at least one element")
@@ -436,7 +447,7 @@ def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
         return ((stable_sigmoid(z) - t) * (g[0, 0] / n),)
 
     return logits.tape._record(
-        np.array([[value.mean()]]), (logits,), vjp
+        np.array([[value.mean()]], dtype=z.dtype), (logits,), vjp
     )
 
 
@@ -521,8 +532,10 @@ def batch_norm(
             raise RuntimeError(
                 "batch norm used in eval mode before any running-stat update"
             )
-        inv_std = 1.0 / np.sqrt(state.running_var + eps)
-        normalized = (x.data - state.running_mean) * inv_std
+        dtype = x.data.dtype
+        inv_std = (1.0 / np.sqrt(state.running_var + eps)).astype(dtype, copy=False)
+        mean = state.running_mean.astype(dtype, copy=False)
+        normalized = (x.data - mean) * inv_std
 
         def vjp(g):
             return (
@@ -579,8 +592,10 @@ def grad_check(
     mode batch norm qualifies: it updates running statistics but its output
     never reads them, while eval mode reads them without updating. Checks every
     coordinate unless ``sample`` limits the count. Returns the maximum
-    relative error ``|a - n| / max(1, |a|, |n|)``.
+    relative error ``|a - n| / max(1, |a|, |n|)``. Both the analytic and the
+    numeric gradients are taken in float64, whatever the dtype of ``params``.
     """
+    params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     def run(values: dict[str, np.ndarray]) -> float:
         tape = Tape()
@@ -605,7 +620,7 @@ def grad_check(
         coords = [coords[i] for i in picks]
 
     worst = 0.0
-    work = {k: v.astype(np.float64).copy() for k, v in params.items()}
+    work = {k: v.copy() for k, v in params.items()}
     for name, i, j in coords:
         original = work[name][i, j]
         work[name][i, j] = original + step

@@ -177,9 +177,17 @@ def check_interval_len(interval_len: float) -> None:
         )
 
 
+def _check_origin(origin: float) -> None:
+    """Refuse a stream origin that is not finite: an infinite one overflows
+    the interval index and NaN has none."""
+    if not math.isfinite(origin):
+        raise ValueError(f"stream origin must be finite, got {origin}")
+
+
 def assign_interval(ts: float, interval_len: float, origin: float = 0.0) -> int:
     """Map a timestamp to its zero-based interval index."""
     check_interval_len(interval_len)
+    _check_origin(origin)
     if ts < origin:
         raise ValueError(f"timestamp {ts} precedes stream origin {origin}")
     return int(math.floor((ts - origin) / interval_len))
@@ -220,6 +228,7 @@ def aggregate_flows(
         return {}
     if origin is None:
         origin = resolve_origin(records, interval_len)
+    _check_origin(origin)
     ts = np.fromiter((r.ts for r in records), dtype=np.float64, count=len(records))
     early = ts < origin
     if early.any():

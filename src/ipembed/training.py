@@ -123,12 +123,13 @@ class Adam:
     def step(
         self, arrays: Iterable[tuple[str, np.ndarray]], grads: dict[str, np.ndarray]
     ) -> None:
-        """Update each named array in place from its gradient."""
+        """Update each named array in place from its gradient, in the
+        array's dtype whatever the gradient's."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, arr in arrays:
-            g = grads[name]
+            g = grads[name].astype(arr.dtype, copy=False)
             m = self._m.get(name)
             if m is None:
                 m = self._m[name] = np.zeros_like(arr)
@@ -166,12 +167,18 @@ def train(
     with the batch norm statistics they had at that point. Stops early when
     ``patience`` epochs pass without the loss improving by ``min_delta``.
     Deterministic for a fixed seed and graph list.
+
+    Mixed precision: each step runs in float32, on the graph features cast
+    once and on float32 copies of the weights; Adam applies the gradients to
+    the float64 weights, and the batch norm statistics, the best-epoch copy
+    and the result stay float64.
     """
     if not graphs:
         raise ValueError("no training graphs")
     tensors = [GraphTensors.from_graph(g) for g in graphs]
     for gt in tensors:
         gt.validate(model_config)
+        gt.feats = gt.feats.astype(np.float32)
 
     params = init_params(model_config, seed=train_config.seed)
     optimizer = Adam(
@@ -191,7 +198,14 @@ def train(
         sum_loss = sum_recon = sum_neighbor = 0.0
         for graph_index in rng.permutation(len(tensors)):
             gt = tensors[int(graph_index)]
-            result = forward(params, model_config, gt, mode="train")
+            tape = ad.Tape()
+            leaves = {
+                name: tape.leaf(arr.astype(np.float32))
+                for name, arr in params.named_arrays()
+            }
+            result = forward(
+                params, model_config, gt, mode="train", tape=tape, leaves=leaves
+            )
             value = result.loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, int(graph_index), value)

@@ -109,6 +109,16 @@ def test_leaf_aliases_a_float64_matrix():
         assert np.shares_memory(Tape(record=record).leaf(arr).data, arr)
 
 
+def test_leaf_keeps_float32_and_turns_the_rest_into_float64():
+    arr = np.arange(6.0, dtype=np.float32).reshape(2, 3)
+    for record in (True, False):
+        leaf = Tape(record=record).leaf(arr)
+        assert leaf.data.dtype == np.float32
+        assert np.shares_memory(leaf.data, arr)
+    assert Tape().leaf([[1, 2]]).data.dtype == np.float64
+    assert Tape().leaf(np.ones((2, 2), np.float16)).data.dtype == np.float64
+
+
 def test_sigmoid_forward_and_grad():
     tape = Tape()
     x = tape.leaf([[0.0]])
@@ -601,3 +611,77 @@ def test_grad_check_sampling(rng):
         rng=np.random.default_rng(0),
     )
     assert err < TOL
+
+
+# ---------------------------------------------------------------------------
+# dtype: results and vjp parts keep the operands' dtype
+
+
+def _bn_case(mode):
+    def make(x, gamma, beta):
+        # float64 running statistics, as training keeps them.
+        state = BatchNorm(np.full((1, 3), 0.5), np.full((1, 3), 2.0), True)
+        return ad.batch_norm(x, gamma, beta, state, mode=mode)
+
+    return make
+
+
+# name -> (operand shapes, primitive applied to the operand leaves)
+PRIMITIVES = {
+    "linear": ([(4, 3), (2, 3)], ad.linear),
+    "add_bias_row": ([(4, 3), (1, 3)], ad.add),
+    "hadamard": ([(4, 3), (4, 3)], ad.hadamard),
+    "relu": ([(4, 3)], ad.relu),
+    "log_sigmoid": ([(4, 3)], ad.log_sigmoid),
+    "scalar_mul": ([(4, 3)], lambda x: ad.scalar_mul(x, -0.5)),
+    "columns": ([(2, 6)], lambda w: ad.columns(w, 2, 4)),
+    "gather_rows": (
+        [(3, 2)], lambda x: ad.gather_rows(x, Segments([2, 0, 2, 1], 3))
+    ),
+    "gather_linear": (
+        [(3, 2), (4, 2)],
+        lambda x, w: ad.gather_linear(x, w, Segments([2, 0, 2, 1], 3)),
+    ),
+    "segment_sum_empty_segment": (
+        [(4, 2)], lambda x: ad.segment_sum(x, Segments([0, 0, 2, 2], 4))
+    ),
+    "segment_sum_no_rows": (
+        [(0, 2)], lambda x: ad.segment_sum(x, Segments([], 2))
+    ),
+    "sum_all": ([(4, 3)], ad.sum_all),
+    "row_sums": ([(4, 3)], ad.row_sums),
+    "bce_with_logits_mean": (
+        # float64 targets, cast to the logits' dtype.
+        [(4, 3)], lambda z: ad.bce_with_logits_mean(z, np.full((4, 3), 0.25))
+    ),
+    "batch_norm_train": ([(5, 3), (1, 3), (1, 3)], _bn_case("train")),
+    "batch_norm_eval": ([(5, 3), (1, 3), (1, 3)], _bn_case("eval")),
+    "gate_normalize": (
+        [(6, 3)], lambda s: ad.gate_normalize(s, Segments([0, 0, 1, 2, 2, 2], 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_keeps_the_operand_dtype(name, dtype, rng):
+    shapes, make = PRIMITIVES[name]
+    tape = Tape()
+    out = make(*(tape.leaf(rng.normal(size=s).astype(dtype)) for s in shapes))
+    assert out.data.dtype == dtype
+    parts = tape._nodes[out.nid].vjp(np.ones(out.shape, dtype=dtype))
+    assert len(parts) == len(shapes)
+    for part in parts:
+        assert part.dtype == dtype
+
+
+def test_grad_check_runs_in_float64_on_float32_params(rng):
+    seen = []
+
+    def build(tape, leaves):
+        seen.append(leaves["x"].data.dtype)
+        return ad.sum_all(ad.sigmoid(leaves["x"]))
+
+    x = rng.normal(size=(2, 3)).astype(np.float32)
+    assert grad_check(build, {"x": x}) < TOL
+    assert set(seen) == {np.dtype(np.float64)}

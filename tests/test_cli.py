@@ -165,6 +165,18 @@ def test_bad_interval_or_duration_is_data_error(workspace, tmp_path, capsys, arg
         assert not out.exists()
 
 
+@pytest.mark.parametrize("origin", ["-inf", "nan", "inf"])
+def test_non_finite_origin_is_data_error(workspace, tmp_path, capsys, origin):
+    # "--origin=-inf": with a space, argparse would read "-inf" as a flag.
+    argv = ["build-graphs", "--input", str(workspace["canon"]),
+            f"--origin={origin}", "--out", str(tmp_path / "g")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert "origin must be finite" in err
+
+
+
 def test_out_name_too_long_is_data_error(workspace, tmp_path, capsys):
     out = tmp_path / ("g" * 300)
     assert run(

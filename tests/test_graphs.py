@@ -70,6 +70,14 @@ def test_assign_interval_errors():
         assign_interval(100.0, -5.0, 0.0)
 
 
+@pytest.mark.parametrize("origin", [-np.inf, np.nan, np.inf])
+def test_non_finite_origin_is_refused(origin):
+    with pytest.raises(ValueError, match="origin must be finite"):
+        assign_interval(100.0, 600.0, origin)
+    with pytest.raises(ValueError, match="origin must be finite"):
+        aggregate_flows([make_record(ts=100.0)], 600.0, origin)
+
+
 def test_resolve_origin_floors_to_boundary():
     records = [make_record(ts=1250.0), make_record(ts=3000.0)]
     assert resolve_origin(records, 600.0) == 1200.0

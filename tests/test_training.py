@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
+import ipembed.training as training
 from conftest import (
     cyclic_gc_off,
     damaged,
@@ -187,6 +188,40 @@ def test_training_step_tape_dies_with_its_result():
         opt.step(params.named_arrays(), {n: t.grad for n, t in result.leaves.items()})
         del result
         assert tape() is None
+
+
+def test_training_steps_run_in_float32_on_float64_state(monkeypatch):
+    # One float64 constant in a primitive upcasts a whole step and leaves
+    # every result near enough to pass: every node and gradient of every
+    # step train() takes is float32, and everything it keeps is float64.
+    graphs, config = training_setup()
+    tapes, optimizers = [], []
+
+    def recording_backward(loss):
+        tapes.append(loss.tape)
+        backward(loss)
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    params, _ = train(graphs, config, TrainConfig(epochs=2, seed=0))
+
+    assert len(tapes) == 2 and len(optimizers) == 1
+    for tape in tapes:
+        assert len(tape) > 0
+        for node in tape._nodes:
+            assert node.tensor.data.dtype == np.float32
+            assert node.tensor.grad.dtype == np.float32
+    opt = optimizers[0]
+    moments = [*opt._m.values(), *opt._v.values()]
+    assert len(moments) == 2 * len(params.arrays)
+    buffers = [arr for _, arr in params.named_buffers()]
+    for arr in [*params.arrays.values(), *buffers, *moments]:
+        assert arr.dtype == np.float64
 
 
 def test_zero_learning_rate_leaves_params_bitwise(rng):
