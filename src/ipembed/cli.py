@@ -14,11 +14,11 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from ipaddress import ip_address
 from pathlib import Path
 
 import numpy as np
 
-from .binio import FormatError
 from .graphs import (
     ProtocolVocab,
     aggregate_flows,
@@ -60,7 +60,7 @@ from .training import (
     save_model,
     train,
 )
-from .zeek import ParseError, parse_conn_log, read_conn_log, write_canonical_tsv
+from .zeek import parse_conn_log, read_conn_log, write_canonical_tsv
 
 __all__ = ["run", "main", "sweep"]
 
@@ -91,27 +91,38 @@ def _read_config_pairs(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config into flags placed before the user's own flags so the
-    command line wins on conflict."""
-    if not argv or "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+def _inject_config(argv: list[str]) -> tuple[list[str], str | None]:
+    """Expand ``--config FILE`` or ``--config=FILE`` into flags placed before
+    the user's own flags so the command line wins on conflict. Returns the
+    new argv and the config path, None without one."""
+    spelled_out = _Parser(prog="ipembed", add_help=False, allow_abbrev=False)
+    spelled_out.add_argument("--config")
+    path = spelled_out.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv, None
+    if not path:
         raise UsageError("--config needs a file path")
     injected: list[str] = []
-    for key, value in _read_config_pairs(argv[at + 1]):
+    for key, value in _read_config_pairs(path):
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 injected.append(flag)
         else:
-            injected.extend([flag, value])
-    return [argv[0], *injected, *argv[1:]]
+            injected.append(f"{flag}={value}")  # a value may start with "-"
+    return [argv[0], *injected, *argv[1:]], path
+
+
+def _ip(text: str) -> str:
+    """An IP in the canonical form records and graphs store it in."""
+    try:
+        return str(ip_address(text.strip()))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an IP address: {text!r}") from None
 
 
 def _ip_list(raw: str) -> list[str]:
-    return [token.strip() for token in raw.split(",") if token.strip()]
+    return [_ip(token) for token in raw.split(",") if token.strip()]
 
 
 def _pair_list(raw: str) -> list[tuple[str, str]]:
@@ -121,11 +132,11 @@ def _pair_list(raw: str) -> list[tuple[str, str]]:
         if not token:
             continue
         parts = token.split(":")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise UsageError(f"bad pair {token!r}; expected ip:ip")
-        pairs.append((parts[0], parts[1]))
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(f"bad pair {token!r}; expected ip:ip")
+        pairs.append((_ip(parts[0]), _ip(parts[1])))
     if not pairs:
-        raise UsageError("no pairs given")
+        raise argparse.ArgumentTypeError("no pairs given")
     return pairs
 
 
@@ -189,7 +200,7 @@ def _cmd_build_graphs(args) -> int:
         raise ValueError("no usable records in input")
     held_out = ""
     if args.holdout:
-        kept = filter_holdout(records, _ip_list(args.holdout))
+        kept = filter_holdout(records, args.holdout)
         if not kept:
             raise ValueError("no records left after holdout")
         held_out = f", held out {len(records) - len(kept)} records"
@@ -256,6 +267,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_similar(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"-k must be at least 1, got {args.k}")
     _, embeddings = _embed_graph(args)
     ranked = top_k_similar(embeddings, args.ip, args.k)
     with _output(args.out) as fp:
@@ -268,7 +281,7 @@ def _cmd_similar(args) -> int:
 def _cmd_report(args) -> int:
     bundle = load_model(args.model)
     graphs = load_graph_dir(args.graphs)
-    report = pairwise_report(bundle, graphs, _pair_list(args.pairs))
+    report = pairwise_report(bundle, graphs, args.pairs)
     with _output(args.out) as fp:
         write_similarity_csv(report, fp)
     _log(f"report: {len(report.pairs)} pairs over {report.n_graphs} graphs")
@@ -339,7 +352,8 @@ def _run_holdout(args, interval_len: float, out_dir: Path) -> dict:
         exp.in_role_ips,
         exp.out_role_ips,
     )
-    path = out_dir / f"holdout_{int(interval_len)}.csv"
+    name = int(interval_len) if interval_len.is_integer() else repr(interval_len)
+    path = out_dir / f"holdout_{name}.csv"
     with open(path, "w", encoding="utf-8") as fp:
         fp.write("interval,in_role_cosine,out_role_cosine,margin\n")
         for interval, in_mean, out_mean, margin in result.per_graph:
@@ -381,6 +395,8 @@ def _cmd_eval_holdout(args) -> int:
     lengths = [float(tok) for tok in str(args.intervals).split(",") if tok.strip()]
     if not lengths:
         raise UsageError("no interval lengths given")
+    if len(set(lengths)) != len(lengths):
+        raise UsageError(f"--intervals names a length twice: {args.intervals}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if len(lengths) == 1:
@@ -404,104 +420,91 @@ def _cmd_eval_holdout(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: each flag group is declared once, as a parent parser
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="key=value defaults file")
-    sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+def _hyperparameters(epochs: int, hidden: int, decoder_hidden: int):
+    """Model and optimizer flags; train and eval-holdout differ in defaults."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--epochs", type=int, default=epochs)
+    group.add_argument("--learning-rate", type=float, default=1e-3)
+    group.add_argument("--hidden", type=int, default=hidden)
+    group.add_argument("--layers", type=int, default=2)
+    group.add_argument("--decoder-hidden", type=int, default=decoder_hidden)
+    group.add_argument("--lambda-recon", type=float, default=1.0)
+    group.add_argument("--lambda-neighbor", type=float, default=0.01)
+    return group
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ipembed", description=__doc__)
     subs = parser.add_subparsers(dest="command")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value defaults file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    log_input = argparse.ArgumentParser(add_help=False)
+    log_input.add_argument("--input", required=True)
+    log_input.add_argument("--format", choices=("auto", "tsv", "jsonl"), default="auto")
+    log_input.add_argument("--strict", action="store_true")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="-")
+    served = argparse.ArgumentParser(add_help=False, parents=[output])
+    served.add_argument("--model", required=True)
+    served.add_argument("--graph", required=True)
 
-    p = subs.add_parser("ingest", parents=[], help="parse a conn.log to canonical TSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("auto", "tsv", "jsonl"), default="auto")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", default="-")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ingest)
+    def command(name, func, summary, *groups):
+        sub = subs.add_parser(name, help=summary, parents=[*groups, config])
+        sub.set_defaults(func=func)
+        return sub
 
-    p = subs.add_parser("build-graphs", help="aggregate flows into interval graphs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("auto", "tsv", "jsonl"), default="auto")
-    p.add_argument("--strict", action="store_true")
+    command("ingest", _cmd_ingest, "conn.log to canonical TSV", log_input, output)
+
+    p = command(
+        "build-graphs", _cmd_build_graphs, "aggregate flows into interval graphs",
+        log_input,
+    )
     p.add_argument("--interval", type=float, default=600.0)
     p.add_argument("--origin", type=float, default=None)
-    p.add_argument("--holdout", help="comma-separated IPs to drop before fitting")
+    p.add_argument("--holdout", type=_ip_list, help="comma-separated IPs to leave out")
     p.add_argument("--vocab", help="reuse a fitted vocab.json")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
-    p.set_defaults(func=_cmd_build_graphs)
 
-    p = subs.add_parser("train", help="train a model on graph snapshots")
+    p = command(
+        "train", _cmd_train, "train a model on graph snapshots",
+        _hyperparameters(epochs=200, hidden=64, decoder_hidden=128), seed,
+    )
     p.add_argument("--graphs", required=True, help="directory of .ipgr files")
     p.add_argument("--vocab", help="vocab.json (defaults to the graphs directory)")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--decoder-hidden", type=int, default=128)
-    p.add_argument("--lambda-recon", type=float, default=1.0)
-    p.add_argument("--lambda-neighbor", type=float, default=0.01)
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--min-delta", type=float, default=1e-4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = subs.add_parser("embed", help="embeddings CSV for one graph")
-    p.add_argument("--model", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", default="-")
-    _add_common(p)
-    p.set_defaults(func=_cmd_embed)
+    command("embed", _cmd_embed, "embeddings CSV for one graph", served)
 
-    p = subs.add_parser("similar", help="top-k similar IPs")
-    p.add_argument("--model", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--ip", required=True)
+    p = command("similar", _cmd_similar, "top-k similar IPs", served)
+    p.add_argument("--ip", required=True, type=_ip)
     p.add_argument("-k", type=int, default=5)
-    p.add_argument("--out", default="-")
-    _add_common(p)
-    p.set_defaults(func=_cmd_similar)
 
-    p = subs.add_parser("report", help="pairwise cosine report over graphs")
+    p = command("report", _cmd_report, "pairwise cosine report over graphs", output)
     p.add_argument("--model", required=True)
     p.add_argument("--graphs", required=True)
-    p.add_argument("--pairs", required=True, help="ip:ip[,ip:ip...]")
-    p.add_argument("--out", default="-")
-    _add_common(p)
-    p.set_defaults(func=_cmd_report)
+    p.add_argument("--pairs", required=True, type=_pair_list, help="ip:ip[,ip:ip...]")
 
-    p = subs.add_parser("anomaly", help="per-IP reconstruction anomaly scores")
-    p.add_argument("--model", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", default="-")
+    p = command("anomaly", _cmd_anomaly, "per-IP reconstruction anomaly scores", served)
     p.add_argument("--edges-out", help="optional per-edge error CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_anomaly)
 
-    p = subs.add_parser("project", help="2-D PCA projection CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", default="-")
-    _add_common(p)
-    p.set_defaults(func=_cmd_project)
+    command("project", _cmd_project, "2-D PCA projection CSV", served)
 
-    p = subs.add_parser("synth", help="generate a synthetic Zeek conn.log")
-    p.add_argument("--out", default="-")
+    p = command("synth", _cmd_synth, "generate a synthetic Zeek conn.log", seed, output)
     p.add_argument("--duration", type=float, default=7200.0)
     p.add_argument("--clients", type=int, default=32)
     p.add_argument("--dns-servers", type=int, default=4)
     p.add_argument("--web-servers", type=int, default=6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_synth)
 
-    p = subs.add_parser(
-        "eval-holdout", help="synthetic inductive holdout experiment"
+    p = command(
+        "eval-holdout", _cmd_eval_holdout, "synthetic inductive holdout experiment",
+        _hyperparameters(epochs=150, hidden=32, decoder_hidden=64), seed,
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
@@ -511,15 +514,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--duration", type=float, default=7200.0)
     p.add_argument("--holdout-fraction", type=float, default=0.25)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--decoder-hidden", type=int, default=64)
-    p.add_argument("--lambda-recon", type=float, default=1.0)
-    p.add_argument("--lambda-neighbor", type=float, default=0.01)
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval_holdout)
 
     return parser
 
@@ -530,11 +524,14 @@ def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _inject_config(argv)
+        argv, config = _inject_config(argv)
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 1
+        if args.config != config:
+            # argparse took an abbreviation, such as --conf, that was not read.
+            raise UsageError("spell out --config in full")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -545,14 +542,8 @@ def run(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        ParseError,
-        FormatError,
-        OSError,
-        KeyError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    # ParseError, FormatError and json.JSONDecodeError are ValueErrors.
+    except (OSError, KeyError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

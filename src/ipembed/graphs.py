@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .binio import FormatError, read_exact, read_struct, read_text, write_struct
-from .zeek import ConnRecord
+from .zeek import NUMERIC_FEATURES, ConnRecord
 
 __all__ = [
     "NUMERIC_FEATURES",
@@ -51,17 +51,7 @@ __all__ = [
     "validate_graph",
 ]
 
-# Summed per-group traffic features, in schema column order.
-NUMERIC_FEATURES = (
-    "response_bytes",
-    "request_bytes",
-    "duration",
-    "bytes",
-    "response_packets",
-    "request_packets",
-    "response_ip_bytes",
-    "request_ip_bytes",
-)
+# NUMERIC_FEATURES: the summed per-group traffic features, in schema order.
 N_NUMERIC = len(NUMERIC_FEATURES)
 OTHER_TOKEN = "other"
 

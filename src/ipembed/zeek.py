@@ -24,6 +24,7 @@ from typing import IO, Iterable, Iterator, Union
 
 __all__ = [
     "CANONICAL_FIELDS",
+    "NUMERIC_FEATURES",
     "ConnRecord",
     "ParseError",
     "ParseStats",
@@ -174,72 +175,39 @@ class ParseStats:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 
-# Canonical dump columns: timestamp first, then the flow fields in schema
-# order. Reparsing a canonical dump reproduces the records exactly.
-CANONICAL_FIELDS = (
-    "ts",
-    "sourceIP",
-    "destinationIP",
-    "sourcePort",
-    "destinationPort",
-    "protocolService",
-    "responseBytes",
-    "requestBytes",
-    "duration",
-    "bytes",
-    "responsePackets",
-    "requestPackets",
-    "responseIPBytes",
-    "requestIPBytes",
+# The one record schema, in canonical dump order: (record attribute,
+# canonical dump column, Zeek conn.log column or None). Timestamp first, then
+# the flow fields; reparsing a canonical dump reproduces the records exactly.
+_SCHEMA = (
+    ("ts", "ts", "ts"),
+    ("source_ip", "sourceIP", "id.orig_h"),
+    ("destination_ip", "destinationIP", "id.resp_h"),
+    ("source_port", "sourcePort", "id.orig_p"),
+    ("destination_port", "destinationPort", "id.resp_p"),
+    ("protocol_service", "protocolService", None),
+    ("response_bytes", "responseBytes", "resp_bytes"),
+    ("request_bytes", "requestBytes", "orig_bytes"),
+    ("duration", "duration", "duration"),
+    ("bytes", "bytes", None),
+    ("response_packets", "responsePackets", "resp_pkts"),
+    ("request_packets", "requestPackets", "orig_pkts"),
+    ("response_ip_bytes", "responseIPBytes", "resp_ip_bytes"),
+    ("request_ip_bytes", "requestIPBytes", "orig_ip_bytes"),
 )
+CANONICAL_FIELDS = tuple(column for _, column, _ in _SCHEMA)
+_CANONICAL_ATTRS = tuple(attr for attr, _, _ in _SCHEMA)
+# The traffic counters: every schema field after the protocol token.
+NUMERIC_FEATURES = _CANONICAL_ATTRS[_CANONICAL_ATTRS.index("protocol_service") + 1 :]
 
-_CANONICAL_ATTRS = (
-    "ts",
-    "source_ip",
-    "destination_ip",
-    "source_port",
-    "destination_port",
-    "protocol_service",
-    "response_bytes",
-    "request_bytes",
-    "duration",
-    "bytes",
-    "response_packets",
-    "request_packets",
-    "response_ip_bytes",
-    "request_ip_bytes",
-)
-
-# Column/key aliases accepted on input. Zeek native names on the left-hand
-# side, canonical dump names also mapped so dumps reparse with the same code
-# path. Unknown columns are ignored.
+# Column/key aliases accepted on input: Zeek native names and canonical dump
+# names, so dumps reparse with the same code path. Zeek's ``proto`` and
+# ``service`` are kept apart for :func:`_record_from` to pick the token from.
+# Unknown columns are ignored.
 _FIELD_ALIASES = {
-    "ts": "ts",
-    "id.orig_h": "source_ip",
-    "sourceIP": "source_ip",
-    "id.resp_h": "destination_ip",
-    "destinationIP": "destination_ip",
-    "id.orig_p": "source_port",
-    "sourcePort": "source_port",
-    "id.resp_p": "destination_port",
-    "destinationPort": "destination_port",
+    **{column: attr for attr, column, _ in _SCHEMA},
+    **{zeek: attr for attr, _, zeek in _SCHEMA if zeek},
     "proto": "proto",
     "service": "service",
-    "protocolService": "protocol_service",
-    "duration": "duration",
-    "orig_bytes": "request_bytes",
-    "requestBytes": "request_bytes",
-    "resp_bytes": "response_bytes",
-    "responseBytes": "response_bytes",
-    "bytes": "bytes",
-    "orig_pkts": "request_packets",
-    "requestPackets": "request_packets",
-    "resp_pkts": "response_packets",
-    "responsePackets": "response_packets",
-    "orig_ip_bytes": "request_ip_bytes",
-    "requestIPBytes": "request_ip_bytes",
-    "resp_ip_bytes": "response_ip_bytes",
-    "responseIPBytes": "response_ip_bytes",
 }
 
 Source = Union[str, Path, IO, Iterable]

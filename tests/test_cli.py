@@ -19,7 +19,7 @@ from conftest import (
     rewrite_model_section,
     with_model_tensor,
 )
-from ipembed.cli import run
+from ipembed.cli import _build_parser, run
 from ipembed.graphs import ProtocolVocab, build_interval_graphs, load_graph
 from ipembed.zeek import read_conn_log, write_canonical_tsv
 
@@ -57,6 +57,61 @@ def workspace(tmp_path_factory):
         "graph0": graph_files[0],
         "nodes": nodes,
     }
+
+
+# ---------------------------------------------------------------------------
+# options
+
+_INPUT = {"--input": None, "--format": "auto", "--strict": False}
+_SERVED = {"--model": None, "--graph": None, "--out": "-", "--config": None}
+_HYPER = {"--learning-rate": 0.001, "--layers": 2, "--lambda-recon": 1.0,
+          "--lambda-neighbor": 0.01, "--config": None, "--seed": 0}
+
+# Option string -> default of every subcommand. Only synth, train and
+# eval-holdout draw random numbers, so only they take --seed.
+OPTION_DEFAULTS = {
+    "ingest": {**_INPUT, "--out": "-", "--config": None},
+    "build-graphs": {**_INPUT, "--interval": 600.0, "--origin": None,
+                     "--holdout": None, "--vocab": None, "--out": None,
+                     "--config": None},
+    "train": {**_HYPER, "--graphs": None, "--vocab": None, "--out": None,
+              "--epochs": 200, "--hidden": 64, "--decoder-hidden": 128,
+              "--patience": 20, "--min-delta": 0.0001},
+    "embed": _SERVED,
+    "similar": {**_SERVED, "--ip": None, "-k": 5},
+    "report": {"--model": None, "--graphs": None, "--pairs": None, "--out": "-",
+               "--config": None},
+    "anomaly": {**_SERVED, "--edges-out": None},
+    "project": _SERVED,
+    "synth": {"--out": "-", "--duration": 7200.0, "--clients": 32,
+              "--dns-servers": 4, "--web-servers": 6, "--config": None,
+              "--seed": 0},
+    "eval-holdout": {**_HYPER, "--out": None, "--intervals": "600",
+                     "--duration": 7200.0, "--holdout-fraction": 0.25,
+                     "--epochs": 150, "--hidden": 32, "--decoder-hidden": 64},
+}
+
+
+def test_option_defaults_per_subcommand():
+    (subs,) = _build_parser()._subparsers._group_actions
+    actual = {
+        name: {
+            option: action.default
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for name, sub in subs.choices.items()
+    }
+    assert actual == OPTION_DEFAULTS
+
+
+def test_seed_on_a_command_that_draws_nothing_is_usage_error(workspace, capsys):
+    assert run(
+        ["embed", "--model", str(workspace["model"]), "--graph",
+         str(workspace["graph0"]), "--seed", "1"]
+    ) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +493,74 @@ def test_report_bad_pair_is_usage_error(workspace, capsys):
     ) == 1
 
 
+def test_report_canonicalizes_pair_members(workspace, tmp_path, capsys):
+    a, b = workspace["nodes"][0], workspace["nodes"][1]
+    outs = []
+    for pairs in (f"{a}:{b}", f" {a} : {b} "):
+        out = tmp_path / "report.csv"
+        assert run(
+            ["report", "--model", str(workspace["model"]), "--graphs",
+             str(workspace["gdir"]), "--pairs", pairs, "--out", str(out)]
+        ) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert f"\n{a}|{b},,,0\n" not in outs[0]  # the pair was found
+
+
+def test_similar_canonicalizes_the_query_ip(tmp_path, capsys):
+    hosts = [f"2001:db8::{i}" for i in range(1, 5)]
+    records = [
+        make_record(ts=10.0 * k, source_ip=hosts[k % 4],
+                    destination_ip=hosts[(k + 1 + k // 4 % 3) % 4])
+        for k in range(24)
+    ]
+    flows = tmp_path / "flows.tsv"
+    with open(flows, "w") as fp:
+        write_canonical_tsv(records, fp)
+    gdir, model = tmp_path / "graphs", tmp_path / "model.ipgm"
+    assert run(["build-graphs", "--input", str(flows), "--out", str(gdir)]) == 0
+    assert run(
+        ["train", "--graphs", str(gdir), "--out", str(model), "--epochs", "1",
+         "--hidden", "4", "--decoder-hidden", "4"]
+    ) == 0
+    graph = str(next(gdir.glob("graph_*.ipgr")))
+    capsys.readouterr()
+    outs = []
+    for ip in ("2001:db8::1", "2001:DB8::1", "2001:0db8:0:0::1"):
+        argv = ["similar", "--model", str(model), "--graph", graph, "--ip", ip]
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].count("\n") == 4  # header and the three other hosts
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["similar", "--ip", "not-an-ip"],
+        ["similar", "--ip", "10.0.0.1", "-k", "0"],
+        ["report", "--pairs", "10.0.0.1:bogus"],
+        ["report", "--pairs", "10.0.0.1:"],
+        ["build-graphs", "--holdout", "10.0.0.1,not-an-ip"],
+    ],
+    ids=["similar-non-ip", "similar-k-0", "report-non-ip", "report-empty-member",
+         "holdout-non-ip"],
+)
+def test_bad_ip_or_k_is_usage_error(workspace, tmp_path, capsys, extra):
+    command, *flags = extra
+    model = ["--model", str(workspace["model"])]
+    source = {
+        "similar": [*model, "--graph", str(workspace["graph0"])],
+        "report": [*model, "--graphs", str(workspace["gdir"])],
+        "build-graphs": ["--input", str(workspace["canon"]),
+                         "--out", str(tmp_path / "g")],
+    }[command]
+    assert run([command, *source, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "g").exists()
+
+
 def test_anomaly_with_edge_csv(workspace, tmp_path, capsys):
     out = tmp_path / "scores.csv"
     edges = tmp_path / "edges.csv"
@@ -492,6 +615,50 @@ def test_explicit_flag_beats_config(workspace, tmp_path, capfd):
     ) == 0
     err = capfd.readouterr().err
     assert err.count("epoch ") == 1
+
+
+def test_config_spellings_agree(workspace, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nhidden=4\ndecoder-hidden=4\n")
+    models = []
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        model = tmp_path / f"m{len(models)}.ipgm"
+        assert run(
+            ["train", "--graphs", str(workspace["gdir"]), "--out", str(model),
+             *spelling]
+        ) == 0
+        models.append(model.read_bytes())
+    explicit = tmp_path / "explicit.ipgm"
+    assert run(
+        ["train", "--graphs", str(workspace["gdir"]), "--out", str(explicit),
+         "--epochs", "1", "--hidden", "4", "--decoder-hidden", "4"]
+    ) == 0
+    assert models[0] == models[1] == explicit.read_bytes()
+
+
+def test_config_value_may_start_with_a_dash(workspace, tmp_path, capsys):
+    cfg = tmp_path / "graphs.cfg"
+    cfg.write_text("origin=-1e3\n")
+    base = ["build-graphs", "--input", str(workspace["canon"])]
+    assert run([*base, "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+    assert run([*base, "--out", str(tmp_path / "b"), "--origin=-1e3"]) == 0
+    a, b = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in "ab")
+    assert a == b
+    first = min(name for name in a if name.startswith("graph_"))
+    start = load_graph(tmp_path / "a" / first).start
+    assert start == -1000.0 + 600.0 * int(first[6:12])
+
+
+@pytest.mark.parametrize("spelling", [["--conf", "cfg"], ["--config="]])
+def test_config_that_would_go_unread_is_usage_error(
+    workspace, tmp_path, capsys, spelling
+):
+    assert run(
+        ["train", "--graphs", str(workspace["gdir"]), "--out",
+         str(tmp_path / "m.ipgm"), *spelling]
+    ) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "m.ipgm").exists()
 
 
 def test_config_bad_line_is_usage_error(workspace, tmp_path, capsys):
@@ -601,6 +768,32 @@ def test_eval_holdout_sweep_isolates_failures(tmp_path, capfd):
     assert rows[2].endswith("FAILED")
     assert (out / "holdout_600.csv").exists()
     assert not (out / "holdout_999999.csv").exists()
+
+
+def test_eval_holdout_writes_one_csv_per_length(tmp_path, capfd):
+    out = tmp_path / "sweep"
+    assert run(
+        ["eval-holdout", "--out", str(out), "--intervals", "600,600.5",
+         "--duration", "2400", "--epochs", "1", "--hidden", "4",
+         "--decoder-hidden", "4"]
+    ) == 0
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["600.0", "600.5"]
+    for length, name in ((600.0, "holdout_600.csv"), (600.5, "holdout_600.5.csv")):
+        starts = [
+            float(line.split(",")[0])
+            for line in (out / name).read_text().splitlines()[1:]
+        ]
+        assert starts and max(starts) > 0
+        assert all(start % length == 0 for start in starts)
+
+
+@pytest.mark.parametrize("intervals", ["600,600", "600,600.0,1200"])
+def test_eval_holdout_length_given_twice_is_usage_error(tmp_path, capsys, intervals):
+    out = tmp_path / "exp"
+    assert run(["eval-holdout", "--out", str(out), "--intervals", intervals]) == 1
+    assert "twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_holdout_single_bad_interval_propagates(tmp_path, capfd):

@@ -1,10 +1,12 @@
-"""The README's module table states the line count of every module and of
-the whole package; these must match the source files (``wc -l``)."""
+"""The README states the line count of every module and of the whole
+package, and walks through the command line; both must match the code."""
 
 import re
+import shlex
 from pathlib import Path
 
 import ipembed
+from ipembed.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +28,20 @@ def test_readme_line_counts_match_the_modules():
     assert stated == actual
     (total,) = re.findall(r"the package is\s+([\d,]+) lines", text)
     assert int(total.replace(",", "")) == sum(actual.values())
+
+
+def test_readme_walkthrough_commands_parse():
+    # Parsed, not run: every flag the walkthrough names must exist.
+    text = README.read_text(encoding="utf-8")
+    walkthrough = text.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", walkthrough, re.S)
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("ipembed ")
+    ]
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+    (subs,) = parser._subparsers._group_actions
+    assert {argv[1] for argv in commands} == set(subs.choices)

@@ -1,8 +1,10 @@
 """Flow log parser: field mapping, unset markers, strict/lenient modes,
 header directives, JSON lines, and the canonical TSV round-trip."""
 
+import dataclasses
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import legacy_read_tsv, make_record
 from ipembed.zeek import (
     _FIELD_ALIASES,
+    _SCHEMA,
     CANONICAL_FIELDS,
     ConnRecord,
     ParseError,
@@ -350,6 +353,48 @@ def test_canonical_tsv_shape():
     assert lines[0] == "#separator \\x09"
     assert lines[1].split("\t") == ["#fields", *CANONICAL_FIELDS]
     assert len(lines[2].split("\t")) == len(CANONICAL_FIELDS)
+
+
+def test_schema_names_every_record_field_once():
+    attrs = [attr for attr, _, _ in _SCHEMA]
+    assert Counter(attrs) == Counter(f.name for f in dataclasses.fields(ConnRecord))
+    assert len({column for _, column, _ in _SCHEMA}) == len(_SCHEMA)
+
+
+def test_tables_derived_from_the_schema():
+    assert CANONICAL_FIELDS == (
+        "ts", "sourceIP", "destinationIP", "sourcePort", "destinationPort",
+        "protocolService", "responseBytes", "requestBytes", "duration", "bytes",
+        "responsePackets", "requestPackets", "responseIPBytes", "requestIPBytes",
+    )
+    assert _FIELD_ALIASES == {
+        "ts": "ts",
+        "id.orig_h": "source_ip",
+        "sourceIP": "source_ip",
+        "id.resp_h": "destination_ip",
+        "destinationIP": "destination_ip",
+        "id.orig_p": "source_port",
+        "sourcePort": "source_port",
+        "id.resp_p": "destination_port",
+        "destinationPort": "destination_port",
+        "proto": "proto",
+        "service": "service",
+        "protocolService": "protocol_service",
+        "duration": "duration",
+        "orig_bytes": "request_bytes",
+        "requestBytes": "request_bytes",
+        "resp_bytes": "response_bytes",
+        "responseBytes": "response_bytes",
+        "bytes": "bytes",
+        "orig_pkts": "request_packets",
+        "requestPackets": "request_packets",
+        "resp_pkts": "response_packets",
+        "responsePackets": "response_packets",
+        "orig_ip_bytes": "request_ip_bytes",
+        "requestIPBytes": "request_ip_bytes",
+        "resp_ip_bytes": "response_ip_bytes",
+        "responseIPBytes": "response_ip_bytes",
+    }
 
 
 def test_canonical_round_trip_simple():
