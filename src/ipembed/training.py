@@ -291,7 +291,8 @@ def load_model(path: str | Path) -> ModelBundle:
 
     The config section fixes which tensors the file holds and their shapes;
     an unknown, repeated, missing or misshapen tensor record is a
-    ``FormatError``, raised before its payload is read.
+    ``FormatError``, raised before its payload is read. So is a tensor
+    holding a value that is not finite, or a negative running variance.
     """
     with open(path, "rb") as fp:
         magic = read_exact(fp, 4)
@@ -341,6 +342,10 @@ def load_model(path: str | Path) -> ModelBundle:
                     f"tensor {name!r} has shape {shape}, expected {arr.shape}"
                 )
             data = np.frombuffer(read_exact(fp, arr.nbytes), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise FormatError(f"tensor {name!r} holds a non-finite value")
+            if name.endswith(".running_var") and np.any(data < 0.0):
+                raise FormatError(f"tensor {name!r} holds a negative variance")
             arr[...] = data.reshape(shape)
         if expected:
             raise FormatError(f"model file is missing tensor {next(iter(expected))!r}")

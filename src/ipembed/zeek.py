@@ -38,7 +38,8 @@ class ParseError(ValueError):
     """A malformed row, or a log header the parser cannot use.
 
     ``reason`` is the skip category of a malformed row (a key of
-    :attr:`ParseStats.reasons`); header errors carry None.
+    :attr:`ParseStats.reasons`); header errors carry None. ``line`` is None
+    for a record refused outside a log reader.
     """
 
     def __init__(
@@ -48,14 +49,6 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.reason = reason
-
-
-class _InvalidField(ValueError):
-    """A record field :class:`ConnRecord` refuses, with its skip category."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
         self.reason = reason
 
 
@@ -80,18 +73,18 @@ def _canonical_ip(name: str, value) -> str:
             return _canonical_ip_text(value)
         return str(ip_address(value))
     except ValueError:
-        raise _InvalidField("bad IP", f"bad {name}: {value!r}") from None
+        raise ParseError(f"bad {name}: {value!r}", reason="bad IP") from None
 
 
 def _check_port(name: str, value) -> None:
     if not isinstance(value, int) or not 0 <= value <= 65535:
-        raise _InvalidField("out of range", f"{name}={value!r} outside [0, 65535]")
+        raise ParseError(f"{name}={value!r} outside [0, 65535]", reason="out of range")
 
 
 def _check_count(name: str, value) -> None:
     if not isinstance(value, int) or value < 0:
-        raise _InvalidField(
-            "out of range", f"{name}={value!r} must be a non-negative integer"
+        raise ParseError(
+            f"{name}={value!r} must be a non-negative integer", reason="out of range"
         )
 
 
@@ -103,7 +96,7 @@ class ConnRecord:
     counters are non-negative integers, and ``protocol_service`` is a
     non-empty lowercase token. ``bytes`` equals
     ``request_bytes + response_bytes`` whenever the source log had no
-    combined byte column.
+    combined byte column; a refused field raises :class:`ParseError`.
     """
 
     ts: float
@@ -138,18 +131,18 @@ class ConnRecord:
         _check_count("request_ip_bytes", self.request_ip_bytes)
         _check_count("response_ip_bytes", self.response_ip_bytes)
         if not math.isfinite(self.ts):
-            raise _InvalidField("non-finite", f"ts={self.ts!r} must be finite")
+            raise ParseError(f"ts={self.ts!r} must be finite", reason="non-finite")
         if not math.isfinite(self.duration):
-            raise _InvalidField(
-                "non-finite", f"duration={self.duration!r} must be finite"
+            raise ParseError(
+                f"duration={self.duration!r} must be finite", reason="non-finite"
             )
         if self.duration < 0:
-            raise _InvalidField(
-                "out of range", f"duration={self.duration!r} must be non-negative"
+            raise ParseError(
+                f"duration={self.duration!r} is negative", reason="out of range"
             )
         token = _canonical_token(self.protocol_service)
         if not token:
-            raise _InvalidField("missing field", "protocol_service must not be empty")
+            raise ParseError("empty protocol_service", reason="missing field")
         object.__setattr__(self, "protocol_service", token)
 
 
@@ -291,6 +284,7 @@ def _utf8_lines(lines, strict, stats):
 
 
 def _parse(owned, numbered, format, strict, stats):
+    """The one row loop: emit, skip or (strict) raise each row a source yields."""
     try:
         fmt = format
         if fmt == "auto":
@@ -303,10 +297,20 @@ def _parse(owned, numbered, format, strict, stats):
                 return
             fmt = "jsonl" if head[1].lstrip()[0] == "{" else "tsv"
             numbered = chain([head], numbered)
-        if fmt == "tsv":
-            yield from _parse_tsv(numbered, strict, stats)
-        else:
-            yield from _parse_jsonl(numbered, strict, stats)
+        rows = _tsv_rows(numbered) if fmt == "tsv" else _jsonl_rows(numbered)
+        for line_no, row in rows:
+            stats.read += 1
+            try:
+                if isinstance(row, ParseError):
+                    raise row
+                record = _record_from(row)
+            except ParseError as exc:
+                if strict:
+                    raise ParseError(str(exc), line_no, exc.reason) from None
+                stats._skip(exc.reason)
+                continue
+            stats.emitted += 1
+            yield record
     finally:
         if owned is not None:
             owned.close()
@@ -325,7 +329,9 @@ def _parse_separator(line: str, line_no: int) -> str:
     return token
 
 
-def _parse_tsv(numbered, strict, stats):
+def _tsv_rows(numbered):
+    """Yield (line number, values or the row's ParseError) per TSV data row;
+    a header the rows cannot be read with raises."""
     sep = "\t"
     unset = "-"
     empty_marker = "(empty)"
@@ -360,70 +366,53 @@ def _parse_tsv(numbered, strict, stats):
         if plan is None:
             # Unusable header is fatal even in lenient mode.
             raise ParseError("data row before #fields header", line_no)
-        stats.read += 1
-        try:
-            cells = line.split(sep)
-            if len(cells) != width:
-                raise ParseError(
-                    f"expected {width} columns, got {len(cells)}",
-                    line_no,
-                    "column count",
-                )
-            values = {}
-            for i, slot in plan:
-                cell = cells[i]
-                if cell != unset and cell != empty_marker:
-                    values[slot] = cell
-            record = _record_from(values, line_no)
-        except ParseError as exc:
-            if strict:
-                raise
-            stats._skip(exc.reason)
+        cells = line.split(sep)
+        if len(cells) != width:
+            yield line_no, ParseError(
+                f"expected {width} columns, got {len(cells)}", reason="column count"
+            )
             continue
-        stats.emitted += 1
-        yield record
+        values = {}
+        for i, slot in plan:
+            cell = cells[i]
+            if cell != unset and cell != empty_marker:
+                values[slot] = cell
+        yield line_no, values
 
 
-def _parse_jsonl(numbered, strict, stats):
+def _jsonl_rows(numbered):
+    """Yield (line number, values or the row's ParseError) per JSON line."""
     for line_no, raw in numbered:
         line = raw.strip()
         if not line:
             continue
-        stats.read += 1
         try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", line_no, "bad JSON") from None
-            if not isinstance(obj, dict):
-                raise ParseError("row is not a JSON object", line_no, "bad JSON")
-            values = {}
-            for key, val in obj.items():
-                slot = _FIELD_ALIASES.get(key)
-                if slot is None or val is None or val == "-":
-                    continue
-                values[slot] = val
-            record = _record_from(values, line_no)
-        except ParseError as exc:
-            if strict:
-                raise
-            stats._skip(exc.reason)
+            obj = json.loads(line)
+        except ValueError as exc:  # also a number past the int digit limit
+            yield line_no, ParseError(f"bad JSON: {exc}", reason="bad JSON")
             continue
-        stats.emitted += 1
-        yield record
+        if not isinstance(obj, dict):
+            yield line_no, ParseError("row is not a JSON object", reason="bad JSON")
+            continue
+        yield line_no, {
+            _FIELD_ALIASES[key]: val
+            for key, val in obj.items()
+            if key in _FIELD_ALIASES and val is not None and val != "-"
+        }
 
 
-def _float(value, name, line_no) -> float:
+def _float(values: dict, name: str) -> float:
+    value = values.get(name, 0)
     try:
-        out = float(value)
+        return float(value)
+    except OverflowError:  # an int past float range, as its text would read
+        return math.inf
     except (TypeError, ValueError):
-        raise ParseError(f"bad {name}: {value!r}", line_no, "bad float") from None
-    if not math.isfinite(out):
-        raise ParseError(f"bad {name}: {value!r}", line_no, "non-finite")
-    return out
+        raise ParseError(f"bad {name}: {value!r}", reason="bad float") from None
 
 
-def _int(value, name, line_no) -> int:
+def _int(values: dict, name: str) -> int:
+    value = values.get(name, 0)
     try:
         if isinstance(value, str):
             # int() strips surrounding whitespace itself.
@@ -439,15 +428,15 @@ def _int(value, name, line_no) -> int:
         return int(str(value).strip(), 10)
     except (TypeError, ValueError):
         raise ParseError(
-            f"bad integer {name}: {value!r}", line_no, "bad integer"
+            f"bad integer {name}: {value!r}", reason="bad integer"
         ) from None
 
 
-def _record_from(values: dict, line_no: int) -> ConnRecord:
+def _record_from(values: dict) -> ConnRecord:
     for required in ("ts", "source_ip", "destination_ip"):
         if required not in values:
             raise ParseError(
-                f"missing required field {required}", line_no, "missing field"
+                f"missing required field {required}", reason="missing field"
             )
     token = (
         values.get("protocol_service")
@@ -455,38 +444,25 @@ def _record_from(values: dict, line_no: int) -> ConnRecord:
         or values.get("proto")
         or "unknown"
     )
-    request_bytes = _int(values.get("request_bytes", 0), "request_bytes", line_no)
-    response_bytes = _int(values.get("response_bytes", 0), "response_bytes", line_no)
+    request_bytes = _int(values, "request_bytes")
+    response_bytes = _int(values, "response_bytes")
     if "bytes" in values:
-        total_bytes = _int(values["bytes"], "bytes", line_no)
+        total_bytes = _int(values, "bytes")
     else:
         total_bytes = request_bytes + response_bytes
-    try:
-        return ConnRecord(
-            ts=_float(values["ts"], "ts", line_no),
-            source_ip=str(values["source_ip"]).strip(),
-            destination_ip=str(values["destination_ip"]).strip(),
-            source_port=_int(values.get("source_port", 0), "source_port", line_no),
-            destination_port=_int(
-                values.get("destination_port", 0), "destination_port", line_no
-            ),
-            protocol_service=str(token),
-            duration=_float(values.get("duration", 0.0), "duration", line_no),
-            request_bytes=request_bytes,
-            response_bytes=response_bytes,
-            bytes=total_bytes,
-            request_packets=_int(
-                values.get("request_packets", 0), "request_packets", line_no
-            ),
-            response_packets=_int(
-                values.get("response_packets", 0), "response_packets", line_no
-            ),
-            request_ip_bytes=_int(
-                values.get("request_ip_bytes", 0), "request_ip_bytes", line_no
-            ),
-            response_ip_bytes=_int(
-                values.get("response_ip_bytes", 0), "response_ip_bytes", line_no
-            ),
-        )
-    except _InvalidField as exc:
-        raise ParseError(str(exc), line_no, exc.reason) from None
+    return ConnRecord(
+        ts=_float(values, "ts"),
+        source_ip=str(values["source_ip"]).strip(),
+        destination_ip=str(values["destination_ip"]).strip(),
+        source_port=_int(values, "source_port"),
+        destination_port=_int(values, "destination_port"),
+        protocol_service=str(token),
+        duration=_float(values, "duration"),
+        request_bytes=request_bytes,
+        response_bytes=response_bytes,
+        bytes=total_bytes,
+        request_packets=_int(values, "request_packets"),
+        response_packets=_int(values, "response_packets"),
+        request_ip_bytes=_int(values, "request_ip_bytes"),
+        response_ip_bytes=_int(values, "response_ip_bytes"),
+    )

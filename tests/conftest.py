@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from ipaddress import ip_address
 
 import numpy as np
@@ -105,6 +106,13 @@ def two_node_graph(feat, reverse_feat=None):
         raw_features=feats,
         features=feats.copy(),
     )
+
+
+def with_item(graph, name, index, value):
+    """A copy of ``graph`` whose array ``name`` has ``[index] = value``."""
+    arr = getattr(graph, name).copy()
+    arr[index] = value
+    return replace(graph, **{name: arr})
 
 
 def assert_graphs_equal(a, b):

@@ -6,8 +6,10 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ipembed
@@ -17,10 +19,17 @@ from conftest import (
     model_tensor_record,
     rewrite_model_config,
     rewrite_model_section,
+    with_item,
     with_model_tensor,
 )
 from ipembed.cli import _build_parser, run
-from ipembed.graphs import ProtocolVocab, build_interval_graphs, load_graph
+from ipembed.graphs import (
+    ProtocolVocab,
+    build_interval_graphs,
+    load_graph,
+    save_graph,
+)
+from ipembed.training import load_model, save_model
 from ipembed.zeek import read_conn_log, write_canonical_tsv
 
 
@@ -368,6 +377,70 @@ def test_refused_model_file_is_data_error(
     assert not out.exists()
 
 
+# Graph snapshot faults, each applied to a valid graph before it is saved.
+# The first edge pair is forward edge 0 and its companion, edge 1; the last
+# feature column is a traffic sum, column 0 a protocol one-hot cell.
+CORRUPT_GRAPHS = {
+    "flipped-reverse-flag": lambda g: with_item(g, "reverse", 0, 1),
+    "unmirrored-companion": lambda g: with_item(
+        g, "edge_dst", 1, (g.edge_src[0] + 1) % g.n_nodes
+    ),
+    "companion-features-differ": lambda g: with_item(
+        g, "raw_features", (1, -1), g.raw_features[1, -1] + 1.0
+    ),
+    "nan-feature": lambda g: with_item(g, "raw_features", (slice(0, 2), -1), np.nan),
+    "negative-feature": lambda g: with_item(g, "raw_features", (slice(0, 2), -1), -5.0),
+    "onehot-7": lambda g: with_item(g, "raw_features", (slice(0, 2), 0), 7.0),
+    "duplicate-node": lambda g: replace(
+        g, nodes=(g.nodes[0], g.nodes[0], *g.nodes[2:])
+    ),
+    "endpoint-out-of-range": lambda g: with_item(
+        with_item(g, "edge_src", 0, g.n_nodes), "edge_dst", 1, g.n_nodes
+    ),
+}
+
+
+def _nan_weight(bundle):
+    bundle.params.arrays["edge_embed"][0, 0] = np.nan
+
+
+def _negative_running_variance(bundle):
+    bundle.params.bns["bn_node_in"].running_var[0, 0] = -1.0
+
+
+def _infinite_scaler_max(bundle):
+    bundle.scaler.log_max[0] = np.inf
+
+
+# Model file faults, each applied in memory to a valid bundle before it is
+# saved.
+CORRUPT_MODELS = {
+    "nan-weight": _nan_weight,
+    "negative-running-variance": _negative_running_variance,
+    "infinite-scaler-max": _infinite_scaler_max,
+}
+
+
+@pytest.mark.parametrize("fault", [*CORRUPT_GRAPHS, *CORRUPT_MODELS])
+def test_corrupt_graph_or_model_is_data_error(workspace, tmp_path, capsys, fault):
+    graph, model = workspace["graph0"], workspace["model"]
+    if fault in CORRUPT_GRAPHS:
+        graph = tmp_path / "bad.ipgr"
+        save_graph(CORRUPT_GRAPHS[fault](load_graph(workspace["graph0"])), graph)
+    else:
+        bundle = load_model(model)
+        CORRUPT_MODELS[fault](bundle)
+        model = tmp_path / "bad.ipgm"
+        save_model(bundle, model)
+    out = tmp_path / "embed.csv"
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(graph), "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"tokens": 5}, [1, 2], {"tokens": [5, "other"]}],
@@ -383,6 +456,20 @@ def test_bad_vocab_file_is_data_error(workspace, tmp_path, capsys, doc):
     ) == 2
     assert "data error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_vocab_wider_than_the_graphs_is_data_error(workspace, tmp_path, capsys):
+    tokens = json.loads((workspace["gdir"] / "vocab.json").read_text())["tokens"]
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"tokens": ["aaa", *tokens]}))
+    model = tmp_path / "m.ipgm"
+    assert run(
+        ["train", "--graphs", str(workspace["gdir"]), "--vocab", str(vocab),
+         "--out", str(model), "--epochs", "1", "--hidden", "4",
+         "--decoder-hidden", "4"]
+    ) == 2
+    assert "does not match model edge_dim" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_divergent_training_is_numeric_error(workspace, tmp_path, capsys):
@@ -507,22 +594,30 @@ def test_report_canonicalizes_pair_members(workspace, tmp_path, capsys):
     assert f"\n{a}|{b},,,0\n" not in outs[0]  # the pair was found
 
 
-def test_similar_canonicalizes_the_query_ip(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def ipv6_workspace(tmp_path_factory):
+    """Graphs of four IPv6 hosts, 2001:db8::1 to ::4, and a model on them."""
+    base = tmp_path_factory.mktemp("ipv6")
     hosts = [f"2001:db8::{i}" for i in range(1, 5)]
     records = [
         make_record(ts=10.0 * k, source_ip=hosts[k % 4],
                     destination_ip=hosts[(k + 1 + k // 4 % 3) % 4])
         for k in range(24)
     ]
-    flows = tmp_path / "flows.tsv"
+    flows = base / "flows.tsv"
     with open(flows, "w") as fp:
         write_canonical_tsv(records, fp)
-    gdir, model = tmp_path / "graphs", tmp_path / "model.ipgm"
+    gdir, model = base / "graphs", base / "model.ipgm"
     assert run(["build-graphs", "--input", str(flows), "--out", str(gdir)]) == 0
     assert run(
         ["train", "--graphs", str(gdir), "--out", str(model), "--epochs", "1",
          "--hidden", "4", "--decoder-hidden", "4"]
     ) == 0
+    return gdir, model
+
+
+def test_similar_canonicalizes_the_query_ip(ipv6_workspace, capsys):
+    gdir, model = ipv6_workspace
     graph = str(next(gdir.glob("graph_*.ipgr")))
     capsys.readouterr()
     outs = []
@@ -532,6 +627,29 @@ def test_similar_canonicalizes_the_query_ip(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0].count("\n") == 4  # header and the three other hosts
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_report_names_ipv6_pair_members_in_brackets(ipv6_workspace, tmp_path):
+    gdir, model = ipv6_workspace
+    out = tmp_path / "report.csv"
+    assert run(
+        ["report", "--model", str(model), "--graphs", str(gdir), "--pairs",
+         "[2001:db8::1]:[2001:DB8::2],[2001:db8::3]:10.0.0.1", "--out", str(out)]
+    ) == 0
+    text = out.read_text()
+    # The first pair, canonicalized, is in the graph; the second in none.
+    assert "\n2001:db8::1|2001:db8::2,0.0," in text
+    assert "\n2001:db8::3|10.0.0.1,,,0\n" in text
+
+
+def test_report_unbracketed_ipv6_pair_is_usage_error(ipv6_workspace, capsys):
+    gdir, model = ipv6_workspace
+    assert run(
+        ["report", "--model", str(model), "--graphs", str(gdir), "--pairs",
+         "2001:db8::1:2001:db8::2"]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[2001:db8::1]:10.0.0.1" in err
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from conftest import (
     legacy_aggregate_flows,
     legacy_build_interval_graphs,
     make_record,
+    with_item,
 )
 from ipembed.binio import FormatError
 from ipembed.graphs import (
@@ -516,31 +517,82 @@ def _swap_edge_pairs(graph):
     return replace(graph, edge_src=src, edge_dst=dst)
 
 
-def _with(graph, name, k, value):
-    arr = getattr(graph, name).copy()
-    arr[k] = value
-    return replace(graph, **{name: arr})
+BROKEN_COMPANIONS = [
+    (lambda g: with_item(g, "reverse", 0, 1), "interleave"),
+    (lambda g: with_item(g, "reverse", 3, 0), "interleave"),
+    (lambda g: with_item(g, "edge_dst", 1, 2), "mirror"),
+    (
+        lambda g: with_item(g, "raw_features", 1, np.zeros(g.feat_dim)),
+        "features differ",
+    ),
+    (_swap_edge_pairs, "duplicate forward edge"),
+]
 
 
-@pytest.mark.parametrize(
-    "break_graph,message",
-    [
-        (lambda g: _with(g, "reverse", 0, 1), "interleave"),
-        (lambda g: _with(g, "reverse", 3, 0), "interleave"),
-        (lambda g: _with(g, "edge_dst", 1, 2), "mirror"),
-        (lambda g: _with(g, "raw_features", 1, np.zeros(g.feat_dim)), "features differ"),
-        (_swap_edge_pairs, "duplicate forward edge"),
-    ],
-)
-def test_validate_graph_rejects_broken_companions(break_graph, message):
+def _two_pair_graph():
     groups = {
         FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8),
         FlowKey("10.0.0.2", "10.0.0.3", "dns"): np.ones(8),
     }
-    graph = build_graph(groups, ProtocolVocab(("dns", "other")), 0.0, 600.0)
+    return build_graph(groups, ProtocolVocab(("dns", "other")), 0.0, 600.0)
+
+
+@pytest.mark.parametrize("break_graph,message", BROKEN_COMPANIONS)
+def test_validate_graph_rejects_broken_companions(break_graph, message):
+    graph = _two_pair_graph()
     validate_graph(graph)
     with pytest.raises(ValueError, match=message):
         validate_graph(break_graph(graph))
+
+
+def _with_pair_cell(graph, column, value):
+    """Set one feature cell on both edges of the first pair."""
+    return with_item(graph, "raw_features", (slice(0, 2), column), value)
+
+
+# Columns of _two_pair_graph: 0-1 the dns/other one-hot, 2-17 the sums.
+BROKEN_FEATURES = [
+    (lambda g: _with_pair_cell(g, 0, 7.0), "one-hot"),
+    (lambda g: _with_pair_cell(g, 1, 0.5), "one-hot"),
+    (lambda g: _with_pair_cell(g, 0, np.nan), "one-hot"),
+    (lambda g: _with_pair_cell(g, 5, np.nan), "negative or not finite"),
+    (lambda g: _with_pair_cell(g, 5, np.inf), "negative or not finite"),
+    (lambda g: _with_pair_cell(g, 5, -5.0), "negative or not finite"),
+    (lambda g: _with_pair_cell(g, 5, -0.0), None),
+]
+
+
+@pytest.mark.parametrize("break_graph,message", BROKEN_FEATURES)
+def test_validate_graph_checks_feature_values(break_graph, message):
+    graph = break_graph(_two_pair_graph())
+    if message is None:
+        validate_graph(graph)
+    else:
+        with pytest.raises(ValueError, match=message):
+            validate_graph(graph)
+
+
+def _drop_last_edge(graph):
+    return replace(
+        graph,
+        edge_src=graph.edge_src[:-1],
+        edge_dst=graph.edge_dst[:-1],
+        reverse=graph.reverse[:-1],
+        raw_features=graph.raw_features[:-1],
+    )
+
+
+@pytest.mark.parametrize(
+    "break_graph,message",
+    [*BROKEN_COMPANIONS, *BROKEN_FEATURES[:-1], (_drop_last_edge, "even")],
+)
+def test_load_graph_refuses_what_validate_graph_refuses(
+    tmp_path, break_graph, message
+):
+    path = tmp_path / "graph.ipgr"
+    save_graph(break_graph(_two_pair_graph()), path)
+    with pytest.raises(FormatError, match=message):
+        load_graph(path)
 
 
 def test_load_graph_dir_sorted(tmp_path):

@@ -345,6 +345,56 @@ def test_record_validation_errors():
         make_record(ts=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("source_ip", "not-an-ip", "bad IP"),
+        ("destination_port", 70000, "out of range"),
+        ("response_packets", -1, "out of range"),
+        ("ts", float("inf"), "non-finite"),
+        ("duration", -1.0, "out of range"),
+        ("protocol_service", " ", "missing field"),
+    ],
+)
+def test_record_refusal_is_a_parse_error_without_a_line(field, value, reason):
+    with pytest.raises(ParseError) as err:
+        make_record(**{field: value})
+    assert (err.value.reason, err.value.line) == (reason, None)
+    assert not str(err.value).startswith("line ")
+
+
+def _json_row(tsv_row):
+    """The JSON-lines form of a zeek_row, its numbers as JSON numbers."""
+    obj = {}
+    for key, cell in zip(ZEEK_FIELDS.split("\t"), tsv_row.split("\t")):
+        try:
+            obj[key] = float(cell) if "." in cell or cell == "nan" else int(cell)
+        except ValueError:
+            obj[key] = cell
+    return json.dumps(obj)
+
+
+def test_json_and_tsv_rows_skip_for_the_same_reasons():
+    rows = [
+        zeek_row(),
+        zeek_row(orig_h="999.0.0.1"),
+        zeek_row(resp_p="70000"),
+        zeek_row(ts="nan"),
+        zeek_row(duration="-1.5"),
+        zeek_row(ts="1" + "0" * 400),  # past float range: inf as text or int
+    ]
+    _, tsv_stats = read_conn_log(zeek_tsv(rows))
+    _, json_stats = read_conn_log([_json_row(row) for row in rows])
+    assert tsv_stats.reasons == {"bad IP": 1, "out of range": 2, "non-finite": 2}
+    assert json_stats == tsv_stats
+
+
+def test_json_number_past_the_int_digit_limit_is_bad_json():
+    row = '{"ts": 1' + "0" * 5000 + ', "id.orig_h": "10.0.0.1"}'
+    records, stats = read_conn_log([row, _json_row(zeek_row())])
+    assert len(records) == 1 and stats.reasons == {"bad JSON": 1}
+
+
 def test_canonical_tsv_shape():
     buf = io.StringIO()
     count = write_canonical_tsv([make_record()], buf)
