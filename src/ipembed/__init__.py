@@ -6,46 +6,3 @@ then serves similarity, anomaly and projection queries over the embeddings.
 """
 
 __version__ = "0.1.0"
-
-from .zeek import ConnRecord, ParseError, ParseStats, parse_conn_log
-from .graphs import (
-    FlowKey,
-    IntervalGraph,
-    ProtocolVocab,
-    FeatureScaler,
-    aggregate_flows,
-    assign_interval,
-    build_graph,
-    fit_protocol_vocab,
-    fit_scaler,
-    normalize,
-)
-from .model import ModelConfig, ModelParams, GraphTensors, forward, init_params
-from .training import ModelBundle, TrainConfig, TrainHistory, filter_holdout, train
-
-__all__ = [
-    "ConnRecord",
-    "ParseError",
-    "ParseStats",
-    "parse_conn_log",
-    "FlowKey",
-    "IntervalGraph",
-    "ProtocolVocab",
-    "FeatureScaler",
-    "aggregate_flows",
-    "assign_interval",
-    "build_graph",
-    "fit_protocol_vocab",
-    "fit_scaler",
-    "normalize",
-    "ModelConfig",
-    "ModelParams",
-    "GraphTensors",
-    "forward",
-    "init_params",
-    "ModelBundle",
-    "TrainConfig",
-    "TrainHistory",
-    "filter_holdout",
-    "train",
-]

@@ -39,6 +39,8 @@ from .serving import (
     project_2d,
     top_k_similar,
     write_anomaly_csv,
+    write_csv,
+    write_edge_errors_csv,
     write_embeddings_csv,
     write_projection_csv,
     write_similarity_csv,
@@ -63,7 +65,7 @@ from .training import (
 )
 from .zeek import parse_conn_log, read_conn_log, write_canonical_tsv
 
-__all__ = ["run", "main", "sweep"]
+__all__ = ["run", "main"]
 
 
 class UsageError(Exception):
@@ -275,9 +277,7 @@ def _cmd_similar(args) -> int:
     _, embeddings = _embed_graph(args)
     ranked = top_k_similar(embeddings, args.ip, args.k)
     with _output(args.out) as fp:
-        fp.write("ip,cosine\n")
-        for ip, value in ranked:
-            fp.write(f"{ip},{value!r}\n")
+        write_csv(fp, ["ip", "cosine"], ranked)
     return 0
 
 
@@ -297,14 +297,7 @@ def _cmd_anomaly(args) -> int:
         write_anomaly_csv(embeddings, fp)
     if args.edges_out:
         with open(args.edges_out, "w", encoding="utf-8") as efp:
-            efp.write("source,destination,reverse,error\n")
-            for k in range(graph.n_edges):
-                efp.write(
-                    f"{graph.nodes[graph.edge_src[k]]},"
-                    f"{graph.nodes[graph.edge_dst[k]]},"
-                    f"{int(graph.reverse[k])},"
-                    f"{embeddings.edge_errors[k]!r}\n"
-                )
+            write_edge_errors_csv(graph, embeddings, efp)
     return 0
 
 
@@ -334,7 +327,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_holdout(args, interval_len: float, out_dir: Path) -> dict:
+def _run_holdout(args, interval_len: float, out_dir: Path) -> tuple:
+    """One holdout experiment at one interval length: writes its per-graph
+    ``holdout_<length>.csv`` and returns its ``summary.csv`` row."""
     exp = make_experiment(
         holdout_fraction=args.holdout_fraction,
         interval_len=interval_len,
@@ -356,45 +351,24 @@ def _run_holdout(args, interval_len: float, out_dir: Path) -> dict:
         exp.out_role_ips,
     )
     name = int(interval_len) if interval_len.is_integer() else repr(interval_len)
-    path = out_dir / f"holdout_{name}.csv"
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write("interval,in_role_cosine,out_role_cosine,margin\n")
-        for interval, in_mean, out_mean, margin in result.per_graph:
-            fp.write(f"{interval!r},{in_mean!r},{out_mean!r},{margin!r}\n")
+    with open(out_dir / f"holdout_{name}.csv", "w", encoding="utf-8") as fp:
+        header = ["interval", "in_role_cosine", "out_role_cosine", "margin"]
+        write_csv(fp, header, result.per_graph)
     in_values = np.array([v for _, v, _, _ in result.per_graph])
-    return {
-        "interval_length": interval_len,
-        "mean": float(in_values.mean()),
-        "std": float(in_values.std()),
-        "n_graphs": result.n_graphs,
-        "margin_mean": result.margin_mean,
-        "status": "OK",
-    }
-
-
-def sweep(interval_lengths, run_one) -> list[dict]:
-    """Run one pipeline per interval length; failures are recorded as
-    FAILED rows instead of aborting the remaining lengths."""
-    rows = []
-    for length in interval_lengths:
-        try:
-            rows.append(run_one(length))
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            _log(f"sweep: interval {length} failed: {exc}")
-            rows.append(
-                {
-                    "interval_length": length,
-                    "mean": None,
-                    "std": None,
-                    "n_graphs": 0,
-                    "margin_mean": None,
-                    "status": "FAILED",
-                }
-            )
-    return rows
+    return (
+        interval_len,
+        float(in_values.mean()),
+        float(in_values.std()),
+        result.n_graphs,
+        result.margin_mean,
+        "OK",
+    )
 
 
 def _cmd_eval_holdout(args) -> int:
+    """Run one holdout experiment per interval length. A single length lets
+    its failure propagate; among several, a failed length becomes a FAILED
+    row and the others still run."""
     lengths = [float(tok) for tok in str(args.intervals).split(",") if tok.strip()]
     if not lengths:
         raise UsageError("no interval lengths given")
@@ -402,23 +376,20 @@ def _cmd_eval_holdout(args) -> int:
         raise UsageError(f"--intervals names a length twice: {args.intervals}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if len(lengths) == 1:
-        rows = [_run_holdout(args, lengths[0], out_dir)]
-    else:
-        rows = sweep(lengths, lambda length: _run_holdout(args, length, out_dir))
-    with open(out_dir / "summary.csv", "w", encoding="utf-8") as fp:
-        fp.write("interval_length,mean_in_role_cosine,std,n_graphs,margin_mean,status\n")
-        for row in rows:
-            cells = [
-                repr(float(row["interval_length"])),
-                "" if row["mean"] is None else repr(row["mean"]),
-                "" if row["std"] is None else repr(row["std"]),
-                str(row["n_graphs"]),
-                "" if row["margin_mean"] is None else repr(row["margin_mean"]),
-                row["status"],
-            ]
-            fp.write(",".join(cells) + "\n")
-    _log(f"eval-holdout: summary written to {out_dir / 'summary.csv'}")
+    rows = []
+    for length in lengths:
+        try:
+            rows.append(_run_holdout(args, length, out_dir))
+        except Exception as exc:
+            if len(lengths) == 1:
+                raise
+            _log(f"eval-holdout: interval {length} failed: {exc}")
+            rows.append((length, None, None, 0, None, "FAILED"))
+    summary = out_dir / "summary.csv"
+    with open(summary, "w", encoding="utf-8") as fp:
+        header = "interval_length,mean_in_role_cosine,std,n_graphs,margin_mean,status"
+        write_csv(fp, header.split(","), rows)
+    _log(f"eval-holdout: summary written to {summary}")
     return 0
 
 

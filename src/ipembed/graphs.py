@@ -304,8 +304,10 @@ def build_graph(
 
     The numeric blocks are one ``np.bincount`` over flat (pair, column)
     cells with the groups in mapping order, so each cell adds its groups'
-    vectors in that order starting from zero.
+    vectors in that order starting from zero. ``start`` must lie below ``end``.
     """
+    if not start < end:
+        raise ValueError(f"graph interval [{start}, {end}) is empty")
     if not groups:
         raise ValueError("cannot build a graph from zero flow groups")
     keys = list(groups)
@@ -432,8 +434,11 @@ def normalize(graph: IntervalGraph, scaler: FeatureScaler) -> IntervalGraph:
 
 
 def validate_graph(graph: IntervalGraph) -> None:
-    """Raise ``ValueError`` if a structural invariant does not hold, or a
-    raw feature is not a one-hot 0 or 1 or a finite non-negative sum."""
+    """Raise ``ValueError`` if the interval is not a finite start below its
+    end, a structural invariant does not hold, or a raw feature is not a
+    one-hot 0 or 1 or a finite non-negative sum."""
+    if not (math.isfinite(graph.start) and graph.start < graph.end):
+        raise ValueError(f"bad interval bounds {graph.start}, {graph.end}")
     n, e = graph.n_nodes, graph.n_edges
     if len(set(graph.nodes)) != n:
         raise ValueError("graph names a node twice")

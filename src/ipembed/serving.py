@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "write_similarity_csv",
     "write_projection_csv",
     "write_anomaly_csv",
+    "write_edge_errors_csv",
+    "write_csv",
 ]
 
 DEGENERATE_NORM = 1e-12
@@ -226,46 +228,58 @@ def project_2d(embeddings: EmbeddingSet) -> dict[str, tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# CSV exports (floats rendered with repr for lossless, deterministic output)
+# CSV exports: write_csv alone decides how a cell is written
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # lossless: the text reparses to the value
+    return "" if value is None else str(value)
+
+
+def write_csv(fp: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line, then one line per row. A float, NumPy's
+    included, is written as ``repr(float(v))``; ``None`` is an empty cell;
+    anything else is ``str(v)``."""
+    fp.write(",".join(header) + "\n")
+    for row in rows:
+        fp.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_embeddings_csv(embeddings: EmbeddingSet, fp: IO[str]) -> None:
-    width = embeddings.vectors.shape[1]
-    fp.write("ip," + ",".join(f"dim_{i}" for i in range(width)) + "\n")
-    for i, ip in enumerate(embeddings.ips):
-        fp.write(ip + "," + ",".join(_fmt(v) for v in embeddings.vectors[i]) + "\n")
+    header = ["ip", *(f"dim_{i}" for i in range(embeddings.vectors.shape[1]))]
+    rows = zip(embeddings.ips, embeddings.vectors.tolist())
+    write_csv(fp, header, ((ip, *vector) for ip, vector in rows))
 
 
 def write_similarity_csv(report: SimilarityReport, fp: IO[str]) -> None:
-    fp.write("pair,interval,cosine\n")
-    for pair in report.pairs:
-        name = f"{pair[0]}|{pair[1]}"
-        for interval, value in report.series[pair]:
-            fp.write(f"{name},{_fmt(interval)},{_fmt(value)}\n")
-    fp.write("pair,mean,std,count\n")
-    for pair in report.pairs:
-        mean, std, count = report.stats[pair]
-        name = f"{pair[0]}|{pair[1]}"
-        if count:
-            fp.write(f"{name},{_fmt(mean)},{_fmt(std)},{count}\n")
-        else:
-            fp.write(f"{name},,,0\n")
+    """The per-graph series table, then the per-pair summary table."""
+    names = {pair: f"{pair[0]}|{pair[1]}" for pair in report.pairs}
+    series = ((names[p], *s) for p in report.pairs for s in report.series[p])
+    write_csv(fp, ["pair", "interval", "cosine"], series)
+    stats = ((names[p], *report.stats[p]) for p in report.pairs)
+    write_csv(fp, ["pair", "mean", "std", "count"], stats)
 
 
 def write_projection_csv(
     projection: dict[str, tuple[float, float]], fp: IO[str]
 ) -> None:
-    fp.write("ip,x,y\n")
-    for ip in sorted(projection, key=ip_sort_key):
-        x, y = projection[ip]
-        fp.write(f"{ip},{_fmt(x)},{_fmt(y)}\n")
+    ips = sorted(projection, key=ip_sort_key)
+    write_csv(fp, ["ip", "x", "y"], ((ip, *projection[ip]) for ip in ips))
 
 
 def write_anomaly_csv(embeddings: EmbeddingSet, fp: IO[str]) -> None:
-    fp.write("ip,score\n")
-    for ip in embeddings.ips:
-        fp.write(f"{ip},{_fmt(embeddings.anomaly[ip])}\n")
+    rows = ((ip, embeddings.anomaly[ip]) for ip in embeddings.ips)
+    write_csv(fp, ["ip", "score"], rows)
+
+
+def write_edge_errors_csv(
+    graph: IntervalGraph, embeddings: EmbeddingSet, fp: IO[str]
+) -> None:
+    """One row per directed edge, in edge order: endpoints, reverse flag and
+    the edge's reconstruction error in ``embeddings``."""
+    columns = (graph.edge_src, graph.edge_dst, graph.reverse, embeddings.edge_errors)
+    cells = zip(*(column.tolist() for column in columns))
+    nodes = graph.nodes
+    rows = ((nodes[s], nodes[d], r, error) for s, d, r, error in cells)
+    write_csv(fp, ["source", "destination", "reverse", "error"], rows)

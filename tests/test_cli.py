@@ -1,12 +1,14 @@
 """End-to-end command line coverage: exit codes, the pipeline flow, config
 files, determinism."""
 
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from ipaddress import ip_address
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +596,24 @@ def test_report_canonicalizes_pair_members(workspace, tmp_path, capsys):
     assert f"\n{a}|{b},,,0\n" not in outs[0]  # the pair was found
 
 
+def test_report_on_snapshot_with_bad_interval_is_data_error(
+    workspace, tmp_path, capsys
+):
+    gdir = tmp_path / "graphs"
+    shutil.copytree(workspace["gdir"], gdir)
+    bad = replace(load_graph(workspace["graph0"]), start=np.nan, end=-5.0)
+    save_graph(bad, gdir / workspace["graph0"].name)
+    a, b = workspace["nodes"][0], workspace["nodes"][1]
+    out = tmp_path / "report.csv"
+    assert run(
+        ["report", "--model", str(workspace["model"]), "--graphs", str(gdir),
+         "--pairs", f"{a}:{b}", "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "interval bounds" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def ipv6_workspace(tmp_path_factory):
     """Graphs of four IPv6 hosts, 2001:db8::1 to ::4, and a model on them."""
@@ -696,6 +716,8 @@ def test_anomaly_with_edge_csv(workspace, tmp_path, capsys):
     edge_lines = edges.read_text().splitlines()
     assert edge_lines[0] == "source,destination,reverse,error"
     assert len(edge_lines) == 1 + load_graph(workspace["graph0"]).n_edges
+    for line in edge_lines[1:]:
+        assert float(line.split(",")[3]) >= 0.0
 
 
 def test_project_output(workspace, tmp_path, capsys):
@@ -707,6 +729,56 @@ def test_project_output(workspace, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "ip,x,y"
     assert len(lines) == 1 + len(workspace["nodes"])
+
+
+def _is_text_cell(cell: str) -> bool:
+    """An empty cell, a status, an IP or an ``ip|ip`` pair name."""
+    if cell in ("", "OK", "FAILED"):
+        return True
+    try:
+        for member in cell.split("|"):
+            ip_address(member)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_csv_the_cli_writes_parses(workspace, tmp_path, monkeypatch, capfd):
+    monkeypatch.chdir(tmp_path)
+    model, gdir = str(workspace["model"]), str(workspace["gdir"])
+    served = ["--model", model, "--graph", str(workspace["graph0"])]
+    a, b = workspace["nodes"][0], workspace["nodes"][1]
+    for argv in (
+        ["embed", *served, "--out", "embed.csv"],
+        ["similar", *served, "--ip", a, "--out", "similar.csv"],
+        ["report", "--model", model, "--graphs", gdir,
+         "--pairs", f"{a}:{b},{a}:198.51.100.9", "--out", "report.csv"],
+        ["anomaly", *served, "--out", "anomaly.csv", "--edges-out", "edges.csv"],
+        ["project", *served, "--out", "project.csv"],
+        ["eval-holdout", "--out", "holdout", "--intervals", "600,999999",
+         "--duration", "2400", "--epochs", "1", "--hidden", "4",
+         "--decoder-hidden", "4"],
+    ):
+        assert run(argv) == 0, argv
+    paths = sorted(tmp_path.rglob("*.csv"))
+    assert [p.name for p in paths] == [
+        "anomaly.csv", "edges.csv", "embed.csv", "holdout_600.csv", "summary.csv",
+        "project.csv", "report.csv", "similar.csv",
+    ]
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fp:
+            rows = list(csv.reader(fp))
+        numbers = 0
+        for row in rows:
+            if row[0].isidentifier():  # a header line: ip, pair, source, ...
+                header = row
+                continue
+            assert len(row) == len(header), (path.name, row)
+            for cell in row:
+                if not _is_text_cell(cell):
+                    float(cell)  # raises on a cell no CSV reader takes as a number
+                    numbers += 1
+        assert numbers, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -595,6 +595,31 @@ def test_load_graph_refuses_what_validate_graph_refuses(
         load_graph(path)
 
 
+@pytest.mark.parametrize(
+    "start,end",
+    [(np.nan, -5.0), (np.nan, 600.0), (-np.inf, 600.0), (600.0, 600.0), (700.0, 600.0)],
+)
+def test_snapshot_with_bad_interval_bounds_is_refused(tmp_path, start, end):
+    graph = replace(_two_pair_graph(), start=start, end=end)
+    with pytest.raises(ValueError, match="interval bounds"):
+        validate_graph(graph)
+    path = tmp_path / "graph.ipgr"
+    save_graph(graph, path)
+    with pytest.raises(FormatError, match="interval bounds"):
+        load_graph(path)
+
+
+def test_interval_lost_to_rounding_is_refused():
+    # At origin 1e20 adding 600 s changes nothing, so the interval would
+    # be [1e20, 1e20).
+    vocab = ProtocolVocab(("dns", "other"))
+    with pytest.raises(ValueError, match="empty"):
+        build_interval_graphs([make_record(ts=1e20)], 600.0, vocab, origin=1e20)
+    group = {FlowKey("10.0.0.1", "10.0.0.2", "dns"): np.ones(8)}
+    with pytest.raises(ValueError, match="empty"):
+        build_graph(group, vocab, 600.0, 600.0)
+
+
 def test_load_graph_dir_sorted(tmp_path):
     vocab = ProtocolVocab(("dns", "other"))
     for i in (2, 0, 1):

@@ -1,5 +1,6 @@
 """The README states the line count of every module and of the whole
-package, and walks through the command line; both must match the code."""
+package, walks through the command line and shows library imports; all
+three must match the code."""
 
 import re
 import shlex
@@ -45,3 +46,13 @@ def test_readme_walkthrough_commands_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
     (subs,) = parser._subparsers._group_actions
     assert {argv[1] for argv in commands} == set(subs.choices)
+
+
+def test_readme_library_imports_resolve():
+    # Run each import of the library example, so it names only what exists.
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    imports = [line for line in block.splitlines() if line.startswith("from ipembed")]
+    assert imports
+    for line in imports:
+        exec(line, {})

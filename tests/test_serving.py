@@ -32,6 +32,7 @@ from ipembed.serving import (
     project_2d,
     top_k_similar,
     write_anomaly_csv,
+    write_csv,
     write_embeddings_csv,
     write_projection_csv,
     write_similarity_csv,
@@ -525,6 +526,17 @@ def test_project_2d_needs_two_ips():
 
 # ---------------------------------------------------------------------------
 # CSV output
+
+
+def test_write_csv_cell_rule():
+    buf = io.StringIO()
+    row = (0.1, np.float64(0.1), np.float32(0.1), 3, np.uint8(7), None, "10.0.0.1")
+    write_csv(buf, ["a", "b", "c", "d", "e", "f", "g"], [row])
+    # Floats of any width are repr of the Python float: never np.float64(...).
+    assert buf.getvalue().splitlines() == [
+        "a,b,c,d,e,f,g",
+        "0.1,0.1,0.10000000149011612,3,7,,10.0.0.1",
+    ]
 
 
 def test_embeddings_csv_format():
