@@ -80,6 +80,7 @@ __all__ = [
     "batch_norm",
     "gate_normalize",
     "stable_sigmoid",
+    "softplus",
     "log_sigmoid_np",
 ]
 
@@ -254,24 +255,38 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return a.tape._record(a_data * b_data, (a, b), vjp)
 
 
+# The elementwise kernels below avoid ``np.where`` and ``np.logaddexp``:
+# both branch once per element, which mispredicts on mixed signs and costs
+# several times the arithmetic itself.
+
+
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    # np.maximum(-0.0, 0.0) is +0.0; a NaN passes through, on to the loss.
+    out = np.maximum(x.data, 0.0)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return x.tape._record(np.where(mask, x.data, 0.0), (x,), vjp)
+    return x.tape._record(out, (x,), vjp)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Overflow-free logistic function: exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    A second exp is cheaper than np.maximum(e, x >= 0) / (1 + e) with one
+    e = exp(-|x|): casting the boolean mask costs more than the exp saves.
+    """
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) computed without overflow."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def log_sigmoid_np(x: np.ndarray) -> np.ndarray:
     """log(sigmoid(x)) computed without overflow."""
-    return -np.logaddexp(0.0, -x)
+    return -softplus(-x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -441,7 +456,7 @@ def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
     n = z.size
     if n == 0:
         raise ShapeError("bce_with_logits_mean needs at least one element")
-    value = np.logaddexp(0.0, z) - t * z
+    value = softplus(z) - t * z
 
     def vjp(g):
         return ((stable_sigmoid(z) - t) * (g[0, 0] / n),)

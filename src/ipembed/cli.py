@@ -368,7 +368,8 @@ def _run_holdout(args, interval_len: float, out_dir: Path) -> tuple:
 def _cmd_eval_holdout(args) -> int:
     """Run one holdout experiment per interval length. A single length lets
     its failure propagate; among several, a failed length becomes a FAILED
-    row and the others still run."""
+    row and the others still run. A sweep in which no length succeeds exits
+    3 if every length diverged and 2 otherwise, as a single length would."""
     lengths = [float(tok) for tok in str(args.intervals).split(",") if tok.strip()]
     if not lengths:
         raise UsageError("no interval lengths given")
@@ -377,6 +378,7 @@ def _cmd_eval_holdout(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    failures = []
     for length in lengths:
         try:
             rows.append(_run_holdout(args, length, out_dir))
@@ -385,12 +387,18 @@ def _cmd_eval_holdout(args) -> int:
                 raise
             _log(f"eval-holdout: interval {length} failed: {exc}")
             rows.append((length, None, None, 0, None, "FAILED"))
+            failures.append(exc)
     summary = out_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8") as fp:
         header = "interval_length,mean_in_role_cosine,std,n_graphs,margin_mean,status"
         write_csv(fp, header.split(","), rows)
     _log(f"eval-holdout: summary written to {summary}")
-    return 0
+    if len(failures) < len(lengths):
+        return 0
+    _log("eval-holdout: no interval length succeeded")
+    if all(isinstance(exc, TrainingDivergedError) for exc in failures):
+        return 3
+    return 2
 
 
 # ---------------------------------------------------------------------------

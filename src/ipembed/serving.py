@@ -8,7 +8,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, softplus
 from .graphs import IntervalGraph, ip_sort_key, normalize
 from .model import GraphTensors, encode
 from .training import ModelBundle
@@ -102,7 +102,7 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     t = gt.feats
     # softplus(z) - t*z is the cross entropy from logits; H(t) vanishes at
     # t in {0, 1}, so it is only subtracted where 0 < t < 1.
-    kl = np.logaddexp(0.0, logits) - t * logits
+    kl = softplus(logits) - t * logits
     inner = (t > 0.0) & (t < 1.0)
     ti = t[inner]
     kl[inner] += ti * np.log(ti) + (1.0 - ti) * np.log1p(-ti)

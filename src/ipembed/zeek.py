@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import ip_address
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -88,7 +89,7 @@ def _check_count(name: str, value) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConnRecord:
     """One flow log row, validated and normalized.
 
@@ -114,36 +115,54 @@ class ConnRecord:
     request_ip_bytes: int
     response_ip_bytes: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "source_ip", _canonical_ip("source_ip", self.source_ip)
-        )
-        object.__setattr__(
-            self, "destination_ip", _canonical_ip("destination_ip", self.destination_ip)
-        )
-        _check_port("source_port", self.source_port)
-        _check_port("destination_port", self.destination_port)
-        _check_count("request_bytes", self.request_bytes)
-        _check_count("response_bytes", self.response_bytes)
-        _check_count("bytes", self.bytes)
-        _check_count("request_packets", self.request_packets)
-        _check_count("response_packets", self.response_packets)
-        _check_count("request_ip_bytes", self.request_ip_bytes)
-        _check_count("response_ip_bytes", self.response_ip_bytes)
-        if not math.isfinite(self.ts):
-            raise ParseError(f"ts={self.ts!r} must be finite", reason="non-finite")
-        if not math.isfinite(self.duration):
+    def __init__(
+        self, ts: float, source_ip: str, destination_ip: str, source_port: int,
+        destination_port: int, protocol_service: str, duration: float,
+        request_bytes: int, response_bytes: int, bytes: int, request_packets: int,
+        response_packets: int, request_ip_bytes: int, response_ip_bytes: int,
+    ):
+        # Check everything first, then store each canonical value once, in
+        # field order, through object.__setattr__: the instances then keep
+        # the compact shared-key attribute layout a dataclass __init__ gives.
+        source_ip = _canonical_ip("source_ip", source_ip)
+        destination_ip = _canonical_ip("destination_ip", destination_ip)
+        _check_port("source_port", source_port)
+        _check_port("destination_port", destination_port)
+        _check_count("request_bytes", request_bytes)
+        _check_count("response_bytes", response_bytes)
+        _check_count("bytes", bytes)
+        _check_count("request_packets", request_packets)
+        _check_count("response_packets", response_packets)
+        _check_count("request_ip_bytes", request_ip_bytes)
+        _check_count("response_ip_bytes", response_ip_bytes)
+        if not math.isfinite(ts):
+            raise ParseError(f"ts={ts!r} must be finite", reason="non-finite")
+        if not math.isfinite(duration):
             raise ParseError(
-                f"duration={self.duration!r} must be finite", reason="non-finite"
+                f"duration={duration!r} must be finite", reason="non-finite"
             )
-        if self.duration < 0:
+        if duration < 0:
             raise ParseError(
-                f"duration={self.duration!r} is negative", reason="out of range"
+                f"duration={duration!r} is negative", reason="out of range"
             )
-        token = _canonical_token(self.protocol_service)
+        token = _canonical_token(protocol_service)
         if not token:
             raise ParseError("empty protocol_service", reason="missing field")
-        object.__setattr__(self, "protocol_service", token)
+        store = object.__setattr__
+        store(self, "ts", ts)
+        store(self, "source_ip", source_ip)
+        store(self, "destination_ip", destination_ip)
+        store(self, "source_port", source_port)
+        store(self, "destination_port", destination_port)
+        store(self, "protocol_service", token)
+        store(self, "duration", duration)
+        store(self, "request_bytes", request_bytes)
+        store(self, "response_bytes", response_bytes)
+        store(self, "bytes", bytes)
+        store(self, "request_packets", request_packets)
+        store(self, "response_packets", response_packets)
+        store(self, "request_ip_bytes", request_ip_bytes)
+        store(self, "response_ip_bytes", response_ip_bytes)
 
 
 @dataclass
@@ -202,6 +221,20 @@ _FIELD_ALIASES = {
     "proto": "proto",
     "service": "service",
 }
+# A row source yields one value per slot, in this order, None where the row
+# has none: the record's fields in constructor order, then Zeek's two token
+# columns. :func:`_record_from` unpacks a row in exactly this order; the
+# schema's dump order above does not matter to parsing.
+_SLOTS = (
+    "ts", "source_ip", "destination_ip", "source_port", "destination_port",
+    "protocol_service", "duration", "request_bytes", "response_bytes", "bytes",
+    "request_packets", "response_packets", "request_ip_bytes", "response_ip_bytes",
+    "proto", "service",
+)
+if set(_SLOTS[:-2]) != set(_CANONICAL_ATTRS):
+    raise AssertionError("_SLOTS must name each schema attribute once")
+_SLOT_INDEX = {alias: _SLOTS.index(slot) for alias, slot in _FIELD_ALIASES.items()}
+_REQUIRED = ("ts", "source_ip", "destination_ip")
 
 Source = Union[str, Path, IO, Iterable]
 
@@ -330,16 +363,19 @@ def _parse_separator(line: str, line_no: int) -> str:
 
 
 def _tsv_rows(numbered):
-    """Yield (line number, values or the row's ParseError) per TSV data row;
-    a header the rows cannot be read with raises."""
+    """Yield (line number, slot values or the row's ParseError) per TSV data
+    row; a header the rows cannot be read with raises."""
     sep = "\t"
     unset = "-"
     empty_marker = "(empty)"
-    # The current #fields header as a plan: its column count, and one
-    # (cell index, slot) pair per known column in header order, so a later
-    # duplicate column overwrites an earlier one.
+    # The current #fields header as a plan: its column count, and a getter
+    # that picks each slot's cell from a row's cells plus one trailing None.
+    # A slot takes its last set column: it reads its last column (a slot
+    # without a column reads the trailing None), and only if that cell is
+    # unset does it fall back to its earlier duplicate columns, last first.
     width = 0
-    plan: list[tuple[int, str]] | None = None
+    pick = None
+    fallbacks: list[tuple[int, list[int]]] = []
     for line_no, raw in numbered:
         line = raw.rstrip("\r\n")
         if not line:
@@ -353,17 +389,25 @@ def _tsv_rows(numbered):
                 if name == "fields":
                     columns = [v for v in values if v]
                     width = len(columns)
-                    plan = [
-                        (i, _FIELD_ALIASES[col])
-                        for i, col in enumerate(columns)
-                        if col in _FIELD_ALIASES
+                    found: dict[int, list[int]] = {}
+                    for i, col in enumerate(columns):
+                        if col in _SLOT_INDEX:
+                            found.setdefault(_SLOT_INDEX[col], []).append(i)
+                    where = [width] * len(_SLOTS)
+                    for slot, indices in found.items():
+                        where[slot] = indices[-1]
+                    pick = itemgetter(*where)
+                    fallbacks = [
+                        (slot, indices[-2::-1])
+                        for slot, indices in found.items()
+                        if len(indices) > 1
                     ]
                 elif name == "unset_field" and values:
                     unset = values[0]
                 elif name == "empty_field" and values:
                     empty_marker = values[0]
             continue
-        if plan is None:
+        if pick is None:
             # Unusable header is fatal even in lenient mode.
             raise ParseError("data row before #fields header", line_no)
         cells = line.split(sep)
@@ -372,16 +416,21 @@ def _tsv_rows(numbered):
                 f"expected {width} columns, got {len(cells)}", reason="column count"
             )
             continue
-        values = {}
-        for i, slot in plan:
-            cell = cells[i]
-            if cell != unset and cell != empty_marker:
-                values[slot] = cell
+        cells.append(None)
+        values = pick(cells)
+        if unset in values or empty_marker in values:
+            values = [None if v == unset or v == empty_marker else v for v in values]
+            for slot, earlier in fallbacks:
+                if values[slot] is None:
+                    for i in earlier:
+                        if cells[i] != unset and cells[i] != empty_marker:
+                            values[slot] = cells[i]
+                            break
         yield line_no, values
 
 
 def _jsonl_rows(numbered):
-    """Yield (line number, values or the row's ParseError) per JSON line."""
+    """Yield (line number, slot values or the row's ParseError) per JSON line."""
     for line_no, raw in numbered:
         line = raw.strip()
         if not line:
@@ -394,15 +443,16 @@ def _jsonl_rows(numbered):
         if not isinstance(obj, dict):
             yield line_no, ParseError("row is not a JSON object", reason="bad JSON")
             continue
-        yield line_no, {
-            _FIELD_ALIASES[key]: val
-            for key, val in obj.items()
-            if key in _FIELD_ALIASES and val is not None and val != "-"
-        }
+        values = [None] * len(_SLOTS)
+        for key, val in obj.items():
+            if key in _SLOT_INDEX and val is not None and val != "-":
+                values[_SLOT_INDEX[key]] = val
+        yield line_no, values
 
 
-def _float(values: dict, name: str) -> float:
-    value = values.get(name, 0)
+def _float(value, name: str) -> float:
+    if value is None:
+        return 0.0
     try:
         return float(value)
     except OverflowError:  # an int past float range, as its text would read
@@ -411,8 +461,9 @@ def _float(values: dict, name: str) -> float:
         raise ParseError(f"bad {name}: {value!r}", reason="bad float") from None
 
 
-def _int(values: dict, name: str) -> int:
-    value = values.get(name, 0)
+def _int(value, name: str) -> int:
+    if value is None:
+        return 0
     try:
         if isinstance(value, str):
             # int() strips surrounding whitespace itself.
@@ -432,37 +483,35 @@ def _int(values: dict, name: str) -> int:
         ) from None
 
 
-def _record_from(values: dict) -> ConnRecord:
-    for required in ("ts", "source_ip", "destination_ip"):
-        if required not in values:
-            raise ParseError(
-                f"missing required field {required}", reason="missing field"
-            )
-    token = (
-        values.get("protocol_service")
-        or values.get("service")
-        or values.get("proto")
-        or "unknown"
-    )
-    request_bytes = _int(values, "request_bytes")
-    response_bytes = _int(values, "response_bytes")
-    if "bytes" in values:
-        total_bytes = _int(values, "bytes")
-    else:
-        total_bytes = request_bytes + response_bytes
+def _record_from(values) -> ConnRecord:
+    """Build one row's record from its slot values (None where absent).
+
+    Fields convert one by one in a fixed order, so a row's first bad cell
+    names the error.
+    """
+    (ts, source_ip, destination_ip, source_port, destination_port, protocol_service,
+     duration, request_bytes, response_bytes, total_bytes, request_packets,
+     response_packets, request_ip_bytes, response_ip_bytes, proto, service) = values
+    if ts is None or source_ip is None or destination_ip is None:
+        name = _REQUIRED[(ts, source_ip, destination_ip).index(None)]
+        raise ParseError(f"missing required field {name}", reason="missing field")
+    token = protocol_service or service or proto or "unknown"
+    req_b = _int(request_bytes, "request_bytes")
+    resp_b = _int(response_bytes, "response_bytes")
+    total = req_b + resp_b if total_bytes is None else _int(total_bytes, "bytes")
     return ConnRecord(
-        ts=_float(values, "ts"),
-        source_ip=str(values["source_ip"]).strip(),
-        destination_ip=str(values["destination_ip"]).strip(),
-        source_port=_int(values, "source_port"),
-        destination_port=_int(values, "destination_port"),
-        protocol_service=str(token),
-        duration=_float(values, "duration"),
-        request_bytes=request_bytes,
-        response_bytes=response_bytes,
-        bytes=total_bytes,
-        request_packets=_int(values, "request_packets"),
-        response_packets=_int(values, "response_packets"),
-        request_ip_bytes=_int(values, "request_ip_bytes"),
-        response_ip_bytes=_int(values, "response_ip_bytes"),
+        _float(ts, "ts"),
+        str(source_ip).strip(),
+        str(destination_ip).strip(),
+        _int(source_port, "source_port"),
+        _int(destination_port, "destination_port"),
+        str(token),
+        _float(duration, "duration"),
+        req_b,
+        resp_b,
+        total,
+        _int(request_packets, "request_packets"),
+        _int(response_packets, "response_packets"),
+        _int(request_ip_bytes, "request_ip_bytes"),
+        _int(response_ip_bytes, "response_ip_bytes"),
     )

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
+import ipembed.training as training
+from conftest import random_graph
 from ipembed.autodiff import BatchNorm, Segments, ShapeError, Tape, backward, grad_check
+from ipembed.model import ModelConfig
 
 TOL = 1e-6  # far below the 1e-4 contract; these programs are smooth
 
@@ -164,6 +167,73 @@ def test_log_sigmoid_matches_numpy_helper():
         ad.log_sigmoid(t).data, ad.log_sigmoid_np(x), atol=1e-15
     )
     assert np.all(np.isfinite(ad.log_sigmoid_np(np.array([[-800.0]]))))
+
+
+def _kernel_grid(dtype):
+    """Signed zeros, infinities, subnormals and magnitudes up to 1e4 in
+    both signs, then a seeded random block."""
+    info = np.finfo(dtype)
+    special = [0.0, np.inf, info.smallest_subnormal, info.smallest_normal, 1e-30]
+    special += list(np.logspace(-8, 4, 49))
+    values = np.array(special, dtype=dtype)
+    block = np.random.default_rng(18).standard_normal(4096) * 20.0
+    grid = np.concatenate([values, -values, block.astype(dtype)])
+    return grid.reshape(-1, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_and_sigmoid_match_the_masked_formulas_bit_for_bit(dtype):
+    x = _kernel_grid(dtype)
+    assert np.signbit(x).any() and (x == 0).any()
+    y = ad.relu(Tape().leaf(x)).data
+    masked = np.where(x > 0, x, 0.0)
+    assert y.dtype == masked.dtype == dtype
+    assert y.tobytes() == masked.tobytes()
+    e = np.exp(-np.abs(x))
+    branched = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = ad.stable_sigmoid(x)
+    assert s.dtype == branched.dtype == dtype
+    assert s.tobytes() == branched.tobytes()
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-6), (np.float64, 1e-15)])
+def test_softplus_matches_logaddexp(dtype, rtol):
+    x = _kernel_grid(dtype)
+    got = ad.softplus(x)
+    want = np.logaddexp(0.0, x)
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    edges = np.array([[np.inf, -np.inf]], dtype=dtype)
+    assert ad.softplus(edges).tobytes() == np.logaddexp(0.0, edges).tobytes()
+
+
+def test_relu_lets_nan_through():
+    tape = Tape()
+    x = tape.leaf(np.array([[np.nan, -1.0, 2.0]], dtype=np.float32))
+    y = ad.relu(x)
+    assert np.isnan(y.data[0, 0]) and y.data[0, 1:].tolist() == [0.0, 2.0]
+    backward(ad.sum_all(ad.columns(y, 1, 3)))
+    assert x.grad.tolist() == [[0.0, 0.0, 1.0]]
+
+
+def test_nan_behind_a_relu_stops_float32_training(monkeypatch):
+    # A NaN decoder bias reaches only a relu. The masked relu turned it into a
+    # dead unit and training went on with finite losses; now the NaN reaches
+    # the loss and training stops with the divergence error (CLI exit 3).
+    real_init = training.init_params
+
+    def init_with_nan_bias(config, seed):
+        params = real_init(config, seed=seed)
+        params.arrays["dec_hidden_b"][0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(training, "init_params", init_with_nan_bias)
+    graph = random_graph(np.random.default_rng(0), n_nodes=4, n_pairs=4, feat_dim=3)
+    config = ModelConfig(edge_dim=4, hidden=3, layers=2, decoder_hidden=4)
+    with pytest.raises(training.TrainingDivergedError) as err:
+        with np.errstate(invalid="ignore"):
+            training.train([graph], config, training.TrainConfig(epochs=2, seed=0))
+    assert (err.value.epoch, err.value.graph_index) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -960,6 +960,36 @@ def test_eval_holdout_sweep_isolates_failures(tmp_path, capfd):
     assert not (out / "holdout_999999.csv").exists()
 
 
+def test_eval_holdout_sweep_with_no_success_is_data_error(tmp_path, capfd):
+    out = tmp_path / "sweep"
+    assert run(
+        ["eval-holdout", "--out", str(out), "--intervals", "999999,999998",
+         "--duration", "2400", "--epochs", "2", "--hidden", "4",
+         "--decoder-hidden", "4", "--seed", "0"]
+    ) == 2
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert all(row.endswith("FAILED") for row in rows[1:])
+    assert "no interval length succeeded" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("diverged_lengths, code", [((600, 1200), 3), ((600,), 2)])
+def test_eval_holdout_sweep_exit_code_names_its_failures(
+    tmp_path, monkeypatch, capfd, diverged_lengths, code
+):
+    from ipembed.training import TrainingDivergedError
+
+    def fail(args, length, out_dir):
+        if length in diverged_lengths:
+            raise TrainingDivergedError(0, 0, float("nan"))
+        raise ValueError("no graphs")
+
+    monkeypatch.setattr("ipembed.cli._run_holdout", fail)
+    out = tmp_path / "sweep"
+    assert run(["eval-holdout", "--out", str(out), "--intervals", "600,1200"]) == code
+    assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+
 def test_eval_holdout_writes_one_csv_per_length(tmp_path, capfd):
     out = tmp_path / "sweep"
     assert run(

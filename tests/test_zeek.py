@@ -395,6 +395,140 @@ def test_json_number_past_the_int_digit_limit_is_bad_json():
     assert len(records) == 1 and stats.reasons == {"bad JSON": 1}
 
 
+# Every corruption kind: the six the benchmark injects (perfbench/checks.py),
+# then a bad float, a port past the range and a negative counter. Each maps
+# to the strict-mode message the row must raise, after "line N: ".
+CORRUPT_ROWS = {
+    "column count": (zeek_row().rsplit("\t", 1)[0], "expected 16 columns, got 15"),
+    "bad IP": (zeek_row(orig_h="999.0.0.1"), "bad source_ip: '999.0.0.1'"),
+    "bad integer": (zeek_row(orig_bytes="12x"), "bad integer request_bytes: '12x'"),
+    "non-finite": (zeek_row(ts="nan"), "ts=nan must be finite"),
+    "port 70000": (
+        zeek_row(resp_p="70000"), "destination_port=70000 outside [0, 65535]"
+    ),
+    "unset destination": (
+        zeek_row(resp_h="-"), "missing required field destination_ip"
+    ),
+    "bad float": (zeek_row(duration="soon"), "bad duration: 'soon'"),
+    "port 65536": (zeek_row(orig_p="65536"), "source_port=65536 outside [0, 65535]"),
+    "negative counter": (
+        zeek_row(resp_ip_bytes="-7"),
+        "response_ip_bytes=-7 must be a non-negative integer",
+    ),
+}
+# Rows that must parse: unset and (empty) counters read as zero, the port
+# range's ends, and counters far past 64 bits.
+EDGE_ROWS = [
+    zeek_row(orig_bytes="-", resp_pkts="(empty)", duration="-"),
+    zeek_row(orig_p="0", resp_p="65535"),
+    zeek_row(orig_bytes=str(2**70), resp_ip_bytes=str(2**70 + 1)),
+]
+NO_SERVICE_FIELDS = ZEEK_FIELDS.replace("\tservice", "")
+
+
+def no_service_row(**cells):
+    fields = zeek_row(**cells).split("\t")
+    del fields[7]  # service
+    return "\t".join(fields)
+
+
+def every_corruption_log():
+    rows = [zeek_row(), *(row for row, _ in CORRUPT_ROWS.values()), *EDGE_ROWS]
+    rows += [
+        "#fields\t" + NO_SERVICE_FIELDS,
+        no_service_row(proto="TCP"),
+        zeek_row(),  # one column too many under the new header
+        no_service_row(orig_p="65536"),
+        no_service_row(ts="1e400"),
+    ]
+    return zeek_tsv(rows)
+
+
+def test_every_corruption_kind_matches_the_per_row_reference():
+    lines = every_corruption_log()
+    records, stats = read_conn_log(lines, format="tsv")
+    want_records, want = legacy_read_tsv(lines)
+    assert records == want_records
+    assert (stats.read, stats.emitted, stats.skipped) == (
+        want.read, want.emitted, want.skipped
+    ) == (17, 5, 12)
+    assert stats.reasons == {
+        "column count": 2,
+        "bad IP": 1,
+        "bad integer": 1,
+        "non-finite": 2,
+        "out of range": 4,
+        "missing field": 1,
+        "bad float": 1,
+    }
+    unset, ends, huge, proto_only = records[1:]
+    assert (unset.request_bytes, unset.response_packets, unset.duration) == (0, 0, 0.0)
+    assert unset.bytes == unset.response_bytes == 184
+    assert (ends.source_port, ends.destination_port) == (0, 65535)
+    assert (huge.request_bytes, huge.bytes) == (2**70, 2**70 + 184)
+    assert huge.response_ip_bytes == 2**70 + 1
+    assert proto_only.protocol_service == "tcp"
+
+
+@pytest.mark.parametrize("kind", list(CORRUPT_ROWS))
+def test_strict_mode_names_the_line_and_message_of_each_kind(kind):
+    row, message = CORRUPT_ROWS[kind]
+    with pytest.raises(ParseError) as err:
+        read_conn_log(zeek_tsv([zeek_row(), row]), strict=True)
+    assert err.value.line == 7
+    assert str(err.value) == f"line 7: {message}"
+
+
+def test_strict_mode_reads_rows_by_a_mid_file_header():
+    ok = zeek_tsv([zeek_row(), "#fields\t" + NO_SERVICE_FIELDS, no_service_row()])
+    assert len(read_conn_log(ok, format="tsv", strict=True)[0]) == 2
+    for row, message in (
+        (zeek_row(), "expected 15 columns, got 16"),
+        (no_service_row(orig_p="65536"), "source_port=65536 outside [0, 65535]"),
+        (no_service_row(ts="1e400"), "ts=inf must be finite"),
+    ):
+        with pytest.raises(ParseError) as err:
+            read_conn_log(ok + [row], format="tsv", strict=True)
+        assert str(err.value) == "line 9: " + message
+
+
+def test_conn_record_keeps_its_dataclass_behaviour():
+    fields = [f.name for f in dataclasses.fields(ConnRecord)]
+    assert fields == [
+        "ts", "source_ip", "destination_ip", "source_port", "destination_port",
+        "protocol_service", "duration", "request_bytes", "response_bytes", "bytes",
+        "request_packets", "response_packets", "request_ip_bytes", "response_ip_bytes",
+    ]
+    by_keyword = make_record(source_ip="2001:DB8::1", protocol_service=" DNS ")
+    by_position = ConnRecord(*(getattr(by_keyword, name) for name in fields))
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert repr(by_position) == repr(by_keyword) == (
+        "ConnRecord(ts=100.0, source_ip='2001:db8::1', destination_ip='10.0.0.2', "
+        "source_port=40000, destination_port=53, protocol_service='dns', "
+        "duration=0.05, request_bytes=60, response_bytes=120, bytes=180, "
+        "request_packets=1, response_packets=1, request_ip_bytes=88, "
+        "response_ip_bytes=148)"
+    )
+    assert vars(by_position) == {name: getattr(by_keyword, name) for name in fields}
+
+    moved = dataclasses.replace(by_keyword, destination_ip="10.0.0.9")
+    assert moved.destination_ip == "10.0.0.9" and moved != by_keyword
+    with pytest.raises(ParseError) as err:
+        dataclasses.replace(by_keyword, source_port=65536)
+    assert err.value.reason == "out of range"
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_keyword.source_port = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del by_keyword.ts
+    with pytest.raises(TypeError):
+        ConnRecord(*(getattr(by_keyword, name) for name in fields[:-1]))
+
+    flagged = make_record(source_port=True)
+    assert flagged.source_port is True
+
+
 def test_canonical_tsv_shape():
     buf = io.StringIO()
     count = write_canonical_tsv([make_record()], buf)
