@@ -15,9 +15,9 @@ once in reverse.
 Dtype: a leaf keeps a float32 array as float32 and turns anything else into
 float64. Every primitive's result and vjp parts keep the dtype of its
 operands, so a tape on float32 leaves runs in float32 throughout and one on
-float64 leaves computes exactly as a float64-only engine would. Training
-takes float32 steps on float64 master weights; serving and
-:func:`grad_check` work in float64.
+float64 leaves computes exactly as a float64-only engine would.
+:func:`grad_check` works in float64; training steps and serving run in
+float32, on float32 copies of float64 master weights.
 
 Fused primitives: :func:`batch_norm` (train and eval) and
 :func:`gate_normalize` each record one node whose vjp is written out in

@@ -47,6 +47,7 @@ __all__ = [
     "param_shapes",
     "encode",
     "forward",
+    "float32_leaves",
     "input_layer",
     "conv_layer",
     "decode",
@@ -272,6 +273,16 @@ def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
     return {name: tape.leaf(arr) for name, arr in params.named_arrays()}
 
 
+def float32_leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
+    """A float32 copy of every trainable array as a leaf on ``tape``, under
+    its name: the one way to run the network in float32 on float64 master
+    weights. Training steps and serving pass these as ``leaves``; ``params``
+    itself is left as it is."""
+    return {
+        name: tape.leaf(arr.astype(np.float32)) for name, arr in params.named_arrays()
+    }
+
+
 def _bn(x, leaves, params, name, config, mode):
     return ad.batch_norm(
         x,
@@ -370,7 +381,8 @@ def encode(
     the running ones and leaves them unchanged. ``leaves`` lets a
     caller supply pre-registered parameter tensors (same names as
     ``params.named_arrays``) on an existing tape, which is how the gradient
-    checker reuses :func:`forward`.
+    checker reuses :func:`forward` and how training and serving run on
+    :func:`float32_leaves`.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")

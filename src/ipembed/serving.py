@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import Tape, softplus
 from .graphs import IntervalGraph, ip_sort_key, normalize
-from .model import GraphTensors, encode
+from .model import GraphTensors, encode, float32_leaves
 from .training import ModelBundle
 
 __all__ = [
@@ -83,6 +83,13 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     """Eval-mode ``encode`` (no loss terms) over one graph, on a tape that
     records nothing, so each intermediate is freed as soon as it is used.
 
+    The network runs in float32, as a training step does: on
+    :func:`~ipembed.model.float32_leaves` of the bundle's weights and on the
+    edge features cast once, with the batch norm statistics cast per layer.
+    The bundle itself is left in float64. The vectors and logits are then
+    taken out as float64 and the rest of the encoding is dropped, so the
+    edge errors are computed in float64 without its edge-sized arrays held.
+
     Per-edge error is the unweighted mean over columns of the Bernoulli KL
     divergence between the edge's input t and its reconstruction p,
     ``t*log(t/p) + (1-t)*log((1-t)/(1-p))`` with ``0*log 0 = 0``: the
@@ -95,11 +102,16 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     if graph.features is None:
         graph = normalize(graph, bundle.scaler)
     gt = GraphTensors.from_graph(graph)
-    result = encode(
-        bundle.params, bundle.config, gt, mode="eval", tape=Tape(record=False)
-    )
-    logits = result.logits.data
     t = gt.feats
+    gt.feats = t.astype(np.float32)
+    tape = Tape(record=False)
+    result = encode(
+        bundle.params, bundle.config, gt, mode="eval", tape=tape,
+        leaves=float32_leaves(tape, bundle.params),
+    )
+    vectors = result.embeddings.astype(np.float64)
+    logits = result.logits.data.astype(np.float64)
+    del result
     # softplus(z) - t*z is the cross entropy from logits; H(t) vanishes at
     # t in {0, 1}, so it is only subtracted where 0 < t < 1.
     kl = softplus(logits) - t * logits
@@ -117,7 +129,7 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     return EmbeddingSet(
         interval=graph.start,
         ips=tuple(graph.nodes),
-        vectors=result.embeddings,
+        vectors=vectors,
         edge_errors=errors,
         anomaly=dict(zip(graph.nodes, mean_error.tolist())),
     )

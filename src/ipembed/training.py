@@ -21,6 +21,7 @@ from .model import (
     GraphTensors,
     ModelConfig,
     ModelParams,
+    float32_leaves,
     forward,
     init_params,
     param_shapes,
@@ -199,10 +200,7 @@ def train(
         for graph_index in rng.permutation(len(tensors)):
             gt = tensors[int(graph_index)]
             tape = ad.Tape()
-            leaves = {
-                name: tape.leaf(arr.astype(np.float32))
-                for name, arr in params.named_arrays()
-            }
+            leaves = float32_leaves(tape, params)
             result = forward(
                 params, model_config, gt, mode="train", tape=tape, leaves=leaves
             )

@@ -77,13 +77,15 @@ def _canonical_ip(name: str, value) -> str:
         raise ParseError(f"bad {name}: {value!r}", reason="bad IP") from None
 
 
+# Ports and counters must be plain ints: a bool passes isinstance(v, int),
+# but its canonical dump "True" is no integer the readers accept.
 def _check_port(name: str, value) -> None:
-    if not isinstance(value, int) or not 0 <= value <= 65535:
+    if type(value) is not int or not 0 <= value <= 65535:
         raise ParseError(f"{name}={value!r} outside [0, 65535]", reason="out of range")
 
 
 def _check_count(name: str, value) -> None:
-    if not isinstance(value, int) or value < 0:
+    if type(value) is not int or value < 0:
         raise ParseError(
             f"{name}={value!r} must be a non-negative integer", reason="out of range"
         )

@@ -2,7 +2,11 @@
 anomaly scores, 2D projection, CSV output."""
 
 import io
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipembed
 import ipembed.autodiff as ad
 from conftest import cyclic_gc_off, make_record
 from ipembed import model, serving
@@ -21,8 +26,9 @@ from ipembed.graphs import (
     fit_scaler,
     ip_sort_key,
     normalize,
+    save_graph,
 )
-from ipembed.model import GraphTensors, ModelConfig, forward
+from ipembed.model import GraphTensors, ModelConfig, edge_dim_for_vocab, forward
 from ipembed.serving import (
     DEGENERATE_NORM,
     EmbeddingSet,
@@ -37,7 +43,8 @@ from ipembed.serving import (
     write_projection_csv,
     write_similarity_csv,
 )
-from ipembed.training import ModelBundle, TrainConfig, train
+from ipembed.synth import make_experiment
+from ipembed.training import ModelBundle, TrainConfig, save_model, train
 
 
 def embedding_set(ips, vectors, interval=0.0):
@@ -425,25 +432,126 @@ def test_anomaly_scores_are_incident_edge_means(pipeline):
         assert es.anomaly[ip] >= 0.0
 
 
-def test_edge_errors_are_mean_kl_divergence(pipeline):
-    """Edge error is the mean per-column KL(t || p): zero for an exact
-    reconstruction, so the target's own entropy does not enter the score."""
-    bundle, _, normalized = pipeline
-    graph = normalized[0]
-    es = infer_embeddings(bundle, graph)
-    gt = GraphTensors.from_graph(graph)
-    z = forward(bundle.params, bundle.config, gt, mode="eval").logits.data
-    t = np.hstack([graph.features, graph.reverse.astype(np.float64)[:, None]])
-    assert np.any(t == 0.0) and np.any(t == 1.0)
-    assert np.any((t > 0.0) & (t < 1.0))
+def mean_kl(t, z):
+    """Per-row mean of the Bernoulli KL(t || sigmoid(z)), from its definition."""
     log_p = -np.logaddexp(0.0, -z)
     log_q = -np.logaddexp(0.0, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         pos = np.where(t > 0.0, t * (np.log(t) - log_p), 0.0)
         neg = np.where(t < 1.0, (1.0 - t) * (np.log(1.0 - t) - log_q), 0.0)
-    expected = (pos + neg).mean(axis=1)
+    return (pos + neg).mean(axis=1)
+
+
+def test_edge_errors_are_mean_kl_divergence(pipeline):
+    """Edge error is the mean per-column KL(t || p): zero for an exact
+    reconstruction, so the target's own entropy does not enter the score.
+    The reference logits are the ones serving computes: float32 weights and
+    features, cast to float64 before the KL."""
+    bundle, _, normalized = pipeline
+    graph = normalized[0]
+    es = infer_embeddings(bundle, graph)
+    gt = GraphTensors.from_graph(graph)
+    gt.feats = gt.feats.astype(np.float32)
+    tape = Tape()
+    leaves = model.float32_leaves(tape, bundle.params)
+    result = forward(bundle.params, bundle.config, gt, "eval", tape, leaves)
+    z = result.logits.data.astype(np.float64)
+    t = np.hstack([graph.features, graph.reverse.astype(np.float64)[:, None]])
+    assert np.any(t == 0.0) and np.any(t == 1.0)
+    assert np.any((t > 0.0) & (t < 1.0))
+    expected = mean_kl(t, z)
     np.testing.assert_allclose(es.edge_errors, expected, rtol=0.0, atol=1e-12)
     assert np.all(es.edge_errors >= 0.0)
+
+
+def test_serving_runs_the_encoder_in_float32(pipeline, monkeypatch):
+    bundle, _, normalized = pipeline
+    seen = {}
+
+    def watch(name):
+        primitive = getattr(ad, name)
+
+        def watched(*args, **kwargs):
+            dtypes = [a.data.dtype for a in args if isinstance(a, ad.Tensor)]
+            seen.setdefault(name, set()).update(dtypes)
+            return primitive(*args, **kwargs)
+
+        monkeypatch.setattr(ad, name, watched)
+
+    for name in ("linear", "gather_linear", "batch_norm"):
+        watch(name)
+    es = infer_embeddings(bundle, normalized[0])
+    assert seen == {name: {np.dtype(np.float32)} for name in seen}
+    assert set(seen) == {"linear", "gather_linear", "batch_norm"}
+    assert es.vectors.dtype == es.edge_errors.dtype == np.float64
+
+
+def test_serving_leaves_the_bundle_in_float64(pipeline):
+    bundle, graphs, _ = pipeline
+    params = bundle.params
+
+    def state():
+        named = [*params.named_arrays(), *params.named_buffers()]
+        return [(name, arr.dtype, arr.tobytes()) for name, arr in named]
+
+    before = state()
+    for graph in graphs:
+        infer_embeddings(bundle, graph)
+    assert state() == before
+    assert {dtype for _, dtype, _ in before} == {np.dtype(np.float64)}
+
+
+def test_float32_serving_agrees_with_float64(pipeline):
+    bundle, _, normalized = pipeline
+    for graph in normalized:
+        es = infer_embeddings(bundle, graph)
+        gt = GraphTensors.from_graph(graph)
+        exact = model.encode(bundle.params, bundle.config, gt, mode="eval")
+        np.testing.assert_allclose(es.vectors, exact.embeddings, rtol=0.0, atol=1e-5)
+        kl = mean_kl(gt.feats, exact.logits.data)
+        np.testing.assert_allclose(es.edge_errors, kl, rtol=1e-6, atol=0.0)
+        reference = embedding_set(graph.nodes, exact.embeddings)
+        for ip in graph.nodes:
+            served = [name for name, _ in top_k_similar(es, ip, 10)]
+            assert served == [name for name, _ in top_k_similar(reference, ip, 10)]
+
+
+def test_served_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Vectors and edge errors served at 1 and at 2 OpenBLAS threads are the
+    same bytes, on a desk graph of more than 560 edges. OpenBLAS runs no
+    more threads than there are CPUs, so this can only fail on a machine
+    with 2 or more CPUs."""
+    exp = make_experiment(seed=0)
+    config = ModelConfig(edge_dim=edge_dim_for_vocab(exp.vocab.size))
+    params, _ = train(exp.train_graphs, config, TrainConfig(epochs=1, seed=0))
+    save_model(ModelBundle(params, config, exp.vocab, exp.scaler), tmp_path / "m.ipgm")
+    graph = max(exp.test_graphs, key=lambda g: len(g.edge_src))
+    assert len(graph.edge_src) > 560
+    save_graph(graph, tmp_path / "g.ipgr")
+    script = (
+        "import hashlib\n"
+        "from ipembed.graphs import load_graph\n"
+        "from ipembed.serving import infer_embeddings\n"
+        "from ipembed.training import load_model\n"
+        "es = infer_embeddings(load_model('m.ipgm'), load_graph('g.ipgr'))\n"
+        "for arr in (es.vectors, es.edge_errors):\n"
+        "    print(arr.dtype, hashlib.sha256(arr.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(ipembed.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert digests["1"].count("float64") == 2
+    assert digests["1"] == digests["2"]
 
 
 def test_isolated_node_scores_zero(pipeline):

@@ -15,6 +15,7 @@ from ipembed.zeek import (
     _FIELD_ALIASES,
     _SCHEMA,
     CANONICAL_FIELDS,
+    NUMERIC_FEATURES,
     ConnRecord,
     ParseError,
     parse_conn_log,
@@ -354,6 +355,9 @@ def test_record_validation_errors():
         ("ts", float("inf"), "non-finite"),
         ("duration", -1.0, "out of range"),
         ("protocol_service", " ", "missing field"),
+        # A bool is an int to isinstance, but it would be dumped as "True".
+        ("source_port", True, "out of range"),
+        ("request_packets", False, "out of range"),
     ],
 )
 def test_record_refusal_is_a_parse_error_without_a_line(field, value, reason):
@@ -393,6 +397,65 @@ def test_json_number_past_the_int_digit_limit_is_bad_json():
     row = '{"ts": 1' + "0" * 5000 + ', "id.orig_h": "10.0.0.1"}'
     records, stats = read_conn_log([row, _json_row(zeek_row())])
     assert len(records) == 1 and stats.reasons == {"bad JSON": 1}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: truncated and byte-flipped lines of a valid log
+
+FUZZ_ROWS = [
+    zeek_row(),
+    zeek_row(ts="101.5", orig_h="2001:db8::1", proto="tcp", service="-"),
+    zeek_row(ts="102.25", service="http", orig_bytes="-", resp_pkts="(empty)"),
+    zeek_row(ts="103", resp_h="10.0.0.7", duration="12.5", resp_bytes="90000"),
+]
+FUZZ_TSV = [line.encode() + b"\n" for line in zeek_tsv(FUZZ_ROWS)]
+FUZZ_HEADER = len(zeek_tsv([]))
+FUZZ_JSONL = [_json_row(row).encode() + b"\n" for row in FUZZ_ROWS]
+
+
+@st.composite
+def damaged_logs(draw, keep_header):
+    """(format, byte lines) of a valid TSV or JSON-lines log with one to
+    four edits, each truncating a line or XOR-ing one of its bytes.
+    ``keep_header`` spares the TSV header lines."""
+    fmt = draw(st.sampled_from(["tsv", "jsonl"]))
+    lines = list(FUZZ_TSV if fmt == "tsv" else FUZZ_JSONL)
+    first = FUZZ_HEADER if keep_header and fmt == "tsv" else 0
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(first, len(lines) - 1))
+        line = lines[i]
+        if not line or draw(st.booleans()):
+            lines[i] = line[: draw(st.integers(0, len(line)))]
+        else:
+            k = draw(st.integers(0, len(line) - 1))
+            flipped = line[k] ^ draw(st.integers(1, 255))
+            lines[i] = line[:k] + bytes([flipped]) + line[k + 1 :]
+    return fmt, lines
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(damaged_logs(keep_header=True))
+def test_lenient_reader_counts_every_damaged_row(log):
+    fmt, lines = log
+    records, stats = read_conn_log(lines, format=fmt)
+    assert stats.read == stats.emitted + stats.skipped
+    assert stats.emitted == len(records)
+    assert sum(stats.reasons.values()) == stats.skipped
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(damaged_logs(keep_header=False))
+def test_damaged_logs_raise_only_parse_errors(log):
+    _, lines = log
+    try:
+        read_conn_log(lines, strict=True)
+    except ParseError:
+        pass
+    try:
+        read_conn_log(lines)
+    except ParseError as exc:
+        # Lenient mode raises only for a header the rows cannot be read with.
+        assert exc.reason is None
 
 
 # Every corruption kind: the six the benchmark injects (perfbench/checks.py),
@@ -525,9 +588,6 @@ def test_conn_record_keeps_its_dataclass_behaviour():
     with pytest.raises(TypeError):
         ConnRecord(*(getattr(by_keyword, name) for name in fields[:-1]))
 
-    flagged = make_record(source_port=True)
-    assert flagged.source_port is True
-
 
 def test_canonical_tsv_shape():
     buf = io.StringIO()
@@ -647,6 +707,32 @@ def test_round_trip_property(records):
     parsed, stats = read_conn_log(buf)
     assert stats.skipped == 0
     assert parsed == records
+
+
+INT_FIELDS = (
+    "source_port", "destination_port", *(n for n in NUMERIC_FEATURES if n != "duration")
+)
+# Int-like values, including the booleans and floats the constructor refuses.
+loose_ints = st.one_of(
+    st.booleans(), st.integers(-2, 70000), st.integers(0, 2**70), st.floats(-1.0, 1e6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    conn_records(),
+    st.dictionaries(st.sampled_from(INT_FIELDS), loose_ints, max_size=2),
+)
+def test_every_accepted_port_and_counter_survives_the_canonical_dump(record, changes):
+    try:
+        record = dataclasses.replace(record, **changes)
+    except ParseError:
+        return
+    buf = io.StringIO()
+    write_canonical_tsv([record], buf)
+    buf.seek(0)
+    parsed, _ = read_conn_log(buf, strict=True)
+    assert parsed == [record]
 
 
 # ---------------------------------------------------------------------------
