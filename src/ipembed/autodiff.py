@@ -469,6 +469,12 @@ def bce_with_logits_mean(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # batch norm and gates
 
+# Fixed parts of the architecture, as in the reference gated GCN: the batch
+# norm momentum and variance epsilon, and the gate denominator's epsilon.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+GATE_EPS = 1e-6
+
 
 @dataclass
 class BatchNorm:
@@ -502,16 +508,14 @@ def batch_norm(
     beta: Tensor,
     state: BatchNorm,
     mode: str = "train",
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-column batch normalization with affine parameters, one tape node.
 
     Train mode normalizes by the batch mean and population variance and
-    folds them into ``state``'s running stats with the given momentum; its
-    output reads no running statistic. Eval mode normalizes by the running
-    stats, never changes them, and requires that they have been set at
-    least once.
+    folds them into ``state``'s running stats with momentum
+    :data:`BN_MOMENTUM`; its output reads no running statistic. Eval mode
+    normalizes by the running stats, never changes them, and requires that
+    they have been set at least once.
     """
     width = x.shape[1]
     if gamma.shape != (1, width) or beta.shape != (1, width):
@@ -526,10 +530,10 @@ def batch_norm(
         mu = x.data.sum(axis=0, keepdims=True) * (1.0 / n)
         centered = x.data - mu
         var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         normalized = centered * inv_std
-        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
-        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+        state.running_mean = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
+        state.running_var = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
         state.initialized = True
 
         def vjp(g):
@@ -548,7 +552,7 @@ def batch_norm(
                 "batch norm used in eval mode before any running-stat update"
             )
         dtype = x.data.dtype
-        inv_std = (1.0 / np.sqrt(state.running_var + eps)).astype(dtype, copy=False)
+        inv_std = (1.0 / np.sqrt(state.running_var + BN_EPS)).astype(dtype, copy=False)
         mean = state.running_mean.astype(dtype, copy=False)
         normalized = (x.data - mean) * inv_std
 
@@ -565,11 +569,11 @@ def batch_norm(
     return x.tape._record(out, (x, gamma, beta), vjp)
 
 
-def gate_normalize(edge_score: Tensor, recv: Segments, eps: float = 1e-6) -> Tensor:
+def gate_normalize(edge_score: Tensor, recv: Segments) -> Tensor:
     """Dimension-wise edge gates, normalized over each receiving node.
 
     ``sigmoid(score) / (sum of sigmoids over the node's incoming edges +
-    eps)``; every component lies in (0, 1) and each node's gates sum to
+    GATE_EPS)``; every component lies in (0, 1) and each node's gates sum to
     just under one. ``recv`` groups the edges by receiving node, one id per
     edge. One tape node.
     """
@@ -579,7 +583,7 @@ def gate_normalize(edge_score: Tensor, recv: Segments, eps: float = 1e-6) -> Ten
             f"{edge_score.shape[0]} edges"
         )
     sig = stable_sigmoid(edge_score.data)
-    denom = recv.sum(sig)[recv.ids] + eps
+    denom = recv.sum(sig)[recv.ids] + GATE_EPS
     out = sig / denom
 
     def vjp(g):

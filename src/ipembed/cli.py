@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from ipaddress import ip_address
 from pathlib import Path
 
@@ -166,15 +167,11 @@ def _load_vocab(path: Path) -> ProtocolVocab:
     return ProtocolVocab.from_json(tokens, f"{path} tokens")
 
 
-def _model_config(args, vocab: ProtocolVocab) -> ModelConfig:
-    return ModelConfig(
-        edge_dim=edge_dim_for_vocab(vocab.size),
-        hidden=args.hidden,
-        layers=args.layers,
-        decoder_hidden=args.decoder_hidden,
-        lambda_recon=args.lambda_recon,
-        lambda_neighbor=args.lambda_neighbor,
-    )
+def _config(cls, args, **fixed):
+    """A ``cls`` config: each field the flag named after it sets, plus ``fixed``."""
+    flags = vars(args)
+    kwargs = {f.name: flags[f.name] for f in fields(cls) if f.name in flags}
+    return cls(**kwargs, **fixed)
 
 
 def _embed_graph(args):
@@ -240,21 +237,11 @@ def _cmd_build_graphs(args) -> int:
 def _cmd_train(args) -> int:
     graphs_dir = Path(args.graphs)
     graphs = load_graph_dir(graphs_dir)
-    vocab_path = Path(args.vocab) if args.vocab else graphs_dir / "vocab.json"
-    if not vocab_path.exists():
-        raise FileNotFoundError(f"vocab file {vocab_path} not found")
-    vocab = _load_vocab(vocab_path)
+    vocab = _load_vocab(graphs_dir / "vocab.json")
     scaler = fit_scaler(graphs)
     graphs = [normalize(g, scaler) for g in graphs]
-    config = _model_config(args, vocab)
-    train_config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        patience=args.patience,
-        min_delta=args.min_delta,
-    )
-    params, history = train(graphs, config, train_config, log=_log)
+    config = _config(ModelConfig, args, edge_dim=edge_dim_for_vocab(vocab.size))
+    params, history = train(graphs, config, _config(TrainConfig, args), log=_log)
     save_model(ModelBundle(params, config, vocab, scaler), args.out)
     _log(
         f"train: {len(history)} epochs, best loss {min(history.loss)!r}, "
@@ -336,10 +323,8 @@ def _run_holdout(args, interval_len: float, out_dir: Path) -> tuple:
         seed=args.seed,
         duration=args.duration,
     )
-    config = _model_config(args, exp.vocab)
-    train_config = TrainConfig(
-        epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed
-    )
+    config = _config(ModelConfig, args, edge_dim=edge_dim_for_vocab(exp.vocab.size))
+    train_config = _config(TrainConfig, args)
     params, history = train(exp.train_graphs, config, train_config, log=_log)
     bundle = ModelBundle(params, config, exp.vocab, exp.scaler)
     result = eval_inductive(
@@ -405,16 +390,19 @@ def _cmd_eval_holdout(args) -> int:
 # parser assembly: each flag group is declared once, as a parent parser
 
 
-def _hyperparameters(epochs: int, hidden: int, decoder_hidden: int):
-    """Model and optimizer flags; train and eval-holdout differ in defaults."""
+_HYPERPARAMETERS = ("epochs", "learning_rate", "hidden", "layers", "decoder_hidden",
+                    "lambda_recon", "lambda_neighbor")
+
+
+def _config_flags(*names: str, **overrides):
+    """One flag per named config field, typed by its default: the field's
+    own, unless ``overrides`` gives the command another."""
+    defaults = {f.name: f.default for f in fields(ModelConfig) + fields(TrainConfig)}
     group = argparse.ArgumentParser(add_help=False)
-    group.add_argument("--epochs", type=int, default=epochs)
-    group.add_argument("--learning-rate", type=float, default=1e-3)
-    group.add_argument("--hidden", type=int, default=hidden)
-    group.add_argument("--layers", type=int, default=2)
-    group.add_argument("--decoder-hidden", type=int, default=decoder_hidden)
-    group.add_argument("--lambda-recon", type=float, default=1.0)
-    group.add_argument("--lambda-neighbor", type=float, default=0.01)
+    for name in names:
+        value = overrides.get(name, defaults[name])
+        flag = "--" + name.replace("_", "-")
+        group.add_argument(flag, type=type(value), default=value)
     return group
 
 
@@ -454,13 +442,10 @@ def _build_parser() -> _Parser:
 
     p = command(
         "train", _cmd_train, "train a model on graph snapshots",
-        _hyperparameters(epochs=200, hidden=64, decoder_hidden=128), seed,
+        _config_flags(*_HYPERPARAMETERS, "patience", "min_delta"), seed,
     )
-    p.add_argument("--graphs", required=True, help="directory of .ipgr files")
-    p.add_argument("--vocab", help="vocab.json (defaults to the graphs directory)")
+    p.add_argument("--graphs", required=True, help="a build-graphs output directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--min-delta", type=float, default=1e-4)
 
     command("embed", _cmd_embed, "embeddings CSV for one graph", served)
 
@@ -486,7 +471,8 @@ def _build_parser() -> _Parser:
 
     p = command(
         "eval-holdout", _cmd_eval_holdout, "synthetic inductive holdout experiment",
-        _hyperparameters(epochs=150, hidden=32, decoder_hidden=64), seed,
+        _config_flags(*_HYPERPARAMETERS, epochs=150, hidden=32, decoder_hidden=64),
+        seed,
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(

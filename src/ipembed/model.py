@@ -62,15 +62,14 @@ class ModelConfig:
     The loss is ``lambda_recon`` times the reconstruction cross entropy plus
     ``lambda_neighbor`` times the neighbor term, which only pulls together
     the endpoints of observed edges; there are no sampled negative pairs.
+    The batch norm momentum and epsilon and the gate epsilon are fixed parts
+    of the architecture (``autodiff.BN_MOMENTUM``, ``BN_EPS``, ``GATE_EPS``).
     """
 
     edge_dim: int
     hidden: int = 64
     layers: int = 2
     decoder_hidden: int = 128
-    gate_eps: float = 1e-6
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
     lambda_recon: float = 1.0
     lambda_neighbor: float = 0.01
 
@@ -83,10 +82,6 @@ class ModelConfig:
             raise ValueError("layers must be >= 1")
         if self.decoder_hidden < 1:
             raise ValueError("decoder_hidden must be >= 1")
-        if not all(math.isfinite(e) and e > 0 for e in (self.gate_eps, self.bn_eps)):
-            raise ValueError("gate_eps and bn_eps must be finite and positive")
-        if not 0 <= self.bn_momentum <= 1:
-            raise ValueError("bn_momentum must lie in [0, 1]")
         if not (self.lambda_recon >= 0 and self.lambda_neighbor >= 0):
             raise ValueError("loss weights must be non-negative")
 
@@ -285,13 +280,7 @@ def float32_leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
 
 def _bn(x, leaves, params, name, config, mode):
     return ad.batch_norm(
-        x,
-        leaves[f"{name}.gamma"],
-        leaves[f"{name}.beta"],
-        params.bns[name],
-        mode=mode,
-        momentum=config.bn_momentum,
-        eps=config.bn_eps,
+        x, leaves[f"{name}.gamma"], leaves[f"{name}.beta"], params.bns[name], mode
     )
 
 
@@ -303,7 +292,7 @@ def _input_layer(leaves, params, config, gt, e0, mode):
         )
     )
     edge_state = ad.add(e0, transformed)
-    gates = ad.gate_normalize(edge_state, gt.recv_segments, eps=config.gate_eps)
+    gates = ad.gate_normalize(edge_state, gt.recv_segments)
     # Pool, then project: the sum is linear, so edge_to_node can act on the
     # n pooled rows instead of the E gated ones.
     pooled = ad.linear(
@@ -331,7 +320,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
     # layers live in the hidden dimension.
     residual = projected if layer == 0 else edge_state
     new_edge_state = ad.add(residual, update_term)
-    gates = ad.gate_normalize(new_edge_state, gt.recv_segments, eps=config.gate_eps)
+    gates = ad.gate_normalize(new_edge_state, gt.recv_segments)
     messages = ad.hadamard(
         gates, ad.gather_linear(h, leaves[f"{prefix}.node_msg"], gt.send_segments)
     )

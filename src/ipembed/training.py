@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 from ipaddress import ip_address
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,13 @@ __all__ = [
 
 _MODEL_MAGIC = b"IPGM"
 _MODEL_VERSION = 1
+# Config keys with a fixed value, which a file may also leave out: the
+# architecture constants, which every file records, and the negative-sampling
+# count that older files store, always 0.
+_MODEL_CONSTANTS = {
+    "bn_eps": ad.BN_EPS, "bn_momentum": ad.BN_MOMENTUM, "gate_eps": ad.GATE_EPS
+}
+_FIXED_CONFIG = {**_MODEL_CONSTANTS, "neg_samples": 0}
 
 
 class TrainingDivergedError(ArithmeticError):
@@ -60,12 +67,13 @@ class TrainingDivergedError(ArithmeticError):
 class TrainConfig:
     epochs: int = 200
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     patience: int = 20
     min_delta: float = 1e-4
+    # Adam's fixed constants, not constructor arguments.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -108,10 +116,10 @@ class Adam:
 
     def __init__(
         self,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        lr: float = TrainConfig.learning_rate,
+        beta1: float = TrainConfig.beta1,
+        beta2: float = TrainConfig.beta2,
+        eps: float = TrainConfig.adam_eps,
     ):
         self.lr = lr
         self.beta1 = beta1
@@ -178,16 +186,10 @@ def train(
         raise ValueError("no training graphs")
     tensors = [GraphTensors.from_graph(g) for g in graphs]
     for gt in tensors:
-        gt.validate(model_config)
         gt.feats = gt.feats.astype(np.float32)
 
     params = init_params(model_config, seed=train_config.seed)
-    optimizer = Adam(
-        lr=train_config.learning_rate,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.adam_eps,
-    )
+    optimizer = Adam(lr=train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     history = TrainHistory()
     best_loss = np.inf
@@ -259,7 +261,7 @@ def _json_section(fp, what: str):
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize a model bundle; loading restores it bit-exactly."""
-    config_doc = asdict(bundle.config)
+    config_doc = {**asdict(bundle.config), **_MODEL_CONSTANTS}
     config_doc["bn_initialized"] = {
         name: bn.initialized for name, bn in bundle.params.bn_pairs()
     }
@@ -307,9 +309,9 @@ def load_model(path: str | Path) -> ModelBundle:
         bn_flags = config_doc.pop("bn_initialized", {})
         if not isinstance(bn_flags, dict):
             raise FormatError("model config bn_initialized is not a JSON object")
-        # Older files store the removed negative-sampling count, always 0.
-        if config_doc.pop("neg_samples", 0) != 0:
-            raise FormatError("model file uses negative sampling, which is unsupported")
+        for key, fixed in _FIXED_CONFIG.items():
+            if config_doc.pop(key, fixed) != fixed:
+                raise FormatError(f"model config {key} must be {fixed!r}")
         try:
             config = ModelConfig(**config_doc)
             # Refuse a config the file cannot hold before allocating for it.

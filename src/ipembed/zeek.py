@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import ip_address
@@ -91,6 +92,17 @@ def _check_count(name: str, value) -> None:
         )
 
 
+def _as_float(name: str, value) -> float:
+    # A ts or duration the readers did not pass as a float: a real number
+    # other than a bool (whose dump "True" reads back as no float).
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise ParseError(f"bad {name}: {value!r}", reason="bad float")
+    try:
+        return float(value)
+    except OverflowError:  # an int past float range
+        raise ParseError(f"{name} is past float range", reason="non-finite") from None
+
+
 @dataclass(frozen=True, init=False)
 class ConnRecord:
     """One flow log row, validated and normalized.
@@ -137,9 +149,11 @@ class ConnRecord:
         _check_count("response_packets", response_packets)
         _check_count("request_ip_bytes", request_ip_bytes)
         _check_count("response_ip_bytes", response_ip_bytes)
-        if not math.isfinite(ts):
+        if not math.isfinite(ts if type(ts) is float else _as_float("ts", ts)):
             raise ParseError(f"ts={ts!r} must be finite", reason="non-finite")
-        if not math.isfinite(duration):
+        if not math.isfinite(
+            duration if type(duration) is float else _as_float("duration", duration)
+        ):
             raise ParseError(
                 f"duration={duration!r} must be finite", reason="non-finite"
             )

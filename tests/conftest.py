@@ -258,7 +258,7 @@ def legacy_input_layer(leaves, params, config, gt, e0, mode):
         )
     )
     edge_state = ad.add(e0, transformed)
-    gates = ad.gate_normalize(edge_state, gt.recv_segments, eps=config.gate_eps)
+    gates = ad.gate_normalize(edge_state, gt.recv_segments)
     gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
     pooled = ad.segment_sum(gated, gt.recv_segments)
     h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", config, mode))
@@ -284,7 +284,7 @@ def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
     # layers live in the hidden dimension.
     residual = projected if layer == 0 else edge_state
     new_edge_state = ad.add(residual, update_term)
-    gates = ad.gate_normalize(new_edge_state, gt.recv_segments, eps=config.gate_eps)
+    gates = ad.gate_normalize(new_edge_state, gt.recv_segments)
     messages = ad.hadamard(gates, ad.linear(h_send, leaves[f"{prefix}.node_msg"]))
     pooled = ad.segment_sum(messages, gt.recv_segments)
     node_pre = ad.add(ad.linear(h, leaves[f"{prefix}.node_self"]), pooled)

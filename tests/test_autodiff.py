@@ -462,7 +462,7 @@ def test_bn_running_stat_update():
     x = tape.leaf([[1.0, 10.0], [3.0, 30.0]])
     g = tape.leaf([[1.0, 1.0]])
     b = tape.leaf([[0.0, 0.0]])
-    ad.batch_norm(x, g, b, state, mode="train", momentum=0.1)
+    ad.batch_norm(x, g, b, state, mode="train")
     np.testing.assert_allclose(state.running_mean, [[0.9 * 0 + 0.1 * 2, 0.1 * 20]])
     np.testing.assert_allclose(state.running_var, [[0.9 * 1 + 0.1 * 1, 0.9 + 0.1 * 100]])
 
@@ -473,7 +473,7 @@ def test_bn_eval_uses_running_stats():
     x = tape.leaf([[2.0]])
     g = tape.leaf([[1.0]])
     b = tape.leaf([[0.0]])
-    out = ad.batch_norm(x, g, b, state, mode="eval", eps=1e-5)
+    out = ad.batch_norm(x, g, b, state, mode="eval")
     assert out.data[0, 0] == pytest.approx(2.0 / np.sqrt(1.0 + 1e-5), abs=1e-12)
 
 
@@ -502,14 +502,14 @@ def test_bn_train_needs_two_rows():
 def test_gate_single_edge_value():
     tape = Tape()
     score = tape.leaf([[0.0]])
-    gates = ad.gate_normalize(score, Segments([0], 1), eps=1e-6)
+    gates = ad.gate_normalize(score, Segments([0], 1))
     assert gates.data[0, 0] == pytest.approx(0.5 / (0.5 + 1e-6), abs=1e-12)
 
 
 def test_gate_two_edges_split():
     tape = Tape()
     score = tape.leaf([[0.0], [0.0]])
-    gates = ad.gate_normalize(score, Segments([0, 0], 1), eps=1e-6)
+    gates = ad.gate_normalize(score, Segments([0, 0], 1))
     np.testing.assert_allclose(gates.data, 0.5 / (1.0 + 1e-6), atol=1e-12)
 
 

@@ -7,7 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from ipaddress import ip_address
 from pathlib import Path
 
@@ -31,7 +31,8 @@ from ipembed.graphs import (
     load_graph,
     save_graph,
 )
-from ipembed.training import load_model, save_model
+from ipembed.model import ModelConfig
+from ipembed.training import TrainConfig, load_model, save_model
 from ipembed.zeek import read_conn_log, write_canonical_tsv
 
 
@@ -85,7 +86,7 @@ OPTION_DEFAULTS = {
     "build-graphs": {**_INPUT, "--interval": 600.0, "--origin": None,
                      "--holdout": None, "--vocab": None, "--out": None,
                      "--config": None},
-    "train": {**_HYPER, "--graphs": None, "--vocab": None, "--out": None,
+    "train": {**_HYPER, "--graphs": None, "--out": None,
               "--epochs": 200, "--hidden": 64, "--decoder-hidden": 128,
               "--patience": 20, "--min-delta": 0.0001},
     "embed": _SERVED,
@@ -115,6 +116,20 @@ def test_option_defaults_per_subcommand():
         for name, sub in subs.choices.items()
     }
     assert actual == OPTION_DEFAULTS
+
+
+def test_every_config_field_is_a_train_flag_with_the_same_default():
+    # A config field no flag sets is a setting no caller can vary; it should
+    # be a constant instead.
+    (subs,) = _build_parser()._subparsers._group_actions
+    flags = {
+        action.dest: action.default for action in subs.choices["train"]._actions
+    }
+    declared = [f for f in fields(ModelConfig) if f.name != "edge_dim"]
+    declared += fields(TrainConfig)
+    assert {f.name: f.default for f in declared} == {
+        f.name: flags.get(f.name, "no flag") for f in declared
+    }
 
 
 def test_seed_on_a_command_that_draws_nothing_is_usage_error(workspace, capsys):
@@ -461,12 +476,13 @@ def test_bad_vocab_file_is_data_error(workspace, tmp_path, capsys, doc):
 
 
 def test_train_vocab_wider_than_the_graphs_is_data_error(workspace, tmp_path, capsys):
-    tokens = json.loads((workspace["gdir"] / "vocab.json").read_text())["tokens"]
-    vocab = tmp_path / "vocab.json"
-    vocab.write_text(json.dumps({"tokens": ["aaa", *tokens]}))
+    gdir = tmp_path / "graphs"
+    shutil.copytree(workspace["gdir"], gdir)
+    tokens = json.loads((gdir / "vocab.json").read_text())["tokens"]
+    (gdir / "vocab.json").write_text(json.dumps({"tokens": ["aaa", *tokens]}))
     model = tmp_path / "m.ipgm"
     assert run(
-        ["train", "--graphs", str(workspace["gdir"]), "--vocab", str(vocab),
+        ["train", "--graphs", str(gdir),
          "--out", str(model), "--epochs", "1", "--hidden", "4",
          "--decoder-hidden", "4"]
     ) == 2

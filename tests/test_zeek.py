@@ -358,6 +358,15 @@ def test_record_validation_errors():
         # A bool is an int to isinstance, but it would be dumped as "True".
         ("source_port", True, "out of range"),
         ("request_packets", False, "out of range"),
+        ("ts", True, "bad float"),
+        ("duration", False, "bad float"),
+        ("ts", "1", "bad float"),
+        ("duration", None, "bad float"),
+        # An int past float range converts to no float at all.
+        pytest.param("ts", 10**400, "non-finite", id="ts-past-float-range"),
+        pytest.param(
+            "duration", 10**400, "non-finite", id="duration-past-float-range"
+        ),
     ],
 )
 def test_record_refusal_is_a_parse_error_without_a_line(field, value, reason):
