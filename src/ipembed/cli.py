@@ -3,9 +3,6 @@
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 inputs), 3 numeric failure (diverged training). All progress goes to
 standard error; results go to the declared output paths or standard out.
-
-Every subcommand accepts ``--config FILE`` with ``key=value`` lines naming
-long flags (dashes or underscores); explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -80,41 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _read_config_pairs(path: str) -> list[tuple[str, str]]:
-    pairs = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-def _inject_config(argv: list[str]) -> tuple[list[str], str | None]:
-    """Expand ``--config FILE`` or ``--config=FILE`` into flags placed before
-    the user's own flags so the command line wins on conflict. Returns the
-    new argv and the config path, None without one."""
-    spelled_out = _Parser(prog="ipembed", add_help=False, allow_abbrev=False)
-    spelled_out.add_argument("--config")
-    path = spelled_out.parse_known_args(argv[1:])[0].config
-    if path is None:
-        return argv, None
-    if not path:
-        raise UsageError("--config needs a file path")
-    injected: list[str] = []
-    for key, value in _read_config_pairs(path):
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                injected.append(flag)
-        else:
-            injected.append(f"{flag}={value}")  # a value may start with "-"
-    return [argv[0], *injected, *argv[1:]], path
 
 
 def _ip(text: str) -> str:
@@ -274,7 +236,11 @@ def _cmd_report(args) -> int:
     report = pairwise_report(bundle, graphs, args.pairs)
     with _output(args.out) as fp:
         write_similarity_csv(report, fp)
-    _log(f"report: {len(report.pairs)} pairs over {report.n_graphs} graphs")
+    apart = sum(not report.series[pair] for pair in report.pairs)
+    _log(
+        f"report: {len(report.pairs)} pairs over {report.n_graphs} graphs, "
+        f"{apart} never together"
+    )
     return 0
 
 
@@ -409,8 +375,6 @@ def _config_flags(*names: str, **overrides):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ipembed", description=__doc__)
     subs = parser.add_subparsers(dest="command")
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", help="key=value defaults file")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     log_input = argparse.ArgumentParser(add_help=False)
@@ -424,7 +388,7 @@ def _build_parser() -> _Parser:
     served.add_argument("--graph", required=True)
 
     def command(name, func, summary, *groups):
-        sub = subs.add_parser(name, help=summary, parents=[*groups, config])
+        sub = subs.add_parser(name, help=summary, parents=groups)
         sub.set_defaults(func=func)
         return sub
 
@@ -489,17 +453,12 @@ def _build_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments and execute one subcommand, mapping errors to the
     documented exit codes."""
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv, config = _inject_config(argv)
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-        if args.config != config:
-            # argparse took an abbreviation, such as --conf, that was not read.
-            raise UsageError("spell out --config in full")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -278,18 +278,15 @@ def float32_leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
     }
 
 
-def _bn(x, leaves, params, name, config, mode):
+def _bn(x, leaves, params, name, mode):
     return ad.batch_norm(
         x, leaves[f"{name}.gamma"], leaves[f"{name}.beta"], params.bns[name], mode
     )
 
 
-def _input_layer(leaves, params, config, gt, e0, mode):
+def _input_layer(leaves, params, gt, e0, mode):
     transformed = ad.relu(
-        _bn(
-            ad.linear(e0, leaves["edge_embed"]),
-            leaves, params, "bn_edge_in", config, mode,
-        )
+        _bn(ad.linear(e0, leaves["edge_embed"]), leaves, params, "bn_edge_in", mode)
     )
     edge_state = ad.add(e0, transformed)
     gates = ad.gate_normalize(edge_state, gt.recv_segments)
@@ -299,11 +296,11 @@ def _input_layer(leaves, params, config, gt, e0, mode):
         ad.segment_sum(ad.hadamard(gates, e0), gt.recv_segments),
         leaves["edge_to_node"],
     )
-    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", config, mode))
+    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", mode))
     return h, edge_state, gates
 
 
-def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
+def _conv_layer(leaves, params, gt, h, edge_state, layer, mode):
     prefix = f"conv{layer}"
     projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
     pre = ad.add(
@@ -313,9 +310,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
         ),
         projected,
     )
-    update_term = ad.relu(
-        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode)
-    )
+    update_term = ad.relu(_bn(pre, leaves, params, f"{prefix}.bn_edge", mode))
     # First layer: the residual carries the projected edge state so deeper
     # layers live in the hidden dimension.
     residual = projected if layer == 0 else edge_state
@@ -327,10 +322,7 @@ def _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
     pooled = ad.segment_sum(messages, gt.recv_segments)
     node_pre = ad.add(ad.linear(h, leaves[f"{prefix}.node_self"]), pooled)
     new_h = ad.add(
-        h,
-        ad.relu(
-            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode)
-        ),
+        h, ad.relu(_bn(node_pre, leaves, params, f"{prefix}.bn_node", mode))
     )
     return new_h, new_edge_state, gates
 
@@ -382,11 +374,11 @@ def encode(
         leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
 
-    h, edge_state, gates0 = _input_layer(leaves, params, config, gt, e0, mode)
+    h, edge_state, gates0 = _input_layer(leaves, params, gt, e0, mode)
     all_gates = [gates0]
     for layer in range(config.layers):
         h, edge_state, gates = _conv_layer(
-            leaves, params, config, gt, h, edge_state, layer, mode
+            leaves, params, gt, h, edge_state, layer, mode
         )
         all_gates.append(gates)
     return Encoding(
@@ -437,7 +429,7 @@ def input_layer(
         tape = Tape()
     leaves = _leaves(tape, params)
     e0 = tape.leaf(gt.feats)
-    return _input_layer(leaves, params, config, gt, e0, mode)
+    return _input_layer(leaves, params, gt, e0, mode)
 
 
 def conv_layer(
@@ -455,7 +447,7 @@ def conv_layer(
         tape = Tape()
     leaves = _leaves(tape, params)
     h, edge_state = tape.leaf(h), tape.leaf(edge_state)
-    return _conv_layer(leaves, params, config, gt, h, edge_state, layer, mode)
+    return _conv_layer(leaves, params, gt, h, edge_state, layer, mode)
 
 
 def decode(

@@ -71,11 +71,11 @@ class EmbeddingSet:
 
 @dataclass
 class SimilarityReport:
-    """Per-pair cosine series over a sequence of interval graphs."""
+    """Per-pair cosine series over a sequence of interval graphs; a pair
+    that never co-occurs has an empty series."""
 
     pairs: tuple[tuple[str, str], ...]
     series: dict[tuple[str, str], list[tuple[float, float]]]  # (interval, cosine)
-    stats: dict[tuple[str, str], tuple[float | None, float | None, int]]
     n_graphs: int
 
 
@@ -183,9 +183,7 @@ def pairwise_report(
 ) -> SimilarityReport:
     """Track cosine similarity for chosen IP pairs across interval graphs.
 
-    Each graph where both members appear contributes one sample; the
-    summary carries the mean, population standard deviation and sample
-    count (pairs that never co-occur keep count 0 and no mean).
+    Each graph where both members appear contributes one sample.
     """
     if not pairs:
         raise ValueError("no pairs requested")
@@ -199,18 +197,8 @@ def pairwise_report(
             if a in embeddings.rows and b in embeddings.rows:
                 value = cosine(embeddings.vector(a), embeddings.vector(b))
                 series[pair].append((graph.start, value))
-    stats: dict[tuple[str, str], tuple[float | None, float | None, int]] = {}
-    for pair, samples in series.items():
-        if samples:
-            values = np.array([v for _, v in samples])
-            stats[pair] = (float(values.mean()), float(values.std()), len(samples))
-        else:
-            stats[pair] = (None, None, 0)
     return SimilarityReport(
-        pairs=tuple(tuple(p) for p in pairs),
-        series=series,
-        stats=stats,
-        n_graphs=len(graphs),
+        pairs=tuple(tuple(p) for p in pairs), series=series, n_graphs=len(graphs)
     )
 
 
@@ -265,12 +253,11 @@ def write_embeddings_csv(embeddings: EmbeddingSet, fp: IO[str]) -> None:
 
 
 def write_similarity_csv(report: SimilarityReport, fp: IO[str]) -> None:
-    """The per-graph series table, then the per-pair summary table."""
-    names = {pair: f"{pair[0]}|{pair[1]}" for pair in report.pairs}
-    series = ((names[p], *s) for p in report.pairs for s in report.series[p])
+    """One ``pair,interval,cosine`` row per sample, pair by pair."""
+    series = (
+        (f"{a}|{b}", *sample) for a, b in report.pairs for sample in report.series[a, b]
+    )
     write_csv(fp, ["pair", "interval", "cosine"], series)
-    stats = ((names[p], *report.stats[p]) for p in report.pairs)
-    write_csv(fp, ["pair", "mean", "std", "count"], stats)
 
 
 def write_projection_csv(

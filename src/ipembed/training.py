@@ -16,11 +16,12 @@ from . import autodiff as ad
 from .binio import (
     FormatError, ensure_left, read_exact, read_struct, read_text, write_struct
 )
-from .graphs import FeatureScaler, IntervalGraph, ProtocolVocab
+from .graphs import N_NUMERIC, FeatureScaler, IntervalGraph, ProtocolVocab
 from .model import (
     GraphTensors,
     ModelConfig,
     ModelParams,
+    edge_dim_for_vocab,
     float32_leaves,
     forward,
     init_params,
@@ -292,7 +293,8 @@ def load_model(path: str | Path) -> ModelBundle:
     The config section fixes which tensors the file holds and their shapes;
     an unknown, repeated, missing or misshapen tensor record is a
     ``FormatError``, raised before its payload is read. So is a tensor
-    holding a value that is not finite, or a negative running variance.
+    holding a value that is not finite, or a negative running variance,
+    and so is a config, vocab and scaler that disagree on the feature width.
     """
     with open(path, "rb") as fp:
         magic = read_exact(fp, 4)
@@ -363,4 +365,12 @@ def load_model(path: str | Path) -> ModelBundle:
         scaler = FeatureScaler(log_max=np.frombuffer(scaler_raw[4:], dtype="<f8").copy())
     except ValueError as exc:
         raise FormatError(f"bad model scaler: {exc}") from None
+    if (
+        config.edge_dim != edge_dim_for_vocab(vocab.size)
+        or scaler.log_max.size != vocab.size * N_NUMERIC
+    ):
+        raise FormatError(
+            f"model edge_dim {config.edge_dim} and scaler of "
+            f"{scaler.log_max.size} values do not fit a {vocab.size}-token vocab"
+        )
     return ModelBundle(params=params, config=config, vocab=vocab, scaler=scaler)

@@ -64,7 +64,14 @@ def _canonical_ip_text(text: str) -> str:
 
 @lru_cache(maxsize=1 << 16)
 def _canonical_token(text: str) -> str:
-    return text.strip().lower()
+    # A token that is no string, or that the canonical dump would write as an
+    # unset marker or split across cells or lines, would not read back as
+    # itself. Only accepted tokens are cached, so the checks run once each.
+    if type(text) is str:
+        token = text.strip().lower()
+        if token not in ("-", "(empty)") and not any(c in token for c in "\t\r\n"):
+            return token
+    raise ParseError(f"bad protocol_service: {text!r}", reason="bad token")
 
 
 def _canonical_ip(name: str, value) -> str:
@@ -109,7 +116,8 @@ class ConnRecord:
 
     IPs are stored in canonical string form, ports lie in [0, 65535],
     counters are non-negative integers, and ``protocol_service`` is a
-    non-empty lowercase token. ``bytes`` equals
+    non-empty lowercase string other than ``-`` and ``(empty)`` that holds no
+    tab, CR or LF. ``bytes`` equals
     ``request_bytes + response_bytes`` whenever the source log had no
     combined byte column; a refused field raises :class:`ParseError`.
     """
@@ -189,8 +197,9 @@ class ParseStats:
     ``reasons`` counts the skipped rows per cause, so its values sum to
     ``skipped``. The keys are ``column count``, ``missing field``,
     ``bad integer``, ``bad float``, ``bad IP``, ``out of range``,
-    ``non-finite``, ``bad JSON`` and ``bad UTF-8`` (a line read from a path or
-    as bytes that does not decode); a cause that never occurred is absent.
+    ``non-finite``, ``bad token`` (a protocol service that the canonical dump
+    cannot write back), ``bad JSON`` and ``bad UTF-8`` (a line read from a path
+    or as bytes that does not decode); a cause that never occurred is absent.
     """
 
     read: int = 0

@@ -254,14 +254,14 @@ def legacy_input_layer(leaves, params, config, gt, e0, mode):
     transformed = ad.relu(
         _bn(
             ad.linear(e0, leaves["edge_embed"]),
-            leaves, params, "bn_edge_in", config, mode,
+            leaves, params, "bn_edge_in", mode,
         )
     )
     edge_state = ad.add(e0, transformed)
     gates = ad.gate_normalize(edge_state, gt.recv_segments)
     gated = ad.linear(ad.hadamard(gates, e0), leaves["edge_to_node"])
     pooled = ad.segment_sum(gated, gt.recv_segments)
-    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", config, mode))
+    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", mode))
     return h, edge_state, gates
 
 
@@ -278,7 +278,7 @@ def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
         projected,
     )
     update_term = ad.relu(
-        _bn(pre, leaves, params, f"{prefix}.bn_edge", config, mode)
+        _bn(pre, leaves, params, f"{prefix}.bn_edge", mode)
     )
     # First layer: the residual carries the projected edge state so deeper
     # layers live in the hidden dimension.
@@ -291,7 +291,7 @@ def legacy_conv_layer(leaves, params, config, gt, h, edge_state, layer, mode):
     new_h = ad.add(
         h,
         ad.relu(
-            _bn(node_pre, leaves, params, f"{prefix}.bn_node", config, mode)
+            _bn(node_pre, leaves, params, f"{prefix}.bn_node", mode)
         ),
     )
     return new_h, new_edge_state, gates

@@ -1,9 +1,11 @@
 """The benchmark under ``perfbench/`` imports the package's API by name.
 Tier-1 does not run the benchmark, so this checks statically that every
 name it imports from ``ipembed``, every attribute it reads off an imported
-``ipembed`` module and every keyword it passes to an imported callable
-still exist. Keywords count whether the callable is called directly or
-handed to the harness's ``call(name, fn, *args, **kwargs)`` helpers."""
+``ipembed`` module still exist, and that each call of an imported callable
+binds to its signature: the positional arguments by count, the keywords by
+name. A call counts whether the callable is called directly or handed to the
+harness's ``call(name, fn, *args, **kwargs)`` helpers. A call that spreads
+``*args`` has its keywords checked alone."""
 
 import ast
 import importlib
@@ -38,14 +40,23 @@ def _bindings(tree):
     return bound
 
 
-def _accepts(func, keyword):
+def _binds(func, args, keywords):
+    """Whether a call with these argument and keyword nodes binds to
+    ``func``'s signature. Without a ``*args`` or ``**kwargs`` spread the call
+    must be complete; with one, only what it spells out is checked."""
     try:
-        params = inspect.signature(func).parameters
+        signature = inspect.signature(func)
     except (TypeError, ValueError):
         return True
-    return keyword in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
+    starred = any(isinstance(arg, ast.Starred) for arg in args)
+    names = [kw.arg for kw in keywords if kw.arg is not None]
+    complete = not starred and len(names) == len(keywords)
+    bind = signature.bind if complete else signature.bind_partial
+    try:
+        bind(*(() if starred else range(len(args))), **dict.fromkeys(names))
+    except TypeError:
+        return False
+    return True
 
 
 def _helper_keywords():
@@ -93,16 +104,22 @@ def test_benchmark_names_resolve(path):
             missing.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
         if not isinstance(node, ast.Call):
             continue
-        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        args, keywords = node.args, node.keywords
         callee = _callee(node.func, bound)
         if callee is None and getattr(node.func, "attr", None) == "call":
-            wrapped = [_callee(arg, bound) for arg in node.args]
-            callee = next((c for c in wrapped if c and callable(c[0])), None)
-            keywords = [k for k in keywords if k not in helper_own]
+            # call(name, fn, *args, **kwargs): fn's arguments follow it.
+            for i, arg in enumerate(node.args):
+                wrapped = _callee(arg, bound)
+                if wrapped and callable(wrapped[0]):
+                    callee, args = wrapped, node.args[i + 1 :]
+                    break
+            keywords = [kw for kw in keywords if kw.arg not in helper_own]
         if callee is None:
             continue
         target, label = callee
-        for keyword in keywords:
-            if not _accepts(target, keyword):
-                missing.append(f"line {node.lineno}: {label}({keyword}=...)")
+        if not _binds(target, args, keywords):
+            names = ", ".join(kw.arg or "**" for kw in keywords)
+            missing.append(
+                f"line {node.lineno}: {label}({len(args)} positional; {names})"
+            )
     assert not missing, f"{path.name} uses names ipembed no longer has: {missing}"

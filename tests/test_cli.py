@@ -1,5 +1,5 @@
-"""End-to-end command line coverage: exit codes, the pipeline flow, config
-files, determinism."""
+"""End-to-end command line coverage: options, exit codes, the pipeline flow,
+output tables, determinism."""
 
 import csv
 import json
@@ -75,29 +75,26 @@ def workspace(tmp_path_factory):
 # options
 
 _INPUT = {"--input": None, "--format": "auto", "--strict": False}
-_SERVED = {"--model": None, "--graph": None, "--out": "-", "--config": None}
+_SERVED = {"--model": None, "--graph": None, "--out": "-"}
 _HYPER = {"--learning-rate": 0.001, "--layers": 2, "--lambda-recon": 1.0,
-          "--lambda-neighbor": 0.01, "--config": None, "--seed": 0}
+          "--lambda-neighbor": 0.01, "--seed": 0}
 
 # Option string -> default of every subcommand. Only synth, train and
 # eval-holdout draw random numbers, so only they take --seed.
 OPTION_DEFAULTS = {
-    "ingest": {**_INPUT, "--out": "-", "--config": None},
+    "ingest": {**_INPUT, "--out": "-"},
     "build-graphs": {**_INPUT, "--interval": 600.0, "--origin": None,
-                     "--holdout": None, "--vocab": None, "--out": None,
-                     "--config": None},
+                     "--holdout": None, "--vocab": None, "--out": None},
     "train": {**_HYPER, "--graphs": None, "--out": None,
               "--epochs": 200, "--hidden": 64, "--decoder-hidden": 128,
               "--patience": 20, "--min-delta": 0.0001},
     "embed": _SERVED,
     "similar": {**_SERVED, "--ip": None, "-k": 5},
-    "report": {"--model": None, "--graphs": None, "--pairs": None, "--out": "-",
-               "--config": None},
+    "report": {"--model": None, "--graphs": None, "--pairs": None, "--out": "-"},
     "anomaly": {**_SERVED, "--edges-out": None},
     "project": _SERVED,
     "synth": {"--out": "-", "--duration": 7200.0, "--clients": 32,
-              "--dns-servers": 4, "--web-servers": 6, "--config": None,
-              "--seed": 0},
+              "--dns-servers": 4, "--web-servers": 6, "--seed": 0},
     "eval-holdout": {**_HYPER, "--out": None, "--intervals": "600",
                      "--duration": 7200.0, "--holdout-fraction": 0.25,
                      "--epochs": 150, "--hidden": 32, "--decoder-hidden": 64},
@@ -138,6 +135,35 @@ def test_seed_on_a_command_that_draws_nothing_is_usage_error(workspace, capsys):
          str(workspace["graph0"]), "--seed", "1"]
     ) == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _complete_argv(workspace, out):
+    """Subcommand -> an argv that would run it, writing only under ``out``."""
+    served = ["--model", str(workspace["model"]), "--graph", str(workspace["graph0"])]
+    a, b = workspace["nodes"][:2]
+    return {
+        "ingest": ["--input", str(workspace["canon"]), "--out", str(out / "o")],
+        "build-graphs": ["--input", str(workspace["canon"]), "--out", str(out / "g")],
+        "train": ["--graphs", str(workspace["gdir"]), "--out", str(out / "m")],
+        "embed": served,
+        "similar": [*served, "--ip", a],
+        "report": ["--model", str(workspace["model"]), "--graphs",
+                   str(workspace["gdir"]), "--pairs", f"{a}:{b}"],
+        "anomaly": served,
+        "project": served,
+        "synth": ["--out", str(out / "o")],
+        "eval-holdout": ["--out", str(out / "h")],
+    }
+
+
+@pytest.mark.parametrize("command", OPTION_DEFAULTS)
+def test_config_is_an_unknown_argument(workspace, tmp_path, capsys, command):
+    # Flags are the only way to set an option; there is no config file.
+    flags = _complete_argv(workspace, tmp_path)[command]
+    assert run([command, *flags, "--config", "x"]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --config x" in captured.err
+    assert not captured.out and not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +374,20 @@ def test_bad_model_config_is_data_error(workspace, tmp_path, capsys):
         ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
     ) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_model_whose_vocab_does_not_fit_its_width_is_data_error(
+    workspace, tmp_path, capsys
+):
+    bundle = load_model(workspace["model"])
+    wider = ProtocolVocab(("zz", *bundle.vocab.tokens))
+    model = tmp_path / "bad.ipgm"
+    save_model(replace(bundle, vocab=wider), model)
+    assert run(
+        ["embed", "--model", str(model), "--graph", str(workspace["graph0"])]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "do not fit" in err
 
 
 def test_bad_model_vocab_is_data_error(workspace, tmp_path, capsys):
@@ -583,12 +623,18 @@ def test_report_output(workspace, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run(
         ["report", "--model", str(workspace["model"]), "--graphs",
-         str(workspace["gdir"]), "--pairs", f"{a}:{b}", "--out", str(out)]
+         str(workspace["gdir"]), "--pairs", f"{a}:{b},{a}:198.51.100.9",
+         "--out", str(out)]
     ) == 0
     text = out.read_text()
     assert text.startswith("pair,interval,cosine\n")
-    assert "pair,mean,std,count" in text
+    assert "pair,mean,std,count" not in text
     assert f"{a}|{b}" in text
+    n_graphs = len(list(workspace["gdir"].glob("graph_*.ipgr")))
+    assert (
+        f"report: 2 pairs over {n_graphs} graphs, 1 never together"
+        in capsys.readouterr().err
+    )
 
 
 def test_report_bad_pair_is_usage_error(workspace, capsys):
@@ -609,7 +655,7 @@ def test_report_canonicalizes_pair_members(workspace, tmp_path, capsys):
         ) == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
-    assert f"\n{a}|{b},,,0\n" not in outs[0]  # the pair was found
+    assert f"\n{a}|{b}," in outs[0]  # the pair was found
 
 
 def test_report_on_snapshot_with_bad_interval_is_data_error(
@@ -665,7 +711,7 @@ def test_similar_canonicalizes_the_query_ip(ipv6_workspace, capsys):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
-def test_report_names_ipv6_pair_members_in_brackets(ipv6_workspace, tmp_path):
+def test_report_names_ipv6_pair_members_in_brackets(ipv6_workspace, tmp_path, capsys):
     gdir, model = ipv6_workspace
     out = tmp_path / "report.csv"
     assert run(
@@ -675,7 +721,8 @@ def test_report_names_ipv6_pair_members_in_brackets(ipv6_workspace, tmp_path):
     text = out.read_text()
     # The first pair, canonicalized, is in the graph; the second in none.
     assert "\n2001:db8::1|2001:db8::2,0.0," in text
-    assert "\n2001:db8::3|10.0.0.1,,,0\n" in text
+    assert "2001:db8::3|" not in text
+    assert "2 pairs over 1 graphs, 1 never together" in capsys.readouterr().err
 
 
 def test_report_unbracketed_ipv6_pair_is_usage_error(ipv6_workspace, capsys):
@@ -784,96 +831,15 @@ def test_every_csv_the_cli_writes_parses(workspace, tmp_path, monkeypatch, capfd
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fp:
             rows = list(csv.reader(fp))
+        header, *data = rows
         numbers = 0
-        for row in rows:
-            if row[0].isidentifier():  # a header line: ip, pair, source, ...
-                header = row
-                continue
+        for row in data:
             assert len(row) == len(header), (path.name, row)
             for cell in row:
                 if not _is_text_cell(cell):
                     float(cell)  # raises on a cell no CSV reader takes as a number
                     numbers += 1
         assert numbers, path.name
-
-
-# ---------------------------------------------------------------------------
-# config files
-
-
-def test_config_file_supplies_defaults(workspace, tmp_path, capfd):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs=2\nhidden = 4\ndecoder-hidden=4\n# comment\n\n")
-    assert run(
-        ["train", "--graphs", str(workspace["gdir"]), "--out",
-         str(tmp_path / "m.ipgm"), "--config", str(cfg)]
-    ) == 0
-    err = capfd.readouterr().err
-    assert err.count("epoch ") == 2
-
-
-def test_explicit_flag_beats_config(workspace, tmp_path, capfd):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs=3\nhidden=4\ndecoder_hidden=4\n")
-    assert run(
-        ["train", "--graphs", str(workspace["gdir"]), "--out",
-         str(tmp_path / "m.ipgm"), "--config", str(cfg), "--epochs", "1"]
-    ) == 0
-    err = capfd.readouterr().err
-    assert err.count("epoch ") == 1
-
-
-def test_config_spellings_agree(workspace, tmp_path, capsys):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs=1\nhidden=4\ndecoder-hidden=4\n")
-    models = []
-    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
-        model = tmp_path / f"m{len(models)}.ipgm"
-        assert run(
-            ["train", "--graphs", str(workspace["gdir"]), "--out", str(model),
-             *spelling]
-        ) == 0
-        models.append(model.read_bytes())
-    explicit = tmp_path / "explicit.ipgm"
-    assert run(
-        ["train", "--graphs", str(workspace["gdir"]), "--out", str(explicit),
-         "--epochs", "1", "--hidden", "4", "--decoder-hidden", "4"]
-    ) == 0
-    assert models[0] == models[1] == explicit.read_bytes()
-
-
-def test_config_value_may_start_with_a_dash(workspace, tmp_path, capsys):
-    cfg = tmp_path / "graphs.cfg"
-    cfg.write_text("origin=-1e3\n")
-    base = ["build-graphs", "--input", str(workspace["canon"])]
-    assert run([*base, "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
-    assert run([*base, "--out", str(tmp_path / "b"), "--origin=-1e3"]) == 0
-    a, b = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in "ab")
-    assert a == b
-    first = min(name for name in a if name.startswith("graph_"))
-    start = load_graph(tmp_path / "a" / first).start
-    assert start == -1000.0 + 600.0 * int(first[6:12])
-
-
-@pytest.mark.parametrize("spelling", [["--conf", "cfg"], ["--config="]])
-def test_config_that_would_go_unread_is_usage_error(
-    workspace, tmp_path, capsys, spelling
-):
-    assert run(
-        ["train", "--graphs", str(workspace["gdir"]), "--out",
-         str(tmp_path / "m.ipgm"), *spelling]
-    ) == 1
-    assert "--config" in capsys.readouterr().err
-    assert not (tmp_path / "m.ipgm").exists()
-
-
-def test_config_bad_line_is_usage_error(workspace, tmp_path, capsys):
-    cfg = tmp_path / "broken.cfg"
-    cfg.write_text("this is not a key value line\n")
-    assert run(
-        ["train", "--graphs", str(workspace["gdir"]), "--out",
-         str(tmp_path / "m.ipgm"), "--config", str(cfg)]
-    ) == 1
 
 
 # ---------------------------------------------------------------------------

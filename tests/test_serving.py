@@ -254,7 +254,7 @@ def test_top_k_input_validation():
 
 
 def test_pairwise_report_hand_stats(monkeypatch):
-    # cosines 0.8 then 1.0 -> mean 0.9, population std 0.1
+    # cosines 0.8 then 1.0, one sample per graph
     sets = iter(
         [
             embedding_set(
@@ -269,13 +269,9 @@ def test_pairwise_report_hand_stats(monkeypatch):
     graphs = [SimpleNamespace(start=0.0), SimpleNamespace(start=600.0)]
     report = pairwise_report(None, graphs, [("10.0.0.1", "10.0.0.2")])
 
-    mean, std, count = report.stats[("10.0.0.1", "10.0.0.2")]
-    assert count == 2
-    assert mean == pytest.approx(0.9, abs=1e-12)
-    assert std == pytest.approx(0.1, abs=1e-12)
-    assert [v for _, v in report.series[("10.0.0.1", "10.0.0.2")]] == pytest.approx(
-        [0.8, 1.0], abs=1e-12
-    )
+    series = report.series[("10.0.0.1", "10.0.0.2")]
+    assert [interval for interval, _ in series] == [0.0, 600.0]
+    assert [v for _, v in series] == pytest.approx([0.8, 1.0], abs=1e-12)
     assert report.n_graphs == 2
 
 
@@ -287,8 +283,7 @@ def test_pairwise_report_identical_embeddings(monkeypatch):
     report = pairwise_report(
         None, [SimpleNamespace(start=0.0)] * 2, [("10.0.0.1", "10.0.0.2")]
     )
-    mean, std, count = report.stats[("10.0.0.1", "10.0.0.2")]
-    assert (mean, std, count) == (1.0, 0.0, 2)
+    assert report.series[("10.0.0.1", "10.0.0.2")] == [(0.0, 1.0), (0.0, 1.0)]
 
 
 def test_pairwise_report_absent_pair(monkeypatch):
@@ -300,7 +295,6 @@ def test_pairwise_report_absent_pair(monkeypatch):
     report = pairwise_report(
         None, [SimpleNamespace(start=0.0)], [("10.0.0.8", "10.0.0.9")]
     )
-    assert report.stats[("10.0.0.8", "10.0.0.9")] == (None, None, 0)
     assert report.series[("10.0.0.8", "10.0.0.9")] == []
 
 
@@ -314,7 +308,7 @@ def test_pairwise_report_counts_co_occurrence(pipeline):
     a, b = graphs[0].nodes[0], graphs[0].nodes[1]
     report = pairwise_report(bundle, graphs, [(a, b)])
     expected = sum(1 for g in graphs if a in g.nodes and b in g.nodes)
-    assert report.stats[(a, b)][2] == expected
+    assert len(report.series[(a, b)]) == expected
     for _, value in report.series[(a, b)]:
         assert -1.0 <= value <= 1.0
 
@@ -658,7 +652,7 @@ def test_embeddings_csv_format():
     assert len(lines) == 3
 
 
-def test_similarity_csv_two_sections(monkeypatch):
+def test_similarity_csv_is_one_table(monkeypatch):
     sets = iter(
         [
             embedding_set(
@@ -675,10 +669,10 @@ def test_similarity_csv_two_sections(monkeypatch):
     buf = io.StringIO()
     write_similarity_csv(report, buf)
     lines = buf.getvalue().splitlines()
+    # The pair that never co-occurs has no row.
     assert lines[0] == "pair,interval,cosine"
     assert lines[1].startswith("10.0.0.1|10.0.0.2,0.0,0.8")
-    assert "pair,mean,std,count" in lines
-    assert lines[-1] == "10.0.0.3|10.0.0.4,,,0"
+    assert len(lines) == 2
 
 
 def test_projection_csv_sorted_by_ip():

@@ -49,6 +49,8 @@ from ipembed.training import (
 )
 
 VOCAB = ProtocolVocab(("dns", "http", "other"))
+# The width of a graph built with VOCAB: its one-hot block and numeric blocks.
+VOCAB_FEATURES = VOCAB.size * (1 + N_NUMERIC)
 
 
 def toy_records(rng, n=60, ips=None, span=1800.0):
@@ -345,7 +347,8 @@ def toy_scaler():
 
 
 def trained_bundle(tmp_seed=0):
-    graphs, config = training_setup(seed=tmp_seed)
+    """A bundle whose graphs, config, vocab and scaler agree on the width."""
+    graphs, config = training_setup(seed=tmp_seed, feat_dim=VOCAB_FEATURES)
     params, _ = train(graphs, config, TrainConfig(epochs=3, seed=tmp_seed))
     return ModelBundle(params, config, VOCAB, toy_scaler())
 
@@ -377,7 +380,7 @@ def test_loaded_model_reproduces_inference(tmp_path, rng):
     save_model(bundle, path)
     loaded = load_model(path)
 
-    graph = random_graph(rng, n_nodes=5, n_pairs=5, feat_dim=3)
+    graph = random_graph(rng, n_nodes=5, n_pairs=5, feat_dim=VOCAB_FEATURES)
     gt = GraphTensors.from_graph(graph)
     a = forward(bundle.params, bundle.config, gt, mode="eval")
     b = forward(loaded.params, loaded.config, gt, mode="eval")
@@ -551,6 +554,26 @@ def test_model_file_malformed_section(tmp_path, index, edit):
     save_model(trained_bundle(), path)
     rewrite_model_section(path, index, edit)
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edge_dim, tokens, n_scaler",
+    [
+        (19, ("dns", "http", "tcp", "other"), 40),
+        (VOCAB_FEATURES + 2, VOCAB.tokens, 3 * N_NUMERIC),
+        (VOCAB_FEATURES + 1, VOCAB.tokens, 4 * N_NUMERIC),
+    ],
+    ids=["all-disagree", "edge-dim-off-by-one", "scaler-too-wide"],
+)
+def test_model_file_width_mismatch_is_refused(tmp_path, edge_dim, tokens, n_scaler):
+    config = ModelConfig(edge_dim=edge_dim, hidden=3, layers=1, decoder_hidden=4)
+    scaler = FeatureScaler(log_max=np.ones(n_scaler))
+    path = tmp_path / "model.ipgm"
+    save_model(
+        ModelBundle(init_params(config), config, ProtocolVocab(tokens), scaler), path
+    )
+    with pytest.raises(FormatError, match="do not fit"):
         load_model(path)
 
 

@@ -355,6 +355,14 @@ def test_record_validation_errors():
         ("ts", float("inf"), "non-finite"),
         ("duration", -1.0, "out of range"),
         ("protocol_service", " ", "missing field"),
+        # Tokens the canonical dump would write as an unset marker or split.
+        ("protocol_service", "-", "bad token"),
+        ("protocol_service", " (EMPTY) ", "bad token"),
+        ("protocol_service", "a\tb", "bad token"),
+        ("protocol_service", "a\nb", "bad token"),
+        ("protocol_service", "a\rb", "bad token"),
+        ("protocol_service", 5, "bad token"),
+        ("protocol_service", b"tcp", "bad token"),
         # A bool is an int to isinstance, but it would be dumped as "True".
         ("source_port", True, "out of range"),
         ("request_packets", False, "out of range"),
@@ -400,6 +408,17 @@ def test_json_and_tsv_rows_skip_for_the_same_reasons():
     _, json_stats = read_conn_log([_json_row(row) for row in rows])
     assert tsv_stats.reasons == {"bad IP": 1, "out of range": 2, "non-finite": 2}
     assert json_stats == tsv_stats
+
+
+@pytest.mark.parametrize("token", ["(empty)", " - ", "a\tb", "a\nb", "a\rb"])
+def test_json_token_the_canonical_dump_cannot_hold_is_bad_token(token):
+    row = {"ts": 2.0, "id.orig_h": "10.0.0.1", "id.resp_h": "10.0.0.2"}
+    lines = [_json_row(zeek_row()), json.dumps({**row, "service": token})]
+    records, stats = read_conn_log(lines)
+    assert len(records) == 1 and stats.reasons == {"bad token": 1}
+    with pytest.raises(ParseError) as err:
+        read_conn_log(lines, strict=True)
+    assert (err.value.reason, err.value.line) == ("bad token", 2)
 
 
 def test_json_number_past_the_int_digit_limit_is_bad_json():
