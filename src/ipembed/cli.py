@@ -16,8 +16,6 @@ from dataclasses import fields
 from ipaddress import ip_address
 from pathlib import Path
 
-import numpy as np
-
 from .graphs import (
     ProtocolVocab,
     aggregate_flows,
@@ -280,76 +278,32 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_holdout(args, interval_len: float, out_dir: Path) -> tuple:
-    """One holdout experiment at one interval length: writes its per-graph
-    ``holdout_<length>.csv`` and returns its ``summary.csv`` row."""
+def _cmd_eval_holdout(args) -> int:
     exp = make_experiment(
         holdout_fraction=args.holdout_fraction,
-        interval_len=interval_len,
+        interval_len=args.interval,
         seed=args.seed,
         duration=args.duration,
     )
     config = _config(ModelConfig, args, edge_dim=edge_dim_for_vocab(exp.vocab.size))
-    train_config = _config(TrainConfig, args)
-    params, history = train(exp.train_graphs, config, train_config, log=_log)
-    bundle = ModelBundle(params, config, exp.vocab, exp.scaler)
+    params, _ = train(exp.train_graphs, config, _config(TrainConfig, args), log=_log)
     result = eval_inductive(
-        bundle,
+        ModelBundle(params, config, exp.vocab, exp.scaler),
         exp.train_graphs,
         exp.test_graphs,
         exp.holdout_ips,
         exp.in_role_ips,
         exp.out_role_ips,
     )
-    name = int(interval_len) if interval_len.is_integer() else repr(interval_len)
-    with open(out_dir / f"holdout_{name}.csv", "w", encoding="utf-8") as fp:
+    with _output(args.out) as fp:
         header = ["interval", "in_role_cosine", "out_role_cosine", "margin"]
         write_csv(fp, header, result.per_graph)
-    in_values = np.array([v for _, v, _, _ in result.per_graph])
-    return (
-        interval_len,
-        float(in_values.mean()),
-        float(in_values.std()),
-        result.n_graphs,
-        result.margin_mean,
-        "OK",
+    _log(
+        f"eval-holdout: {result.n_graphs} graphs, "
+        f"in-role cosine {result.in_role_mean!r}, "
+        f"out-role cosine {result.out_role_mean!r}, margin {result.margin_mean!r}"
     )
-
-
-def _cmd_eval_holdout(args) -> int:
-    """Run one holdout experiment per interval length. A single length lets
-    its failure propagate; among several, a failed length becomes a FAILED
-    row and the others still run. A sweep in which no length succeeds exits
-    3 if every length diverged and 2 otherwise, as a single length would."""
-    lengths = [float(tok) for tok in str(args.intervals).split(",") if tok.strip()]
-    if not lengths:
-        raise UsageError("no interval lengths given")
-    if len(set(lengths)) != len(lengths):
-        raise UsageError(f"--intervals names a length twice: {args.intervals}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    failures = []
-    for length in lengths:
-        try:
-            rows.append(_run_holdout(args, length, out_dir))
-        except Exception as exc:
-            if len(lengths) == 1:
-                raise
-            _log(f"eval-holdout: interval {length} failed: {exc}")
-            rows.append((length, None, None, 0, None, "FAILED"))
-            failures.append(exc)
-    summary = out_dir / "summary.csv"
-    with open(summary, "w", encoding="utf-8") as fp:
-        header = "interval_length,mean_in_role_cosine,std,n_graphs,margin_mean,status"
-        write_csv(fp, header.split(","), rows)
-    _log(f"eval-holdout: summary written to {summary}")
-    if len(failures) < len(lengths):
-        return 0
-    _log("eval-holdout: no interval length succeeded")
-    if all(isinstance(exc, TrainingDivergedError) for exc in failures):
-        return 3
-    return 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +390,9 @@ def _build_parser() -> _Parser:
     p = command(
         "eval-holdout", _cmd_eval_holdout, "synthetic inductive holdout experiment",
         _config_flags(*_HYPERPARAMETERS, epochs=150, hidden=32, decoder_hidden=64),
-        seed,
+        seed, output,
     )
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--intervals",
-        default="600",
-        help="comma-separated interval lengths; several run as a sweep",
-    )
+    p.add_argument("--interval", type=float, default=600.0)
     p.add_argument("--duration", type=float, default=7200.0)
     p.add_argument("--holdout-fraction", type=float, default=0.25)
 

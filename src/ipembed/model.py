@@ -82,8 +82,9 @@ class ModelConfig:
             raise ValueError("layers must be >= 1")
         if self.decoder_hidden < 1:
             raise ValueError("decoder_hidden must be >= 1")
-        if not (self.lambda_recon >= 0 and self.lambda_neighbor >= 0):
-            raise ValueError("loss weights must be non-negative")
+        for weight in (self.lambda_recon, self.lambda_neighbor):
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError("loss weights must be finite and non-negative")
 
 
 def edge_dim_for_vocab(vocab_size: int) -> int:

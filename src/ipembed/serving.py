@@ -183,7 +183,9 @@ def pairwise_report(
 ) -> SimilarityReport:
     """Track cosine similarity for chosen IP pairs across interval graphs.
 
-    Each graph where both members appear contributes one sample.
+    Each graph where both members appear contributes one sample. A pair
+    requested more than once is tracked once, at its first request;
+    ``(b, a)`` is a pair of its own.
     """
     if not pairs:
         raise ValueError("no pairs requested")
@@ -197,9 +199,7 @@ def pairwise_report(
             if a in embeddings.rows and b in embeddings.rows:
                 value = cosine(embeddings.vector(a), embeddings.vector(b))
                 series[pair].append((graph.start, value))
-    return SimilarityReport(
-        pairs=tuple(tuple(p) for p in pairs), series=series, n_graphs=len(graphs)
-    )
+    return SimilarityReport(pairs=tuple(series), series=series, n_graphs=len(graphs))
 
 
 def project_2d(embeddings: EmbeddingSet) -> dict[str, tuple[float, float]]:
@@ -234,13 +234,12 @@ def project_2d(embeddings: EmbeddingSet) -> dict[str, tuple[float, float]]:
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # lossless: the text reparses to the value
-    return "" if value is None else str(value)
+    return str(value)
 
 
 def write_csv(fp: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header line, then one line per row. A float, NumPy's
-    included, is written as ``repr(float(v))``; ``None`` is an empty cell;
-    anything else is ``str(v)``."""
+    included, is written as ``repr(float(v))``; anything else is ``str(v)``."""
     fp.write(",".join(header) + "\n")
     for row in rows:
         fp.write(",".join(map(_cell, row)) + "\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from ipaddress import ip_address
@@ -79,8 +80,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        # 0 is a valid learning rate: training then leaves the initial weights.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and non-negative")
+        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
+            raise ValueError("min_delta must be finite and non-negative")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 

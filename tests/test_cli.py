@@ -95,7 +95,7 @@ OPTION_DEFAULTS = {
     "project": _SERVED,
     "synth": {"--out": "-", "--duration": 7200.0, "--clients": 32,
               "--dns-servers": 4, "--web-servers": 6, "--seed": 0},
-    "eval-holdout": {**_HYPER, "--out": None, "--intervals": "600",
+    "eval-holdout": {**_HYPER, "--out": "-", "--interval": 600.0,
                      "--duration": 7200.0, "--holdout-fraction": 0.25,
                      "--epochs": 150, "--hidden": 32, "--decoder-hidden": 64},
 }
@@ -185,7 +185,18 @@ def test_unknown_subcommand(capsys):
 
 
 def test_bad_flag_value(capsys):
-    assert run(["train", "--graphs", "x", "--out", "y", "--epochs", "soon"]) == 1
+    # Every int or float flag of every subcommand refuses a non-number.
+    (subs,) = _build_parser()._subparsers._group_actions
+    cases = [
+        [name, action.option_strings[0], "soon"]
+        for name, sub in subs.choices.items()
+        for action in sub._actions
+        if action.type in (int, float)
+    ]
+    assert len(cases) > 20
+    for argv in cases:
+        assert run(argv) == 1, argv
+        assert "invalid" in capsys.readouterr().err, argv
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
@@ -253,9 +264,9 @@ def test_empty_input_is_data_error(tmp_path, capsys):
         ["build-graphs", "--interval", "nan"],
         ["build-graphs", "--interval", "inf"],
         ["build-graphs", "--interval", "nan", "--origin", "0"],
-        ["eval-holdout", "--intervals", "0"],
-        ["eval-holdout", "--intervals", "nan"],
-        ["eval-holdout", "--intervals", "inf"],
+        ["eval-holdout", "--interval", "0"],
+        ["eval-holdout", "--interval", "nan"],
+        ["eval-holdout", "--interval", "inf"],
         ["eval-holdout", "--duration", "inf"],
         ["synth", "--duration", "nan"],
         ["synth", "--duration", "inf"],
@@ -268,7 +279,7 @@ def test_bad_interval_or_duration_is_data_error(workspace, tmp_path, capsys, arg
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "Traceback" not in err
-    if argv[0] == "synth":
+    if argv[0] != "build-graphs":
         assert not out.exists()
 
 
@@ -531,13 +542,38 @@ def test_train_vocab_wider_than_the_graphs_is_data_error(workspace, tmp_path, ca
 
 
 def test_divergent_training_is_numeric_error(workspace, tmp_path, capsys):
-    # an infinite loss weight makes the very first loss non-finite
+    # a loss weight past float32 range makes the very first loss overflow
     code = run(
         ["train", "--graphs", str(workspace["gdir"]), "--out",
          str(tmp_path / "m.ipgm"), "--epochs", "4", "--hidden", "4",
-         "--decoder-hidden", "4", "--lambda-recon", "inf"]
+         "--decoder-hidden", "4", "--lambda-recon", "1e300"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"),
+        ("--min-delta", "nan"),
+        ("--min-delta", "inf"),
+        ("--lambda-recon", "inf"),
+        ("--lambda-neighbor", "nan"),
+    ],
+)
+def test_non_finite_training_setting_is_data_error(
+    workspace, tmp_path, capsys, flag, value
+):
+    model = tmp_path / "m.ipgm"
+    assert run(
+        ["train", "--graphs", str(workspace["gdir"]), "--out", str(model),
+         "--epochs", "50", "--patience", "3", "--hidden", "4",
+         "--decoder-hidden", "4", flag, value]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "finite" in err
+    assert not model.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +671,24 @@ def test_report_output(workspace, tmp_path, capsys):
         f"report: 2 pairs over {n_graphs} graphs, 1 never together"
         in capsys.readouterr().err
     )
+
+
+def test_report_writes_a_repeated_pair_once(workspace, tmp_path, capsys):
+    a, b = workspace["nodes"][0], workspace["nodes"][1]
+    outs = []
+    for pairs in (f"{a}:{b}", f"{a}:{b},{a}:{b}", f"{a}:{b},{b}:{a},{a}:{b}"):
+        out = tmp_path / "report.csv"
+        assert run(
+            ["report", "--model", str(workspace["model"]), "--graphs",
+             str(workspace["gdir"]), "--pairs", pairs, "--out", str(out)]
+        ) == 0
+        outs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outs[1][0] == outs[0][0]
+    assert "report: 1 pairs over" in outs[1][1]
+    # b:a is labelled b|a, so it stays a pair of its own, after a:b.
+    assert outs[2][0].startswith(outs[0][0])
+    assert f"\n{b}|{a},".encode() in outs[2][0]
+    assert "report: 2 pairs over" in outs[2][1]
 
 
 def test_report_bad_pair_is_usage_error(workspace, capsys):
@@ -818,15 +872,14 @@ def test_every_csv_the_cli_writes_parses(workspace, tmp_path, monkeypatch, capfd
          "--pairs", f"{a}:{b},{a}:198.51.100.9", "--out", "report.csv"],
         ["anomaly", *served, "--out", "anomaly.csv", "--edges-out", "edges.csv"],
         ["project", *served, "--out", "project.csv"],
-        ["eval-holdout", "--out", "holdout", "--intervals", "600,999999",
-         "--duration", "2400", "--epochs", "1", "--hidden", "4",
-         "--decoder-hidden", "4"],
+        ["eval-holdout", "--out", "holdout.csv", "--duration", "2400",
+         "--epochs", "1", "--hidden", "4", "--decoder-hidden", "4"],
     ):
         assert run(argv) == 0, argv
     paths = sorted(tmp_path.rglob("*.csv"))
     assert [p.name for p in paths] == [
-        "anomaly.csv", "edges.csv", "embed.csv", "holdout_600.csv", "summary.csv",
-        "project.csv", "report.csv", "similar.csv",
+        "anomaly.csv", "edges.csv", "embed.csv", "holdout.csv", "project.csv",
+        "report.csv", "similar.csv",
     ]
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fp:
@@ -911,98 +964,57 @@ def test_long_capture_makes_207_graphs(tmp_path, capsys):
 
 
 def test_eval_holdout_single_interval(tmp_path, capfd):
-    out = tmp_path / "exp"
+    out = tmp_path / "holdout.csv"
     assert run(
-        ["eval-holdout", "--out", str(out), "--intervals", "600",
+        ["eval-holdout", "--out", str(out), "--interval", "600",
          "--duration", "2400", "--epochs", "2", "--hidden", "4",
          "--decoder-hidden", "4", "--seed", "0"]
     ) == 0
-    detail = (out / "holdout_600.csv").read_text().splitlines()
-    assert detail[0] == "interval,in_role_cosine,out_role_cosine,margin"
-    assert len(detail) > 1
-    summary = (out / "summary.csv").read_text().splitlines()
-    assert summary[0] == (
-        "interval_length,mean_in_role_cosine,std,n_graphs,margin_mean,status"
+    header, *rows = out.read_text().splitlines()
+    assert header == "interval,in_role_cosine,out_role_cosine,margin"
+    assert rows
+    columns = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    (summary,) = [
+        line for line in capfd.readouterr().err.splitlines()
+        if line.startswith("eval-holdout:")
+    ]
+    in_mean, out_mean, margin = columns[:, 1:].mean(axis=0).tolist()
+    assert summary == (
+        f"eval-holdout: {len(rows)} graphs, in-role cosine {in_mean!r}, "
+        f"out-role cosine {out_mean!r}, margin {margin!r}"
     )
-    assert len(summary) == 2 and summary[1].endswith("OK")
-
-
-def test_eval_holdout_sweep_isolates_failures(tmp_path, capfd):
-    out = tmp_path / "sweep"
-    assert run(
-        ["eval-holdout", "--out", str(out), "--intervals", "600,999999",
-         "--duration", "2400", "--epochs", "2", "--hidden", "4",
-         "--decoder-hidden", "4", "--seed", "0"]
-    ) == 0
-    rows = (out / "summary.csv").read_text().splitlines()
-    assert len(rows) == 3
-    assert rows[1].endswith("OK")
-    assert rows[2].endswith("FAILED")
-    assert (out / "holdout_600.csv").exists()
-    assert not (out / "holdout_999999.csv").exists()
-
-
-def test_eval_holdout_sweep_with_no_success_is_data_error(tmp_path, capfd):
-    out = tmp_path / "sweep"
-    assert run(
-        ["eval-holdout", "--out", str(out), "--intervals", "999999,999998",
-         "--duration", "2400", "--epochs", "2", "--hidden", "4",
-         "--decoder-hidden", "4", "--seed", "0"]
-    ) == 2
-    rows = (out / "summary.csv").read_text().splitlines()
-    assert len(rows) == 3
-    assert all(row.endswith("FAILED") for row in rows[1:])
-    assert "no interval length succeeded" in capfd.readouterr().err
-
-
-@pytest.mark.parametrize("diverged_lengths, code", [((600, 1200), 3), ((600,), 2)])
-def test_eval_holdout_sweep_exit_code_names_its_failures(
-    tmp_path, monkeypatch, capfd, diverged_lengths, code
-):
-    from ipembed.training import TrainingDivergedError
-
-    def fail(args, length, out_dir):
-        if length in diverged_lengths:
-            raise TrainingDivergedError(0, 0, float("nan"))
-        raise ValueError("no graphs")
-
-    monkeypatch.setattr("ipembed.cli._run_holdout", fail)
-    out = tmp_path / "sweep"
-    assert run(["eval-holdout", "--out", str(out), "--intervals", "600,1200"]) == code
-    assert len((out / "summary.csv").read_text().splitlines()) == 3
 
 
 def test_eval_holdout_writes_one_csv_per_length(tmp_path, capfd):
-    out = tmp_path / "sweep"
+    # A fractional length: every test graph starts on a multiple of it.
     assert run(
-        ["eval-holdout", "--out", str(out), "--intervals", "600,600.5",
-         "--duration", "2400", "--epochs", "1", "--hidden", "4",
-         "--decoder-hidden", "4"]
+        ["eval-holdout", "--interval", "600.5", "--duration", "2400",
+         "--epochs", "1", "--hidden", "4", "--decoder-hidden", "4"]
     ) == 0
-    rows = (out / "summary.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in rows[1:]] == ["600.0", "600.5"]
-    for length, name in ((600.0, "holdout_600.csv"), (600.5, "holdout_600.5.csv")):
-        starts = [
-            float(line.split(",")[0])
-            for line in (out / name).read_text().splitlines()[1:]
-        ]
-        assert starts and max(starts) > 0
-        assert all(start % length == 0 for start in starts)
-
-
-@pytest.mark.parametrize("intervals", ["600,600", "600,600.0,1200"])
-def test_eval_holdout_length_given_twice_is_usage_error(tmp_path, capsys, intervals):
-    out = tmp_path / "exp"
-    assert run(["eval-holdout", "--out", str(out), "--intervals", intervals]) == 1
-    assert "twice" in capsys.readouterr().err
-    assert not out.exists()
+    lines = capfd.readouterr().out.splitlines()
+    starts = [float(line.split(",")[0]) for line in lines[1:]]
+    assert starts and max(starts) > 0
+    assert all(start % 600.5 == 0 for start in starts)
 
 
 def test_eval_holdout_single_bad_interval_propagates(tmp_path, capfd):
+    out = tmp_path / "x.csv"
     assert run(
-        ["eval-holdout", "--out", str(tmp_path / "x"), "--intervals",
-         "999999", "--duration", "2400", "--epochs", "1"]
+        ["eval-holdout", "--out", str(out), "--interval", "999999",
+         "--duration", "2400", "--epochs", "1"]
     ) == 2
+    assert "data error" in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_holdout_divergence_is_numeric_error(tmp_path, capfd):
+    out = tmp_path / "x.csv"
+    assert run(
+        ["eval-holdout", "--out", str(out), "--duration", "2400", "--epochs",
+         "2", "--hidden", "4", "--decoder-hidden", "4", "--lambda-recon", "1e300"]
+    ) == 3
+    assert "numeric failure" in capfd.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point():

@@ -632,12 +632,12 @@ def test_project_2d_needs_two_ips():
 
 def test_write_csv_cell_rule():
     buf = io.StringIO()
-    row = (0.1, np.float64(0.1), np.float32(0.1), 3, np.uint8(7), None, "10.0.0.1")
-    write_csv(buf, ["a", "b", "c", "d", "e", "f", "g"], [row])
+    row = (0.1, np.float64(0.1), np.float32(0.1), 3, np.uint8(7), "10.0.0.1")
+    write_csv(buf, ["a", "b", "c", "d", "e", "f"], [row])
     # Floats of any width are repr of the Python float: never np.float64(...).
     assert buf.getvalue().splitlines() == [
-        "a,b,c,d,e,f,g",
-        "0.1,0.1,0.10000000149011612,3,7,,10.0.0.1",
+        "a,b,c,d,e,f",
+        "0.1,0.1,0.10000000149011612,3,7,10.0.0.1",
     ]
 
 
