@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "init_params",
     "param_shapes",
     "encode",
+    "encode_states",
+    "decoder",
     "forward",
     "float32_leaves",
     "input_layer",
@@ -53,6 +55,11 @@ __all__ = [
     "decode",
     "edge_dim_for_vocab",
 ]
+
+
+# The largest loss weight or learning rate a float32 training step can
+# represent; a larger finite one overflows when the step casts it.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,11 @@ class ModelConfig:
         if self.decoder_hidden < 1:
             raise ValueError("decoder_hidden must be >= 1")
         for weight in (self.lambda_recon, self.lambda_neighbor):
-            if not (math.isfinite(weight) and weight >= 0):
-                raise ValueError("loss weights must be finite and non-negative")
+            if not 0.0 <= weight <= FLOAT32_MAX:
+                raise ValueError(
+                    "loss weights must be finite, non-negative and within "
+                    "float32 range"
+                )
 
 
 def edge_dim_for_vocab(vocab_size: int) -> int:
@@ -215,14 +225,17 @@ class GraphTensors:
         self.send_segments = Segments(self.send, self.n_nodes)
 
     @classmethod
-    def from_graph(cls, graph: IntervalGraph) -> "GraphTensors":
+    def from_graph(cls, graph: IntervalGraph, dtype=np.float64) -> "GraphTensors":
         """Stored flows deliver their message to the destination endpoint;
-        reverse companions cover the source, so reach is symmetric."""
+        reverse companions cover the source, so reach is symmetric. The
+        features, reverse flag last, are written straight into one ``dtype``
+        matrix: a float32 one is the float64 values cast, with no float64
+        copy made."""
         if graph.features is None:
             raise ValueError("graph has no normalized features; apply a scaler")
-        feats = np.hstack(
-            [graph.features, graph.reverse.astype(np.float64)[:, None]]
-        )
+        feats = np.empty((graph.n_edges, graph.features.shape[1] + 1), dtype=dtype)
+        feats[:, :-1] = graph.features
+        feats[:, -1] = graph.reverse
         return cls(
             n_nodes=graph.n_nodes,
             recv=graph.edge_dst.astype(np.int64),
@@ -285,66 +298,115 @@ def _bn(x, leaves, params, name, mode):
     )
 
 
-def _input_layer(leaves, params, gt, e0, mode):
-    transformed = ad.relu(
-        _bn(ad.linear(e0, leaves["edge_embed"]), leaves, params, "bn_edge_in", mode)
+def _input_layer(leaves, params, gt, e0, mode, gates):
+    edge_state = ad.add(
+        e0,
+        ad.relu(
+            _bn(ad.linear(e0, leaves["edge_embed"]), leaves, params, "bn_edge_in", mode)
+        ),
     )
-    edge_state = ad.add(e0, transformed)
-    gates = ad.gate_normalize(edge_state, gt.recv_segments)
+    layer_gates = ad.gate_normalize(edge_state, gt.recv_segments)
     # Pool, then project: the sum is linear, so edge_to_node can act on the
     # n pooled rows instead of the E gated ones.
     pooled = ad.linear(
-        ad.segment_sum(ad.hadamard(gates, e0), gt.recv_segments),
+        ad.segment_sum(ad.hadamard(layer_gates, e0), gt.recv_segments),
         leaves["edge_to_node"],
     )
-    h = ad.relu(_bn(pooled, leaves, params, "bn_node_in", mode))
-    return h, edge_state, gates
+    if gates is not None:
+        gates.append(layer_gates)
+    return ad.relu(_bn(pooled, leaves, params, "bn_node_in", mode)), edge_state
 
 
-def _conv_layer(leaves, params, gt, h, edge_state, layer, mode):
+# A conv layer is an edge update, then a node update. Each edge-sized
+# tensor is dropped right after its last use, so that on a tape that records
+# nothing it is freed there; the caller drops the old edge state before the
+# node update.
+
+
+def _edge_update(leaves, params, gt, h, edge_state, layer, mode):
     prefix = f"conv{layer}"
-    projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
-    pre = ad.add(
-        ad.add(
-            ad.gather_linear(h, leaves[f"{prefix}.gate_recv"], gt.recv_segments),
-            ad.gather_linear(h, leaves[f"{prefix}.gate_send"], gt.send_segments),
-        ),
-        projected,
+    endpoints = ad.add(
+        ad.gather_linear(h, leaves[f"{prefix}.gate_recv"], gt.recv_segments),
+        ad.gather_linear(h, leaves[f"{prefix}.gate_send"], gt.send_segments),
     )
-    update_term = ad.relu(_bn(pre, leaves, params, f"{prefix}.bn_edge", mode))
+    projected = ad.linear(edge_state, leaves[f"{prefix}.gate_edge"])
     # First layer: the residual carries the projected edge state so deeper
     # layers live in the hidden dimension.
     residual = projected if layer == 0 else edge_state
-    new_edge_state = ad.add(residual, update_term)
-    gates = ad.gate_normalize(new_edge_state, gt.recv_segments)
+    update = ad.add(endpoints, projected)
+    del endpoints, projected, edge_state
+    update = _bn(update, leaves, params, f"{prefix}.bn_edge", mode)
+    update = ad.relu(update)
+    return ad.add(residual, update)
+
+
+def _node_update(leaves, params, gt, h, edge_state, layer, mode, gates):
+    prefix = f"conv{layer}"
+    layer_gates = ad.gate_normalize(edge_state, gt.recv_segments)
     messages = ad.hadamard(
-        gates, ad.gather_linear(h, leaves[f"{prefix}.node_msg"], gt.send_segments)
+        layer_gates, ad.gather_linear(h, leaves[f"{prefix}.node_msg"], gt.send_segments)
     )
+    if gates is not None:
+        gates.append(layer_gates)
+    del layer_gates
     pooled = ad.segment_sum(messages, gt.recv_segments)
+    del messages
     node_pre = ad.add(ad.linear(h, leaves[f"{prefix}.node_self"]), pooled)
-    new_h = ad.add(
+    return ad.add(
         h, ad.relu(_bn(node_pre, leaves, params, f"{prefix}.bn_node", mode))
     )
-    return new_h, new_edge_state, gates
 
 
-def _decode(leaves, gt, h, edge_state):
-    # dec_hidden_w is (dh, 3H) over [h_recv | h_send | edge_state]; the two
-    # endpoint blocks act on node rows before the gather.
+def decoder(leaves: dict[str, Tensor], h: Tensor) -> Callable[..., Tensor]:
+    """The decoder on final node states ``h``, as a function from the edge
+    states and the receiver and sender ids (or :class:`Segments`) of any set
+    of edges to their reconstruction logits.
+
+    ``dec_hidden_w`` is (dh, 3H) over ``[h_recv | h_send | edge_state]``. Its
+    two endpoint blocks act on the n node rows once, here, and each call
+    gathers the products to its edges, so a caller can decode a graph a
+    slice of edges at a time without repeating node work.
+    """
     w = leaves["dec_hidden_w"]
     width = w.shape[1] // 3
     w_recv, w_send, w_edge = (
         ad.columns(w, k * width, (k + 1) * width) for k in range(3)
     )
-    pre = ad.add(
-        ad.add(
-            ad.gather_linear(h, w_recv, gt.recv_segments),
-            ad.gather_linear(h, w_send, gt.send_segments),
-        ),
-        ad.linear(edge_state, w_edge),
-    )
-    hidden = ad.relu(ad.add(pre, leaves["dec_hidden_b"]))
-    return ad.add(ad.linear(hidden, leaves["dec_out_w"]), leaves["dec_out_b"])
+    on_recv, on_send = ad.linear(h, w_recv), ad.linear(h, w_send)
+
+    def decode_edges(edge_state: Tensor, recv, send) -> Tensor:
+        pre = ad.add(
+            ad.add(ad.gather_rows(on_recv, recv), ad.gather_rows(on_send, send)),
+            ad.linear(edge_state, w_edge),
+        )
+        hidden = ad.relu(ad.add(pre, leaves["dec_hidden_b"]))
+        return ad.add(ad.linear(hidden, leaves["dec_out_w"]), leaves["dec_out_b"])
+
+    return decode_edges
+
+
+def encode_states(
+    params: ModelParams,
+    config: ModelConfig,
+    gt: GraphTensors,
+    mode: str,
+    tape: Tape,
+    leaves: dict[str, Tensor],
+    gates: list[Tensor] | None = None,
+) -> tuple[Tensor, Tensor]:
+    """:func:`encode` up to the decoder: the input layer and the conv stack,
+    on parameter tensors ``leaves`` recorded on ``tape``. Returns the final
+    node and edge states. Each layer's gates are appended to ``gates``,
+    input layer first, when it is a list; otherwise none outlives its
+    layer."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown mode {mode!r}")
+    gt.validate(config)
+    h, edge_state = _input_layer(leaves, params, gt, tape.leaf(gt.feats), mode, gates)
+    for layer in range(config.layers):
+        edge_state = _edge_update(leaves, params, gt, h, edge_state, layer, mode)
+        h = _node_update(leaves, params, gt, h, edge_state, layer, mode, gates)
+    return h, edge_state
 
 
 def encode(
@@ -364,29 +426,20 @@ def encode(
     caller supply pre-registered parameter tensors (same names as
     ``params.named_arrays``) on an existing tape, which is how the gradient
     checker reuses :func:`forward` and how training and serving run on
-    :func:`float32_leaves`.
+    :func:`float32_leaves`. It is :func:`encode_states` followed by one
+    :func:`decoder` call over every edge.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    gt.validate(config)
     if tape is None:
         tape = Tape()
     if leaves is None:
         leaves = _leaves(tape, params)
-    e0 = tape.leaf(gt.feats)
-
-    h, edge_state, gates0 = _input_layer(leaves, params, gt, e0, mode)
-    all_gates = [gates0]
-    for layer in range(config.layers):
-        h, edge_state, gates = _conv_layer(
-            leaves, params, gt, h, edge_state, layer, mode
-        )
-        all_gates.append(gates)
+    gates: list[Tensor] = []
+    h, edge_state = encode_states(params, config, gt, mode, tape, leaves, gates)
     return Encoding(
         node_states=h,
         edge_states=edge_state,
-        logits=_decode(leaves, gt, h, edge_state),
-        gates=all_gates,
+        logits=decoder(leaves, h)(edge_state, gt.recv_segments, gt.send_segments),
+        gates=gates,
         leaves=leaves,
     )
 
@@ -429,8 +482,9 @@ def input_layer(
     if tape is None:
         tape = Tape()
     leaves = _leaves(tape, params)
-    e0 = tape.leaf(gt.feats)
-    return _input_layer(leaves, params, gt, e0, mode)
+    gates: list[Tensor] = []
+    h, edge_state = _input_layer(leaves, params, gt, tape.leaf(gt.feats), mode, gates)
+    return h, edge_state, gates[0]
 
 
 def conv_layer(
@@ -447,8 +501,13 @@ def conv_layer(
     if tape is None:
         tape = Tape()
     leaves = _leaves(tape, params)
-    h, edge_state = tape.leaf(h), tape.leaf(edge_state)
-    return _conv_layer(leaves, params, gt, h, edge_state, layer, mode)
+    h = tape.leaf(h)
+    edge_state = _edge_update(
+        leaves, params, gt, h, tape.leaf(edge_state), layer, mode
+    )
+    gates: list[Tensor] = []
+    h = _node_update(leaves, params, gt, h, edge_state, layer, mode, gates)
+    return h, edge_state, gates[0]
 
 
 def decode(
@@ -462,5 +521,7 @@ def decode(
     """Standalone decoder: sigmoid reconstruction of every edge's inputs."""
     if tape is None:
         tape = Tape()
-    leaves = _leaves(tape, params)
-    return ad.sigmoid(_decode(leaves, gt, tape.leaf(h), tape.leaf(edge_state)))
+    decode_edges = decoder(_leaves(tape, params), tape.leaf(h))
+    return ad.sigmoid(
+        decode_edges(tape.leaf(edge_state), gt.recv_segments, gt.send_segments)
+    )

@@ -8,9 +8,10 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tape, softplus
 from .graphs import IntervalGraph, ip_sort_key, normalize
-from .model import GraphTensors, encode, float32_leaves
+from .model import GraphTensors, decoder, encode_states, float32_leaves
 from .training import ModelBundle
 
 __all__ = [
@@ -80,15 +81,26 @@ class SimilarityReport:
 
 
 def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
-    """Eval-mode ``encode`` (no loss terms) over one graph, on a tape that
-    records nothing, so each intermediate is freed as soon as it is used.
+    """Eval-mode :func:`~ipembed.model.encode_states` over one graph, then the
+    decoder and the edge errors one block of edges at a time, all on a tape
+    that records nothing, so each intermediate is freed as soon as it is
+    used. No loss term is computed and no gate is kept.
 
     The network runs in float32, as a training step does: on
     :func:`~ipembed.model.float32_leaves` of the bundle's weights and on the
-    edge features cast once, with the batch norm statistics cast per layer.
-    The bundle itself is left in float64. The vectors and logits are then
-    taken out as float64 and the rest of the encoding is dropped, so the
-    edge errors are computed in float64 without its edge-sized arrays held.
+    edge features written once into a float32 matrix, with the batch norm
+    statistics cast per layer. The bundle itself is left in float64.
+
+    What stays live: the graph, its float32 features, the node states and
+    the final (E, H) edge states. The decoder's endpoint terms are computed
+    once on the node rows; then each block of at least
+    :data:`~ipembed.autodiff.BLOCK_ROWS` edges is decoded, its logits taken
+    out as float64 and scored against its float64 targets into one
+    preallocated error array. So beyond the encoder, serving memory grows
+    with the nodes and one block, not with E times ``decoder_hidden``.
+    Every step is row-local, so the block size changes no output bit as
+    long as BLAS runs a block's products with the same kernel as the whole
+    graph's.
 
     Per-edge error is the unweighted mean over columns of the Bernoulli KL
     divergence between the edge's input t and its reconstruction p,
@@ -101,26 +113,25 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     """
     if graph.features is None:
         graph = normalize(graph, bundle.scaler)
-    gt = GraphTensors.from_graph(graph)
-    t = gt.feats
-    gt.feats = t.astype(np.float32)
+    gt = GraphTensors.from_graph(graph, np.float32)
     tape = Tape(record=False)
-    result = encode(
-        bundle.params, bundle.config, gt, mode="eval", tape=tape,
-        leaves=float32_leaves(tape, bundle.params),
+    leaves = float32_leaves(tape, bundle.params)
+    h, edge_state = encode_states(
+        bundle.params, bundle.config, gt, "eval", tape, leaves
     )
-    vectors = result.embeddings.astype(np.float64)
-    logits = result.logits.data.astype(np.float64)
-    del result
-    # softplus(z) - t*z is the cross entropy from logits; H(t) vanishes at
-    # t in {0, 1}, so it is only subtracted where 0 < t < 1.
-    kl = softplus(logits) - t * logits
-    inner = (t > 0.0) & (t < 1.0)
-    ti = t[inner]
-    kl[inner] += ti * np.log(ti) + (1.0 - ti) * np.log1p(-ti)
-    # KL >= 0; clamp the rounding left by the subtraction.
-    np.maximum(kl, 0.0, out=kl)
-    errors = kl.mean(axis=1)
+    decode_edges = decoder(leaves, h)
+    errors = np.empty(len(gt.recv))
+    # Even blocks of at least BLOCK_ROWS edges (or all of them): no product
+    # is small enough for BLAS to switch kernels, which would change bits.
+    n_blocks = max(1, len(errors) // ad.BLOCK_ROWS)
+    bounds = [len(errors) * k // n_blocks for k in range(n_blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        logits = decode_edges(
+            tape.leaf(edge_state.data[rows]), gt.recv[rows], gt.send[rows]
+        ).data.astype(np.float64)
+        targets = np.column_stack((graph.features[rows], graph.reverse[rows]))
+        errors[rows] = _mean_kl(targets, logits)
 
     ends = np.concatenate([gt.recv, gt.send])
     total = np.bincount(ends, np.concatenate([errors, errors]), gt.n_nodes)
@@ -129,10 +140,23 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     return EmbeddingSet(
         interval=graph.start,
         ips=tuple(graph.nodes),
-        vectors=vectors,
+        vectors=h.data.astype(np.float64),
         edge_errors=errors,
         anomaly=dict(zip(graph.nodes, mean_error.tolist())),
     )
+
+
+def _mean_kl(t: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Per-row mean of the Bernoulli KL(t || sigmoid(logits)), in float64."""
+    # softplus(z) - t*z is the cross entropy from logits; H(t) vanishes at
+    # t in {0, 1}, so it is only subtracted where 0 < t < 1.
+    kl = softplus(logits) - t * logits
+    inner = (t > 0.0) & (t < 1.0)
+    ti = t[inner]
+    kl[inner] += ti * np.log(ti) + (1.0 - ti) * np.log1p(-ti)
+    # KL >= 0; clamp the rounding left by the subtraction.
+    np.maximum(kl, 0.0, out=kl)
+    return kl.mean(axis=1)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .binio import (
 )
 from .graphs import N_NUMERIC, FeatureScaler, IntervalGraph, ProtocolVocab
 from .model import (
+    FLOAT32_MAX,
     GraphTensors,
     ModelConfig,
     ModelParams,
@@ -81,8 +82,10 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # 0 is a valid learning rate: training then leaves the initial weights.
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("learning_rate must be finite and non-negative")
+        if not 0.0 <= self.learning_rate <= FLOAT32_MAX:
+            raise ValueError(
+                "learning_rate must be finite, non-negative and within float32 range"
+            )
         if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
             raise ValueError("min_delta must be finite and non-negative")
         if self.patience < 1:
@@ -189,9 +192,7 @@ def train(
     """
     if not graphs:
         raise ValueError("no training graphs")
-    tensors = [GraphTensors.from_graph(g) for g in graphs]
-    for gt in tensors:
-        gt.feats = gt.feats.astype(np.float32)
+    tensors = [GraphTensors.from_graph(g, np.float32) for g in graphs]
 
     params = init_params(model_config, seed=train_config.seed)
     optimizer = Adam(lr=train_config.learning_rate)

@@ -105,6 +105,34 @@ def test_segments_edge_cases_and_plain_ids():
         ad.segment_sum(x, [2, 0, 2])  # plain ids need a count
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_segments_sum_is_one_reduceat_bit_for_bit(dtype):
+    # Segment 3 is longer than a block, every fifth id is empty, and the
+    # row count leaves a partial last block.
+    rng = np.random.default_rng(5)
+    block = ad.BLOCK_ROWS
+    count = 200
+    used = np.array([i for i in range(count) if i % 5])
+    ids = np.concatenate(
+        [np.full(block * 5 // 2, 3), rng.choice(used, 2 * block + block // 3)]
+    )
+    rng.shuffle(ids)
+    rows = rng.normal(size=(len(ids), 9)).astype(dtype)
+    seg = Segments(ids, count)
+    assert len(seg.blocks) > 3
+    # Blocks hold whole segments, so one holds all of segment 3.
+    assert max(order.size for _, order, _ in seg.blocks) >= block * 5 // 2
+    order = np.argsort(ids, kind="stable")
+    sizes = np.bincount(ids, minlength=count)
+    expected = np.zeros((count, 9), dtype=dtype)
+    expected[sizes > 0] = np.add.reduceat(
+        rows[order], (np.cumsum(sizes) - sizes)[sizes > 0], axis=0
+    )
+    got = seg.sum(rows)
+    assert got.dtype == dtype
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_leaf_aliases_a_float64_matrix():
     # No copy: a leaf is the caller's array, recorded or not.
     arr = np.arange(6.0).reshape(2, 3)

@@ -542,13 +542,15 @@ def test_train_vocab_wider_than_the_graphs_is_data_error(workspace, tmp_path, ca
 
 
 def test_divergent_training_is_numeric_error(workspace, tmp_path, capsys):
-    # a loss weight past float32 range makes the very first loss overflow
+    # a learning rate near the top of float32 range throws the weights past
+    # what the next step can multiply without overflow
     code = run(
         ["train", "--graphs", str(workspace["gdir"]), "--out",
          str(tmp_path / "m.ipgm"), "--epochs", "4", "--hidden", "4",
-         "--decoder-hidden", "4", "--lambda-recon", "1e300"]
+         "--decoder-hidden", "4", "--learning-rate", "1e38"]
     )
     assert code == 3
+    assert "diverged" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -560,6 +562,9 @@ def test_divergent_training_is_numeric_error(workspace, tmp_path, capsys):
         ("--min-delta", "inf"),
         ("--lambda-recon", "inf"),
         ("--lambda-neighbor", "nan"),
+        ("--learning-rate", "1e300"),
+        ("--lambda-recon", "1e300"),
+        ("--lambda-neighbor", "1e300"),
     ],
 )
 def test_non_finite_training_setting_is_data_error(
@@ -1011,7 +1016,7 @@ def test_eval_holdout_divergence_is_numeric_error(tmp_path, capfd):
     out = tmp_path / "x.csv"
     assert run(
         ["eval-holdout", "--out", str(out), "--duration", "2400", "--epochs",
-         "2", "--hidden", "4", "--decoder-hidden", "4", "--lambda-recon", "1e300"]
+         "2", "--hidden", "4", "--decoder-hidden", "4", "--learning-rate", "1e38"]
     ) == 3
     assert "numeric failure" in capfd.readouterr().err
     assert not out.exists()

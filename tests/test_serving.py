@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,7 +44,7 @@ from ipembed.serving import (
     write_projection_csv,
     write_similarity_csv,
 )
-from ipembed.synth import make_experiment
+from ipembed.synth import default_roles, make_experiment
 from ipembed.training import ModelBundle, TrainConfig, save_model, train
 
 
@@ -546,6 +547,50 @@ def test_served_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     }
     assert digests["1"].count("float64") == 2
     assert digests["1"] == digests["2"]
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A briefly trained model and a graph of more than three edge blocks."""
+    exp = make_experiment(default_roles(120, 12, 18), duration=1800.0, seed=0)
+    config = ModelConfig(edge_dim=edge_dim_for_vocab(exp.vocab.size))
+    params, _ = train(exp.train_graphs[:1], config, TrainConfig(epochs=1, seed=0))
+    (graph,) = exp.test_graphs
+    assert graph.n_edges > 3 * ad.BLOCK_ROWS
+    return ModelBundle(params, config, exp.vocab, exp.scaler), graph
+
+
+def test_block_size_does_not_change_served_bytes(wide, monkeypatch):
+    """The patched size reaches both the segment sums and the edge blocks.
+    It is odd and small, but not so small that a block's products have at
+    most 1,200 output cells: there OpenBLAS switches to a small-matrix
+    kernel that sums in another order (7-row blocks change the last bits of
+    the edge errors)."""
+    bundle, graph = wide
+    default = infer_embeddings(bundle, graph)
+    monkeypatch.setattr(ad, "BLOCK_ROWS", 97)
+    small = infer_embeddings(bundle, graph)
+    assert small.vectors.tobytes() == default.vectors.tobytes()
+    assert small.edge_errors.tobytes() == default.edge_errors.tobytes()
+    assert small.anomaly == default.anomaly
+
+
+def test_serving_peak_memory_is_a_few_edge_arrays(wide):
+    """The traced peak of one ``infer_embeddings`` call, counted in (E,
+    hidden) float32 arrays, stays under 6.5. It is about 5.6 on this graph,
+    0.2 of it the float32 weights, and is reached in the first conv layer.
+    Keeping every layer's gates would add about 1; decoding every edge at
+    once as well, as serving did before edge blocks, peaks near 11.7."""
+    bundle, graph = wide
+    infer_embeddings(bundle, graph)
+    unit = graph.n_edges * bundle.config.hidden * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        infer_embeddings(bundle, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * unit
 
 
 def test_isolated_node_scores_zero(pipeline):
