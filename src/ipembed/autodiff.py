@@ -27,31 +27,39 @@ to edge rows, so a per-endpoint product costs n rows of work, not E.
 
 Segment plan: summing rows by id (the forward of :func:`segment_sum` and the
 backward of :func:`gather_rows` and :func:`gather_linear`) goes through a
-:class:`Segments` record. It sorts the ids once and cuts the sorted rows into
-blocks of whole segments, about :data:`BLOCK_ROWS` rows each; a sum then
-gathers and reduces one block at a time with ``np.add.reduceat``. Each
+:class:`Segments` record. Its first sum sorts the ids and cuts the sorted
+rows into blocks of whole segments, about :data:`BLOCK_ROWS` rows each; each
+sum then gathers and reduces one block at a time with ``np.add.reduceat``. Each
 segment adds the same rows in the same order as one reduceat over the whole
 array would, so blocking changes no bit of a result, but a block stays in
 cache: a single axis-0 reduceat over a 16k-row campus array takes several
 times as long. A graph of at most :data:`BLOCK_ROWS` edges is one block and
 one call. A graph builds one record for its receiving and one for its
-sending endpoints and reuses them for every layer and every step; a plain id
-array is grouped on the spot.
+sending endpoints and reuses them for every layer and every step. A plain id
+array gets a record of its own, which sorts only if something sums by it:
+a gather on a tape that records nothing sorts nothing.
 
 Backward copies nothing: the first gradient part reaching a node is stored
 as it is and later parts are added out of place, since one vjp may hand
-the same array to several parents. Gradients are therefore shared between
-nodes and are read-only once :func:`backward` returns.
+the same array to several parents. Backward keeps only what it still needs:
+once a node has passed its gradient on, its vjp closure and that gradient
+are dropped, so the pass holds the forward values plus the gradients not
+yet propagated. Only leaves keep a gradient, and it is read-only, since
+leaves may share one array. The tape is then spent: its vjps are gone, and
+a second :func:`backward` on it raises ``ValueError``.
 
 Memory follows reference counting. A :class:`Tensor` handle holds its tape;
-the tape holds, per node, the parents' ids, the vjp closure (which captures
-arrays only) and a value record with the forward data and, after
+the tape holds, per node, the parents' ids, the vjp closure until backward
+drops it (it captures arrays only, such as batch norm's normalized input)
+and a value record with the forward data and, for a leaf after
 :func:`backward`, the gradient. Nothing on a tape points back at a handle,
 so a tape and every array it keeps alive are freed the moment its last
-handle is dropped, without waiting for the cyclic collector. A tape built
-with ``record=False`` keeps nothing at all: each intermediate dies as soon
-as the code computing the forward pass lets go of it, and the result cannot
-be differentiated. Training and gradient checks record; serving does not.
+handle is dropped, without waiting for the cyclic collector. A training step
+drops its handles when it returns, so one step's tape is alive at a time. A
+tape built with ``record=False`` keeps nothing at all: each intermediate
+dies as soon as the code computing the forward pass lets go of it, and the
+result cannot be differentiated. Training and gradient checks record;
+serving does not.
 """
 
 from __future__ import annotations
@@ -106,9 +114,10 @@ def _as_matrix(data) -> np.ndarray:
 
 class Tensor:
     """A handle on a value computed on a tape. Holds the data, the tape and
-    the node id; after a backward pass, ``grad`` is the accumulated
-    gradient. On a tape that records nothing, ``nid`` and ``grad`` are
-    ``None``."""
+    the node id. ``grad`` is a leaf's accumulated gradient once a backward
+    pass has run, read-only; it is ``None`` before that, for a tensor that
+    is not a leaf, and on a tape that records nothing, where ``nid`` is
+    ``None`` too."""
 
     __slots__ = ("data", "tape", "nid")
 
@@ -135,9 +144,9 @@ class Tensor:
 
 
 class _Value:
-    """What a tape keeps of a node's tensor: its forward data and, after a
-    backward pass, its gradient. No reference to the handle, so handles and
-    tapes form no cycle."""
+    """What a tape keeps of a node's tensor: its forward data and, for a
+    leaf after a backward pass, its gradient. No reference to the handle, so
+    handles and tapes form no cycle."""
 
     __slots__ = ("data", "grad")
 
@@ -160,11 +169,13 @@ class Tape:
 
     ``record=False`` makes a tape that keeps no nodes: tensors computed on it
     carry their data, but no vjp or intermediate value outlives its handle,
-    and :func:`backward` refuses its losses.
+    and :func:`backward` refuses its losses. ``spent`` turns true when
+    :func:`backward` runs, which releases the vjps, so it runs once per tape.
     """
 
     def __init__(self, record: bool = True):
         self.record = record
+        self.spent = False
         self._nodes: list[_Node] = []
 
     def __len__(self) -> int:
@@ -189,36 +200,50 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a scalar loss into every tensor on its tape.
+    """Accumulate gradients of a scalar loss into the leaves of its tape.
 
-    Visits nodes in reverse insertion order exactly once. Tensors that do
-    not influence the loss receive a zero gradient. Gradient arrays may be
-    shared between tensors, so they are returned read-only.
+    Visits nodes in reverse insertion order exactly once. Each node's vjp
+    closure and incoming gradient are dropped as soon as it has passed that
+    gradient on to its parents, so the pass holds the forward values and the
+    gradients not yet propagated, not one gradient per node. Only leaves
+    keep a gradient: zeros for a leaf the loss does not reach, and read-only,
+    since it may be shared with another leaf. A non-leaf's ``grad`` stays
+    ``None``. The pass spends the tape: a second :func:`backward` on it
+    raises ``ValueError``.
     """
     if loss.data.shape != (1, 1):
         raise ShapeError(f"loss must be scalar (1, 1), got {loss.data.shape}")
-    if not loss.tape.record:
+    tape = loss.tape
+    if not tape.record:
         raise ValueError(
             "loss was computed on a tape that records nothing (record=False); "
             "there is nothing to differentiate"
         )
-    nodes = loss.tape._nodes
+    if tape.spent:
+        raise ValueError(
+            "backward has already run on this tape and released its vjps; "
+            "record the computation on a new tape"
+        )
+    tape.spent = True
+    nodes = tape._nodes
     grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[loss.nid] = np.ones((1, 1), dtype=loss.data.dtype)
     for nid in range(len(nodes) - 1, -1, -1):
-        grad = grads[nid]
-        node = nodes[nid]
-        if grad is None or node.vjp is None:
+        node, grad = nodes[nid], grads[nid]
+        vjp = node.vjp
+        if vjp is None:  # a leaf; every node after it has been propagated
+            value = node.tensor
+            value.grad = np.zeros_like(value.data) if grad is None else grad
+            value.grad.flags.writeable = False
             continue
-        for pid, part in zip(node.parents, node.vjp(grad)):
+        node.vjp = grads[nid] = None
+        if grad is None:
+            continue
+        for pid, part in zip(node.parents, vjp(grad)):
             if part is None:
                 continue
             # Out of place: ``part`` may be shared with a sibling parent.
             grads[pid] = part if grads[pid] is None else grads[pid] + part
-    for node, grad in zip(nodes, grads):
-        value = node.tensor
-        value.grad = np.zeros_like(value.data) if grad is None else grad
-        value.grad.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +369,21 @@ BLOCK_ROWS = 1024
 
 
 class Segments:
-    """Rows grouped by an id in ``[0, count)``, sorted once for reuse.
+    """Rows grouped by an id in ``[0, count)``, sorted on first use.
 
-    ``order`` is a stable sort of ``ids``, ``starts`` are the offsets in that
-    order at which each non-empty id's run begins, and ``nonempty`` marks the
+    The constructor only checks the ids. The first :meth:`sum` builds the
+    sort plan, which later sums reuse: a stable sort of ``ids``, the offsets
+    in that order at which each non-empty id's run begins, and the mask of
     ids that own at least one row. ``blocks`` cuts the runs into blocks of
     whole runs: a new block begins at the first run that starts in a new
     :data:`BLOCK_ROWS` window of the sorted rows, so a run longer than a
     window gets a block of its own. Each block is stored as its slice of the
-    runs, its slice of ``order`` and its run offsets within that slice.
+    runs, its slice of the sort order and its run offsets within that slice.
     :meth:`sum` then costs one gather and one ``np.add.reduceat`` per block.
+    A gather that is never differentiated never sums, so it sorts nothing.
     """
 
-    __slots__ = ("ids", "count", "order", "starts", "nonempty", "blocks")
+    __slots__ = ("ids", "count", "_plan")
 
     def __init__(self, ids, count: int):
         ids = np.asarray(ids, dtype=np.int64)
@@ -364,29 +391,43 @@ class Segments:
             raise ShapeError(f"segment ids must be 1-D, got shape {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= count):
             raise ShapeError("segment id out of range")
-        sizes = np.bincount(ids, minlength=count)
         self.ids = ids
         self.count = int(count)
-        self.order = np.argsort(ids, kind="stable")
-        self.nonempty = sizes > 0
-        self.starts = (np.cumsum(sizes) - sizes)[self.nonempty]
-        first = np.flatnonzero(np.diff(self.starts // BLOCK_ROWS, prepend=-1))
-        runs = np.append(first, self.starts.size).tolist()
-        rows = np.append(self.starts[first], ids.size).tolist()
-        self.blocks = [
-            (slice(a, b), self.order[lo:hi], self.starts[a:b] - lo)
-            for a, b, lo, hi in zip(runs, runs[1:], rows, rows[1:])
-        ]
+        self._plan: tuple[np.ndarray, int, list] | None = None
+
+    @property
+    def blocks(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        """The block plan; reading it builds the sort plan."""
+        return self._sorted()[2]
+
+    def _sorted(self) -> tuple[np.ndarray, int, list]:
+        """``(nonempty, number of runs, blocks)``, built on the first call."""
+        if self._plan is None:
+            ids = self.ids
+            sizes = np.bincount(ids, minlength=self.count)
+            order = np.argsort(ids, kind="stable")
+            nonempty = sizes > 0
+            starts = (np.cumsum(sizes) - sizes)[nonempty]
+            first = np.flatnonzero(np.diff(starts // BLOCK_ROWS, prepend=-1))
+            runs = np.append(first, starts.size).tolist()
+            rows = np.append(starts[first], ids.size).tolist()
+            blocks = [
+                (slice(a, b), order[lo:hi], starts[a:b] - lo)
+                for a, b, lo, hi in zip(runs, runs[1:], rows, rows[1:])
+            ]
+            self._plan = (nonempty, starts.size, blocks)
+        return self._plan
 
     def sum(self, rows: np.ndarray) -> np.ndarray:
         """Sum ``rows`` (one per id) into ``count`` rows; empty ids give 0."""
-        sums = np.empty((self.starts.size, rows.shape[1]), dtype=rows.dtype)
-        for runs, order, starts in self.blocks:
+        nonempty, n_runs, blocks = self._sorted()
+        sums = np.empty((n_runs, rows.shape[1]), dtype=rows.dtype)
+        for runs, order, starts in blocks:
             np.add.reduceat(rows[order], starts, axis=0, out=sums[runs])
-        if self.starts.size == self.count:
+        if n_runs == self.count:
             return sums
         out = np.zeros((self.count, rows.shape[1]), dtype=rows.dtype)
-        out[self.nonempty] = sums
+        out[nonempty] = sums
         return out
 
 

@@ -100,7 +100,13 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     with the nodes and one block, not with E times ``decoder_hidden``.
     Every step is row-local, so the block size changes no output bit as
     long as BLAS runs a block's products with the same kernel as the whole
-    graph's.
+    graph's. The one exception is ``decoder_hidden`` 1: the decoder's edge
+    product then has one output column, so a block of
+    :data:`~ipembed.autodiff.BLOCK_ROWS` to 1,200 rows has at most 1,200
+    output cells and OpenBLAS runs its small-matrix kernel, which sums in
+    another order.
+    The edge errors are still the same bytes on every run, but can differ
+    in the last bits from a decode of the whole graph at once.
 
     Per-edge error is the unweighted mean over columns of the Bernoulli KL
     divergence between the edge's input t and its reconstruction p,

@@ -120,7 +120,14 @@ class ModelBundle:
 
 
 class Adam:
-    """Adam with bias correction over a named set of arrays."""
+    """Adam with bias correction over a named set of arrays.
+
+    The update runs in place: per array, the gradient is copied into a
+    scratch buffer of the array's dtype, and the moments, the step and the
+    weights are updated with ``out=`` and in-place operators. The operations
+    and their order are those of ``arr -= lr * (m / bc1) / (sqrt(v / bc2) +
+    eps)``, so every weight bit is as an out-of-place update would leave it.
+    """
 
     def __init__(
         self,
@@ -136,6 +143,8 @@ class Adam:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        # Two scratch buffers per array: the gradient, then the step.
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(
         self, arrays: Iterable[tuple[str, np.ndarray]], grads: dict[str, np.ndarray]
@@ -146,17 +155,28 @@ class Adam:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, arr in arrays:
-            g = grads[name].astype(arr.dtype, copy=False)
             m = self._m.get(name)
             if m is None:
                 m = self._m[name] = np.zeros_like(arr)
                 self._v[name] = np.zeros_like(arr)
+                self._scratch[name] = (np.empty_like(arr), np.empty_like(arr))
             v = self._v[name]
+            g, tmp = self._scratch[name]
+            np.copyto(g, grads[name])
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=tmp)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            arr -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v += tmp
+            # step = lr * (m / bc1) / (sqrt(v / bc2) + eps), into g.
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            g /= tmp
+            arr -= g
 
 
 def filter_holdout(
@@ -169,6 +189,32 @@ def filter_holdout(
         for r in records
         if r.source_ip not in banned and r.destination_ip not in banned
     ]
+
+
+def _step(
+    params: ModelParams,
+    config: ModelConfig,
+    tensors: Sequence[GraphTensors],
+    optimizer: Adam,
+    epoch: int,
+    graph_index: int,
+) -> tuple[float, float, float]:
+    """One training step on one graph: forward in float32, backward and an
+    Adam update of ``params``. Returns the loss and its two terms; the tape
+    and everything on it die when this returns."""
+    tape = ad.Tape()
+    leaves = float32_leaves(tape, params)
+    result = forward(
+        params, config, tensors[graph_index], mode="train", tape=tape, leaves=leaves
+    )
+    value = result.loss.item()
+    if not np.isfinite(value):
+        raise TrainingDivergedError(epoch, graph_index, value)
+    ad.backward(result.loss)
+    optimizer.step(
+        params.named_arrays(), {name: leaf.grad for name, leaf in leaves.items()}
+    )
+    return value, result.recon_loss.item(), result.neighbor_loss.item()
 
 
 def train(
@@ -189,6 +235,10 @@ def train(
     once and on float32 copies of the weights; Adam applies the gradients to
     the float64 weights, and the batch norm statistics, the best-epoch copy
     and the result stay float64.
+
+    Memory: one step's tape is alive at a time. A step keeps only its three
+    loss values, so its forward values, vjps and gradients are freed before
+    the next step's forward begins.
     """
     if not graphs:
         raise ValueError("no training graphs")
@@ -206,21 +256,12 @@ def train(
         t0 = time.perf_counter()
         sum_loss = sum_recon = sum_neighbor = 0.0
         for graph_index in rng.permutation(len(tensors)):
-            gt = tensors[int(graph_index)]
-            tape = ad.Tape()
-            leaves = float32_leaves(tape, params)
-            result = forward(
-                params, model_config, gt, mode="train", tape=tape, leaves=leaves
+            value, recon, neighbor = _step(
+                params, model_config, tensors, optimizer, epoch, int(graph_index)
             )
-            value = result.loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergedError(epoch, int(graph_index), value)
-            ad.backward(result.loss)
-            grads = {name: result.leaves[name].grad for name in result.leaves}
-            optimizer.step(params.named_arrays(), grads)
             sum_loss += value
-            sum_recon += result.recon_loss.item()
-            sum_neighbor += result.neighbor_loss.item()
+            sum_recon += recon
+            sum_neighbor += neighbor
 
         n = len(tensors)
         epoch_loss = sum_loss / n

@@ -634,6 +634,70 @@ def test_gradients_are_read_only_after_backward():
     np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
 
 
+def test_backward_keeps_leaf_gradients_only():
+    # loss = sum(relu(x @ w.T) + x @ w.T): the intermediate nodes hand their
+    # gradients on and keep none, while the leaves keep theirs read-only.
+    tape = Tape()
+    x = tape.leaf([[1.0, -2.0], [0.5, 3.0]])
+    w = tape.leaf([[2.0, 1.0], [-1.0, 0.5]])
+    unused = tape.leaf([[4.0]])
+    y = ad.linear(x, w)
+    z = ad.add(ad.relu(y), y)
+    loss = ad.sum_all(z)
+    backward(loss)
+    for inner in (y, z, loss):
+        assert inner.grad is None
+    assert all(node.vjp is None for node in tape._nodes)
+    g = 1.0 + (y.data > 0)  # d loss / d y
+    np.testing.assert_array_equal(x.grad, g @ w.data)
+    np.testing.assert_array_equal(w.grad, g.T @ x.data)
+    np.testing.assert_array_equal(unused.grad, [[0.0]])
+    for leaf in (x, w, unused):
+        with pytest.raises(ValueError, match="read-only"):
+            leaf.grad[0, 0] = 99.0
+
+
+def test_spent_tape_refuses_a_second_backward():
+    tape = Tape()
+    x = tape.leaf([[2.0]])
+    loss = ad.sum_all(ad.scalar_mul(x, 3.0))
+    backward(loss)
+    with pytest.raises(ValueError, match="already run"):
+        backward(loss)
+    # A loss recorded after the pass would reach the spent nodes too.
+    with pytest.raises(ValueError, match="already run"):
+        backward(ad.add(loss, ad.sum_all(x)))
+    assert x.grad[0, 0] == 3.0
+
+
+def test_gather_on_unrecorded_tape_sorts_nothing(monkeypatch, rng):
+    # A plain id array's sort plan is built by the first sum: a gather's
+    # backward, which a tape that records nothing never runs.
+    sorts = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    ids = rng.integers(0, 5, 40)
+    x_data, w_data = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+    for record in (False, True):
+        tape = Tape(record=record)
+        x, w = tape.leaf(x_data), tape.leaf(w_data)
+        rows = ad.gather_rows(x, ids)
+        product = ad.gather_linear(x, w, ids)
+        assert not sorts
+        assert rows.data.tobytes() == x_data[ids].tobytes()
+        assert product.data.tobytes() == (x_data @ w_data.T)[ids].tobytes()
+    backward(ad.add(ad.sum_all(rows), ad.sum_all(product)))
+    assert len(sorts) == 2
+    expected = np.zeros((5, 3))
+    np.add.at(expected, ids, 1.0 + w_data.sum(axis=0))
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
+
+
 def test_mixed_tapes_rejected():
     a = Tape().leaf([[1.0]])
     b = Tape().leaf([[1.0]])

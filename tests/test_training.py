@@ -196,11 +196,27 @@ def test_training_steps_run_in_float32_on_float64_state(monkeypatch):
     # One float64 constant in a primitive upcasts a whole step and leaves
     # every result near enough to pass: every node and gradient of every
     # step train() takes is float32, and everything it keeps is float64.
+    # Backward keeps no gradient of a node that is not a leaf, so each vjp
+    # is wrapped to check the gradient it receives, which is its node's
+    # accumulated gradient, and every part it hands on.
     graphs, config = training_setup()
-    tapes, optimizers = [], []
+    tapes, optimizers, vjp_calls = [], [], []
+
+    def float32_vjp(vjp):
+        def checked(grad):
+            assert grad.dtype == np.float32
+            parts = vjp(grad)
+            assert all(part is None or part.dtype == np.float32 for part in parts)
+            vjp_calls.append(len(parts))
+            return parts
+
+        return checked
 
     def recording_backward(loss):
         tapes.append(loss.tape)
+        for node in loss.tape._nodes:
+            if node.vjp is not None:
+                node.vjp = float32_vjp(node.vjp)
         backward(loss)
 
     class RecordingAdam(Adam):
@@ -213,17 +229,44 @@ def test_training_steps_run_in_float32_on_float64_state(monkeypatch):
     params, _ = train(graphs, config, TrainConfig(epochs=2, seed=0))
 
     assert len(tapes) == 2 and len(optimizers) == 1
+    # Every node that is not a leaf passed its gradient on.
+    inner = [node for tape in tapes for node in tape._nodes if node.parents]
+    assert len(vjp_calls) == len(inner) > 0
     for tape in tapes:
         assert len(tape) > 0
         for node in tape._nodes:
             assert node.tensor.data.dtype == np.float32
-            assert node.tensor.grad.dtype == np.float32
+            if not node.parents:
+                assert node.tensor.grad.dtype == np.float32
     opt = optimizers[0]
     moments = [*opt._m.values(), *opt._v.values()]
     assert len(moments) == 2 * len(params.arrays)
     buffers = [arr for _, arr in params.named_buffers()]
     for arr in [*params.arrays.values(), *buffers, *moments]:
         assert arr.dtype == np.float64
+
+
+def test_train_holds_one_step_tape_at_a_time(monkeypatch):
+    # The next step's forward starts only after the previous step's tape,
+    # with its forward values, vjps and gradients, has been freed by
+    # reference counting alone.
+    graphs, config = training_setup()
+    tapes = []
+
+    def recording_backward(loss):
+        tapes.append(weakref.ref(loss.tape))
+        backward(loss)
+
+    def checked_forward(*args, **kwargs):
+        assert all(tape() is None for tape in tapes), "a previous step's tape is alive"
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(training, "forward", checked_forward)
+    with cyclic_gc_off():
+        train(graphs, config, TrainConfig(epochs=3, seed=0, patience=3))
+        assert len(tapes) == 3
+        assert all(tape() is None for tape in tapes)
 
 
 def test_zero_learning_rate_leaves_params_bitwise(rng):
