@@ -43,23 +43,26 @@ Backward copies nothing: the first gradient part reaching a node is stored
 as it is and later parts are added out of place, since one vjp may hand
 the same array to several parents. Backward keeps only what it still needs:
 once a node has passed its gradient on, its vjp closure and that gradient
-are dropped, so the pass holds the forward values plus the gradients not
-yet propagated. Only leaves keep a gradient, and it is read-only, since
-leaves may share one array. The tape is then spent: its vjps are gone, and
-a second :func:`backward` on it raises ``ValueError``.
+are dropped, so the pass holds the arrays the remaining vjps read plus the
+gradients not yet propagated. Only leaves keep a gradient, and it is
+read-only, since leaves may share one array. The tape is then spent: its
+vjps are gone, and a second :func:`backward` on it raises ``ValueError``.
 
 Memory follows reference counting. A :class:`Tensor` handle holds its tape;
 the tape holds, per node, the parents' ids, the vjp closure until backward
 drops it (it captures arrays only, such as batch norm's normalized input)
-and a value record with the forward data and, for a leaf after
-:func:`backward`, the gradient. Nothing on a tape points back at a handle,
-so a tape and every array it keeps alive are freed the moment its last
-handle is dropped, without waiting for the cyclic collector. A training step
-drops its handles when it returns, so one step's tape is alive at a time. A
-tape built with ``record=False`` keeps nothing at all: each intermediate
-dies as soon as the code computing the forward pass lets go of it, and the
-result cannot be differentiated. Training and gradient checks record;
-serving does not.
+and a value record. A leaf's record keeps its data and, after
+:func:`backward`, its gradient. Any other node's record keeps no value, only
+a shared zero-size array of its dtype: backward reads no such value, and
+each vjp has captured what it needs. So an intermediate lives exactly as
+long as a handle or a vjp holds it, and one that no vjp reads is freed as
+soon as the forward code lets go of it, even on a recording tape. Nothing
+on a tape points back at a handle, so a tape and every array it keeps alive
+are freed the moment its last handle is dropped, without waiting for the
+cyclic collector. A training step drops its handles when it returns, so one
+step's tape is alive at a time. A tape built with ``record=False`` keeps no
+node at all, so not even a vjp holds an intermediate, and the result cannot
+be differentiated. Training and gradient checks record; serving does not.
 """
 
 from __future__ import annotations
@@ -143,10 +146,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, nid={self.nid})"
 
 
+# Zero-size stand-ins, one per dtype, for the forward values a tape does not
+# keep: a non-leaf record's ``data`` still names its value's dtype but holds
+# no memory.
+_NO_VALUE = {np.dtype(t): np.empty((0, 0), dtype=t) for t in (np.float32, np.float64)}
+
+
 class _Value:
-    """What a tape keeps of a node's tensor: its forward data and, for a
-    leaf after a backward pass, its gradient. No reference to the handle, so
-    handles and tapes form no cycle."""
+    """What a tape keeps of a node's tensor. A leaf keeps its forward data
+    and, after a backward pass, its gradient. Any other node keeps only the
+    shared zero-size array of its value's dtype: backward reads no non-leaf
+    value, and each vjp captures the arrays it needs. No reference to the
+    handle, so handles and tapes form no cycle."""
 
     __slots__ = ("data", "grad")
 
@@ -167,10 +178,12 @@ class _Node:
 class Tape:
     """Append-only record of operations; insertion order is topological.
 
+    A node keeps its parents' ids, its vjp and, for a leaf only, its value:
+    an intermediate value outlives its handle only while a vjp captures it.
     ``record=False`` makes a tape that keeps no nodes: tensors computed on it
-    carry their data, but no vjp or intermediate value outlives its handle,
-    and :func:`backward` refuses its losses. ``spent`` turns true when
-    :func:`backward` runs, which releases the vjps, so it runs once per tape.
+    carry their data, but no vjp outlives its handle, and :func:`backward`
+    refuses its losses. ``spent`` turns true when :func:`backward` runs,
+    which releases the vjps, so it runs once per tape.
     """
 
     def __init__(self, record: bool = True):
@@ -195,7 +208,8 @@ class Tape:
                 raise ValueError("operands recorded on different tapes")
         if not self.record:
             return Tensor(data, self, None)
-        self._nodes.append(_Node(tuple(p.nid for p in parents), vjp, _Value(data)))
+        kept = _NO_VALUE[data.dtype] if parents else data
+        self._nodes.append(_Node(tuple(p.nid for p in parents), vjp, _Value(kept)))
         return Tensor(data, self, len(self._nodes) - 1)
 
 
@@ -204,11 +218,12 @@ def backward(loss: Tensor) -> None:
 
     Visits nodes in reverse insertion order exactly once. Each node's vjp
     closure and incoming gradient are dropped as soon as it has passed that
-    gradient on to its parents, so the pass holds the forward values and the
-    gradients not yet propagated, not one gradient per node. Only leaves
-    keep a gradient: zeros for a leaf the loss does not reach, and read-only,
-    since it may be shared with another leaf. A non-leaf's ``grad`` stays
-    ``None``. The pass spends the tape: a second :func:`backward` on it
+    gradient on to its parents, so the pass holds the arrays the remaining
+    vjps read and the gradients not yet propagated, not one gradient per
+    node. Only leaves keep a gradient: zeros, shaped by the leaf's value, for
+    a leaf the loss does not reach, and read-only, since it may be shared
+    with another leaf. A non-leaf's ``grad`` stays ``None``, and its value is
+    never read. The pass spends the tape: a second :func:`backward` on it
     raises ``ValueError``.
     """
     if loss.data.shape != (1, 1):

@@ -428,8 +428,12 @@ def normalize(graph: IntervalGraph, scaler: FeatureScaler) -> IntervalGraph:
             f"graph has {graph.feat_dim - p} numeric dims"
         )
     feats = graph.raw_features.copy()
-    numeric = np.log1p(feats[:, p:]) / scaler.log_max
-    feats[:, p:] = np.minimum(numeric, 1.0)
+    # log1p stays on the strided column block, whose strides pick its kernel
+    # and so its last bits; dividing and clipping in its result makes no
+    # further (E, 8P) temporaries.
+    numeric = np.log1p(feats[:, p:])
+    numeric /= scaler.log_max
+    feats[:, p:] = np.minimum(numeric, 1.0, out=numeric)
     return replace(graph, features=feats)
 
 

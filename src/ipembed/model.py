@@ -318,9 +318,9 @@ def _input_layer(leaves, params, gt, e0, mode, gates):
 
 
 # A conv layer is an edge update, then a node update. Each edge-sized
-# tensor is dropped right after its last use, so that on a tape that records
-# nothing it is freed there; the caller drops the old edge state before the
-# node update.
+# tensor is dropped right after its last use, so that it is freed there
+# unless a vjp on a recording tape still reads it; the caller drops the old
+# edge state before the node update.
 
 
 def _edge_update(leaves, params, gt, h, edge_state, layer, mode):

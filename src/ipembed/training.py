@@ -127,6 +127,9 @@ class Adam:
     weights are updated with ``out=`` and in-place operators. The operations
     and their order are those of ``arr -= lr * (m / bc1) / (sqrt(v / bc2) +
     eps)``, so every weight bit is as an out-of-place update would leave it.
+    The arrays of one dtype share one pair of scratch buffers, as large as
+    the largest of them; each array steps on views of its own shape into
+    that pair, made at its first step.
     """
 
     def __init__(
@@ -143,8 +146,25 @@ class Adam:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        # Two scratch buffers per array: the gradient, then the step.
+        # Two flat scratch buffers per dtype, the gradient, then the step,
+        # and per array its views into them.
+        self._pairs: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _add_state(self, name: str, arr: np.ndarray, arrays: list) -> None:
+        """Zero moments and scratch views for an array not seen before. Its
+        dtype's pair is made, or replaced by a larger one, as large as the
+        largest array of that dtype in ``arrays``; views made on a replaced
+        pair keep it."""
+        self._m[name] = np.zeros_like(arr)
+        self._v[name] = np.zeros_like(arr)
+        pair = self._pairs.get(arr.dtype)
+        if pair is None or pair[0].size < arr.size:
+            size = max(a.size for _, a in arrays if a.dtype == arr.dtype)
+            pair = self._pairs[arr.dtype] = (
+                np.empty(size, arr.dtype), np.empty(size, arr.dtype)
+            )
+        self._scratch[name] = tuple(buf[: arr.size].reshape(arr.shape) for buf in pair)
 
     def step(
         self, arrays: Iterable[tuple[str, np.ndarray]], grads: dict[str, np.ndarray]
@@ -154,13 +174,11 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        arrays = list(arrays)
         for name, arr in arrays:
-            m = self._m.get(name)
-            if m is None:
-                m = self._m[name] = np.zeros_like(arr)
-                self._v[name] = np.zeros_like(arr)
-                self._scratch[name] = (np.empty_like(arr), np.empty_like(arr))
-            v = self._v[name]
+            if name not in self._m:
+                self._add_state(name, arr, arrays)
+            m, v = self._m[name], self._v[name]
             g, tmp = self._scratch[name]
             np.copyto(g, grads[name])
             m *= self.beta1
@@ -236,9 +254,12 @@ def train(
     the float64 weights, and the batch norm statistics, the best-epoch copy
     and the result stay float64.
 
-    Memory: one step's tape is alive at a time. A step keeps only its three
-    loss values, so its forward values, vjps and gradients are freed before
-    the next step's forward begins.
+    Memory: one step's tape is alive at a time, and it keeps no forward
+    value but the leaves'. During a step, an intermediate lives only while
+    the forward code or a vjp holds it, so a step's peak is the arrays its
+    vjps read plus the gradients not yet propagated. A step keeps only its
+    three loss values, so its vjps and gradients are freed before the next
+    step's forward begins.
     """
     if not graphs:
         raise ValueError("no training graphs")

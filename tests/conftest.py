@@ -24,6 +24,7 @@ from ipembed.graphs import (
     resolve_origin,
 )
 from ipembed.model import ForwardResult, _bn
+from ipembed.synth import default_roles, make_experiment
 from ipembed.zeek import (
     _FIELD_ALIASES,
     ConnRecord,
@@ -633,6 +634,13 @@ def cyclic_gc_off():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.fixture(scope="session")
+def wide_experiment():
+    """An experiment whose test graph has 5,436 edges, more than five edge
+    blocks."""
+    return make_experiment(default_roles(120, 12, 18), duration=1800.0, seed=0)
 
 
 @pytest.fixture

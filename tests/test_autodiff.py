@@ -1,6 +1,8 @@
 """Tape engine: primitive forward values, backward rules against central
 finite differences, batch norm, gate normalization, and the checker itself."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
 import ipembed.training as training
-from conftest import random_graph
+from conftest import cyclic_gc_off, random_graph
 from ipembed.autodiff import BatchNorm, Segments, ShapeError, Tape, backward, grad_check
-from ipembed.model import ModelConfig
+from ipembed.model import GraphTensors, ModelConfig, float32_leaves, forward, init_params
 
 TOL = 1e-6  # far below the 1e-4 contract; these programs are smooth
 
@@ -655,6 +657,49 @@ def test_backward_keeps_leaf_gradients_only():
     for leaf in (x, w, unused):
         with pytest.raises(ValueError, match="read-only"):
             leaf.grad[0, 0] = 99.0
+
+
+def test_recording_tape_keeps_no_non_leaf_value():
+    # A non-leaf value lives as long as a handle or a vjp holds it, not as
+    # long as its tape: add's vjp captures nothing, while relu's captures
+    # its output until backward drops the vjp.
+    tape = Tape()
+    x = tape.leaf([[1.0, -2.0], [0.5, 3.0]])
+    w = tape.leaf([[2.0, 1.0], [-1.0, 0.5]])
+    total = ad.add(x, w)
+    rectified = ad.relu(x)
+    loss = ad.add(ad.sum_all(total), ad.sum_all(rectified))
+    with cyclic_gc_off():
+        uncaptured, captured = weakref.ref(total.data), weakref.ref(rectified.data)
+        del total, rectified
+        assert uncaptured() is None
+        assert captured() is not None
+        backward(loss)
+        assert captured() is None
+    assert [node.tensor.data.size for node in tape._nodes] == [4, 4, 0, 0, 0, 0, 0]
+    np.testing.assert_array_equal(x.grad, [[2.0, 1.0], [2.0, 2.0]])  # 1 + (x > 0)
+    np.testing.assert_array_equal(w.grad, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_recorded_node_exposes_an_array_of_its_dtype(dtype):
+    # A reader of the tape may sum ``node.tensor.data.nbytes`` over all
+    # nodes: every record holds an ndarray of its value's dtype, a leaf its
+    # own value and any other node a zero-size stand-in.
+    graph = random_graph(np.random.default_rng(0), n_nodes=5, n_pairs=6, feat_dim=4)
+    gt = GraphTensors.from_graph(graph, dtype)
+    config = ModelConfig(edge_dim=gt.feats.shape[1], hidden=3, decoder_hidden=4)
+    params = init_params(config)
+    tape = Tape()
+    leaves = float32_leaves(tape, params) if dtype == np.float32 else None
+    result = forward(params, config, gt, mode="train", tape=tape, leaves=leaves)
+    for node in tape._nodes:
+        assert isinstance(node.tensor.data, np.ndarray)
+        assert node.tensor.data.dtype == dtype
+        if node.parents:
+            assert node.tensor.data.nbytes == 0
+    for leaf in result.leaves.values():
+        assert tape._nodes[leaf.nid].tensor.data is leaf.data
 
 
 def test_spent_tape_refuses_a_second_backward():

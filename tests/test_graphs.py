@@ -345,6 +345,22 @@ def test_normalize_values_and_clamp():
     assert clamped.features[0, 2 + REQ_BYTES] == 1.0
 
 
+def test_normalize_matches_the_out_of_place_formula(wide_experiment):
+    # Dividing and clipping in log1p's result leaves every bit as the
+    # out-of-place formula does, and the raw features as they were. The
+    # halved maxima clip part of the cells at 1.
+    graph = wide_experiment.test_graphs[0]
+    scaler = FeatureScaler(wide_experiment.scaler.log_max / 2)
+    raw = graph.raw_features.copy()
+    p = raw.shape[1] // (1 + len(NUMERIC_FEATURES))
+    expected = raw.copy()
+    expected[:, p:] = np.minimum(np.log1p(raw[:, p:]) / scaler.log_max, 1.0)
+    normed = normalize(graph, scaler)
+    assert 0 < np.count_nonzero(normed.features[:, p:] == 1.0) < normed.features[:, p:].size
+    assert normed.features.tobytes() == expected.tobytes()
+    assert graph.raw_features.tobytes() == raw.tobytes()
+
+
 def test_normalize_dimension_mismatch():
     vocab = ProtocolVocab(("dns", "other"))
     vec = np.ones(8)

@@ -44,7 +44,7 @@ from ipembed.serving import (
     write_projection_csv,
     write_similarity_csv,
 )
-from ipembed.synth import default_roles, make_experiment
+from ipembed.synth import make_experiment
 from ipembed.training import ModelBundle, TrainConfig, save_model, train
 
 
@@ -550,9 +550,9 @@ def test_served_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def wide():
+def wide(wide_experiment):
     """A briefly trained model and a graph of more than three edge blocks."""
-    exp = make_experiment(default_roles(120, 12, 18), duration=1800.0, seed=0)
+    exp = wide_experiment
     config = ModelConfig(edge_dim=edge_dim_for_vocab(exp.vocab.size))
     params, _ = train(exp.train_graphs[:1], config, TrainConfig(epochs=1, seed=0))
     (graph,) = exp.test_graphs
