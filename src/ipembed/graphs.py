@@ -5,8 +5,9 @@ Records are bucketed into fixed-length time intervals and summed per
 directed graph whose nodes are IPs and whose edges carry a feature vector:
 a protocol one-hot block followed by one block of 8 summed traffic
 features per protocol slot. Every forward edge gets a reverse companion
-with identical features and a set reverse flag so that message passing
-reaches both endpoints.
+with a set reverse flag so that message passing reaches both endpoints. A
+companion shares its forward twin's feature row: a graph stores one row
+per forward edge, and row ``i`` serves edges ``2i`` and ``2i + 1``.
 
 Numeric features are scaled for training with ``min(log1p(x) / max, 1)``
 where the per-dimension maxima come from the training graphs only.
@@ -24,7 +25,15 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .binio import FormatError, read_exact, read_struct, read_text, write_struct
+from .binio import (
+    FormatError,
+    read_array,
+    read_exact,
+    read_struct,
+    read_text,
+    write_array,
+    write_struct,
+)
 from .zeek import NUMERIC_FEATURES, ConnRecord
 
 __all__ = [
@@ -56,7 +65,7 @@ N_NUMERIC = len(NUMERIC_FEATURES)
 OTHER_TOKEN = "other"
 
 _GRAPH_MAGIC = b"IPGR"
-_GRAPH_VERSION = 1
+_GRAPH_VERSION = 2
 
 
 class FlowKey(NamedTuple):
@@ -129,11 +138,13 @@ class FeatureScaler:
 class IntervalGraph:
     """One interval's communication graph. Treated as immutable once built.
 
-    ``raw_features`` has ``P + P * 8`` columns: the protocol one-hot block
-    then one numeric block per protocol slot. ``features`` holds the
-    normalized copy once a scaler has been applied. ``reverse`` flags the
-    companion edges; companions carry features identical to their forward
-    twin.
+    Edges interleave: edge ``2i`` is a forward edge and edge ``2i + 1`` its
+    reverse companion, flagged in ``reverse``. A companion shares its
+    forward twin's feature row, so the feature matrices hold one row per
+    forward edge, E / 2 rows, and row ``i`` serves edges ``2i`` and
+    ``2i + 1``. ``raw_features`` has ``P + P * 8`` columns: the protocol
+    one-hot block then one numeric block per protocol slot. ``features``
+    holds the normalized copy once a scaler has been applied.
     """
 
     start: float
@@ -142,7 +153,7 @@ class IntervalGraph:
     edge_src: np.ndarray  # (E,) int32, sending endpoint of the stored flow
     edge_dst: np.ndarray  # (E,) int32, receiving endpoint
     reverse: np.ndarray  # (E,) uint8
-    raw_features: np.ndarray  # (E, d) float64
+    raw_features: np.ndarray  # (E / 2, d) float64, one row per forward edge
     features: np.ndarray | None = None
 
     @property
@@ -300,7 +311,7 @@ def build_graph(
     yields exactly one forward edge, in (source, destination) index order;
     protocols stack into the one-hot block and their numeric blocks, with
     unseen tokens accumulated onto the catch-all slot. Every forward edge is
-    followed by its reverse companion.
+    followed by its reverse companion, which shares its feature row.
 
     The numeric blocks are one ``np.bincount`` over flat (pair, column)
     cells with the groups in mapping order, so each cell adds its groups'
@@ -348,7 +359,7 @@ def build_graph(
         edge_src=edge_src,
         edge_dst=edge_dst,
         reverse=reverse,
-        raw_features=np.repeat(forward, 2, axis=0),
+        raw_features=forward,
     )
 
 
@@ -450,7 +461,7 @@ def validate_graph(graph: IntervalGraph) -> None:
         raise ValueError("edge count must be even (forward/reverse pairs)")
     if graph.edge_dst.shape != (e,) or graph.reverse.shape != (e,):
         raise ValueError("edge arrays disagree on length")
-    if graph.raw_features.shape != (e, graph.feat_dim):
+    if graph.raw_features.shape != (e // 2, graph.feat_dim):
         raise ValueError("feature matrix shape mismatch")
     p = _onehot_width(graph.feat_dim)
     onehot, numeric = graph.raw_features[:, :p], graph.raw_features[:, p:]
@@ -467,15 +478,14 @@ def validate_graph(graph: IntervalGraph) -> None:
         raise ValueError("edges must interleave forward/reverse")
     if np.any(src[0::2] != dst[1::2]) or np.any(dst[0::2] != src[1::2]):
         raise ValueError("companion edge endpoints do not mirror")
-    if not np.array_equal(graph.raw_features[0::2], graph.raw_features[1::2]):
-        raise ValueError("companion edge features differ")
     pairs = src[0::2].astype(np.int64) * n + dst[0::2]
     if len(np.unique(pairs)) != len(pairs):
         raise ValueError("duplicate forward edge for an ordered pair")
 
 
 def save_graph(graph: IntervalGraph, path: str | Path) -> None:
-    """Write one graph snapshot (raw features only)."""
+    """Write one graph snapshot: raw features only, one row per forward
+    edge, as the graph holds them."""
     with open(path, "wb") as fp:
         fp.write(_GRAPH_MAGIC)
         write_struct(fp, "<H", _GRAPH_VERSION)
@@ -486,10 +496,10 @@ def save_graph(graph: IntervalGraph, path: str | Path) -> None:
             write_struct(fp, "<H", len(encoded))
             fp.write(encoded)
         write_struct(fp, "<I", graph.n_edges)
-        fp.write(graph.edge_src.astype("<i4").tobytes())
-        fp.write(graph.edge_dst.astype("<i4").tobytes())
-        fp.write(graph.reverse.astype("u1").tobytes())
-        fp.write(graph.raw_features.astype("<f8").tobytes())
+        write_array(fp, graph.edge_src, "i4")
+        write_array(fp, graph.edge_dst, "i4")
+        write_array(fp, graph.reverse, "u1")
+        write_array(fp, graph.raw_features, "f8")
 
 
 def load_graph(path: str | Path) -> IntervalGraph:
@@ -500,6 +510,11 @@ def load_graph(path: str | Path) -> IntervalGraph:
         if magic != _GRAPH_MAGIC:
             raise FormatError(f"not a graph snapshot (magic {magic!r})")
         (version,) = read_struct(fp, "<H")
+        if version == 1:
+            raise FormatError(
+                "graph snapshot version 1 stores companion rows; "
+                "rebuild it with `ipembed build-graphs`"
+            )
         if version != _GRAPH_VERSION:
             raise FormatError(f"unsupported graph snapshot version {version}")
         start, end = read_struct(fp, "<dd")
@@ -509,16 +524,15 @@ def load_graph(path: str | Path) -> IntervalGraph:
             (length,) = read_struct(fp, "<H")
             nodes.append(read_text(fp, length, "graph snapshot node name"))
         (n_edges,) = read_struct(fp, "<I")
-        edge_src = np.frombuffer(read_exact(fp, 4 * n_edges), dtype="<i4").astype(
-            np.int32
-        )
-        edge_dst = np.frombuffer(read_exact(fp, 4 * n_edges), dtype="<i4").astype(
-            np.int32
-        )
-        reverse = np.frombuffer(read_exact(fp, n_edges), dtype="u1").astype(np.uint8)
-        feats = np.frombuffer(
-            read_exact(fp, 8 * n_edges * dim), dtype="<f8"
-        ).reshape(n_edges, dim)
+        edge_src = read_array(fp, np.int32, (n_edges,))
+        edge_dst = read_array(fp, np.int32, (n_edges,))
+        reverse = read_array(fp, np.uint8, (n_edges,))
+        # The features hold a row per edge pair, so an odd count fits no layout.
+        if n_edges % 2:
+            raise FormatError(
+                "bad graph snapshot: edge count must be even (forward/reverse pairs)"
+            )
+        feats = read_array(fp, np.float64, (n_edges // 2, dim))
         trailing = fp.read(1)
         if trailing:
             raise FormatError("trailing bytes after graph payload")
@@ -529,7 +543,7 @@ def load_graph(path: str | Path) -> IntervalGraph:
         edge_src=edge_src,
         edge_dst=edge_dst,
         reverse=reverse,
-        raw_features=feats.astype(np.float64),
+        raw_features=feats,
     )
     try:
         validate_graph(graph)

@@ -227,14 +227,16 @@ class GraphTensors:
     @classmethod
     def from_graph(cls, graph: IntervalGraph, dtype=np.float64) -> "GraphTensors":
         """Stored flows deliver their message to the destination endpoint;
-        reverse companions cover the source, so reach is symmetric. The
-        features, reverse flag last, are written straight into one ``dtype``
-        matrix: a float32 one is the float64 values cast, with no float64
-        copy made."""
+        reverse companions cover the source, so reach is symmetric. Each
+        feature row of the graph is written into both edges of its pair,
+        reverse flag last, straight into one ``dtype`` matrix: a float32 one
+        is the float64 values cast, with no float64 copy made."""
         if graph.features is None:
             raise ValueError("graph has no normalized features; apply a scaler")
-        feats = np.empty((graph.n_edges, graph.features.shape[1] + 1), dtype=dtype)
-        feats[:, :-1] = graph.features
+        rows, dim = graph.features.shape
+        feats = np.empty((rows, 2, dim + 1), dtype=dtype)
+        feats[:, :, :-1] = graph.features[:, None, :]
+        feats = feats.reshape(2 * rows, dim + 1)
         feats[:, -1] = graph.reverse
         return cls(
             n_nodes=graph.n_nodes,

@@ -91,13 +91,16 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     edge features written once into a float32 matrix, with the batch norm
     statistics cast per layer. The bundle itself is left in float64.
 
-    What stays live: the graph, its float32 features, the node states and
-    the final (E, H) edge states. The decoder's endpoint terms are computed
-    once on the node rows; then each block of at least
-    :data:`~ipembed.autodiff.BLOCK_ROWS` edges is decoded, its logits taken
-    out as float64 and scored against its float64 targets into one
-    preallocated error array. So beyond the encoder, serving memory grows
-    with the nodes and one block, not with E times ``decoder_hidden``.
+    What stays live: the graph, with one float64 feature row per edge pair,
+    its float32 model input, with that row written into both edges of the
+    pair, the node states and the final (E, H) edge states. The decoder's
+    endpoint terms are computed once on the node rows; then each block of
+    at least :data:`~ipembed.autodiff.BLOCK_ROWS` edges is decoded, its
+    logits taken out as float64 and scored against its float64 targets,
+    gathered from the pair rows for that block alone (a block may start or
+    end between the two edges of a pair), into one preallocated error
+    array. So beyond the encoder, serving memory grows with the nodes and
+    one block, not with E times ``decoder_hidden``.
     Every step is row-local, so the block size changes no output bit as
     long as BLAS runs a block's products with the same kernel as the whole
     graph's. The one exception is ``decoder_hidden`` 1: the decoder's edge
@@ -136,7 +139,9 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
         logits = decode_edges(
             tape.leaf(edge_state.data[rows]), gt.recv[rows], gt.send[rows]
         ).data.astype(np.float64)
-        targets = np.column_stack((graph.features[rows], graph.reverse[rows]))
+        targets = np.column_stack(
+            (graph.features[np.arange(start, stop) // 2], graph.reverse[rows])
+        )
         errors[rows] = _mean_kl(targets, logits)
 
     ends = np.concatenate([gt.recv, gt.send])

@@ -15,7 +15,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .binio import (
-    FormatError, ensure_left, read_exact, read_struct, read_text, write_struct
+    FormatError,
+    ensure_left,
+    read_exact,
+    read_into,
+    read_struct,
+    read_text,
+    write_array,
+    write_struct,
 )
 from .graphs import N_NUMERIC, FeatureScaler, IntervalGraph, ProtocolVocab
 from .model import (
@@ -351,7 +358,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
             write_struct(fp, "<H", len(encoded))
             fp.write(encoded)
             write_struct(fp, "<II", arr.shape[0], arr.shape[1])
-            fp.write(arr.astype("<f8").tobytes())
+            write_array(fp, arr, "f8")
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -410,12 +417,11 @@ def load_model(path: str | Path) -> ModelBundle:
                 raise FormatError(
                     f"tensor {name!r} has shape {shape}, expected {arr.shape}"
                 )
-            data = np.frombuffer(read_exact(fp, arr.nbytes), dtype="<f8")
-            if not np.all(np.isfinite(data)):
+            read_into(fp, arr)
+            if not np.all(np.isfinite(arr)):
                 raise FormatError(f"tensor {name!r} holds a non-finite value")
-            if name.endswith(".running_var") and np.any(data < 0.0):
+            if name.endswith(".running_var") and np.any(arr < 0.0):
                 raise FormatError(f"tensor {name!r} holds a negative variance")
-            arr[...] = data.reshape(shape)
         if expected:
             raise FormatError(f"model file is missing tensor {next(iter(expected))!r}")
         if fp.read(1):

@@ -60,7 +60,8 @@ def random_graph(rng, n_nodes=5, n_pairs=6, feat_dim=4, normalized=True):
     """Random undirected-pair graph with mirrored reverse companions.
 
     Features are uniform in (0.05, 0.95) so BCE targets stay away from the
-    saturated ends; the same row is shared by both directions of a pair.
+    saturated ends; each pair stores one row, which both of its directions
+    share.
     """
     n_pairs = min(n_pairs, n_nodes * (n_nodes - 1) // 2)
     pairs = set()
@@ -75,7 +76,7 @@ def random_graph(rng, n_nodes=5, n_pairs=6, feat_dim=4, normalized=True):
         src += [a, b]
         dst += [b, a]
         rev += [0, 1]
-        feats += [row, row]
+        feats.append(row)
     nodes = tuple(f"10.9.{i // 250}.{i % 250 + 1}" for i in range(n_nodes))
     feats = np.array(feats, dtype=np.float64)
     return IntervalGraph(
@@ -90,22 +91,15 @@ def random_graph(rng, n_nodes=5, n_pairs=6, feat_dim=4, normalized=True):
     )
 
 
-def two_node_graph(feat, reverse_feat=None):
-    """Single pair A<->B with explicit 1-D-per-edge features for hand oracles."""
-    feat = np.atleast_1d(np.asarray(feat, dtype=np.float64))
-    rfeat = feat if reverse_feat is None else np.atleast_1d(
-        np.asarray(reverse_feat, dtype=np.float64)
-    )
-    feats = np.stack([feat, rfeat])
-    return IntervalGraph(
-        start=0.0,
-        end=600.0,
-        nodes=("10.0.0.1", "10.0.0.2"),
-        edge_src=np.array([0, 1], dtype=np.int32),
-        edge_dst=np.array([1, 0], dtype=np.int32),
-        reverse=np.array([0, 1], dtype=np.uint8),
-        raw_features=feats,
-        features=feats.copy(),
+def version1_snapshot(blob, graph):
+    """The version-1 form of ``graph``'s snapshot ``blob``: the same header
+    and edges, then a feature row for every edge, companions included."""
+    rows = graph.raw_features.astype("<f8")
+    return (
+        blob[:4]
+        + (1).to_bytes(2, "little")
+        + blob[6 : len(blob) - rows.nbytes]
+        + np.repeat(rows, 2, axis=0).tobytes()
     )
 
 
@@ -585,16 +579,14 @@ def legacy_build_graph(groups, vocab, start, end):
     edge_src = np.empty(n_edges, dtype=np.int32)
     edge_dst = np.empty(n_edges, dtype=np.int32)
     reverse = np.zeros(n_edges, dtype=np.uint8)
-    feats = np.empty((n_edges, dim), dtype=np.float64)
+    feats = np.empty((len(pairs), dim), dtype=np.float64)
     for k, (src, dst) in enumerate(pairs):
-        row = pair_feats[(src, dst)]
         edge_src[2 * k] = src
         edge_dst[2 * k] = dst
-        feats[2 * k] = row
+        feats[k] = pair_feats[(src, dst)]
         edge_src[2 * k + 1] = dst
         edge_dst[2 * k + 1] = src
         reverse[2 * k + 1] = 1
-        feats[2 * k + 1] = row
     return IntervalGraph(
         start=float(start),
         end=float(end),

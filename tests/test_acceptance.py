@@ -424,7 +424,8 @@ def test_inflated_edges_score_above_training_p95():
         chosen = rng.choice(n_pairs, size=max(1, n_pairs // 10), replace=False)
         rows = np.concatenate([2 * chosen, 2 * chosen + 1])
         raw = graph.raw_features.copy()
-        raw[np.ix_(rows, np.flatnonzero(counters))] *= 100.0
+        # Row k serves both edges of pair k: the cells of both directions.
+        raw[np.ix_(chosen, np.flatnonzero(counters))] *= 100.0
         inflated = normalize(
             replace(graph, raw_features=raw, features=None), exp.scaler
         )

@@ -5,14 +5,26 @@ name it imports from ``ipembed``, every attribute it reads off an imported
 binds to its signature: the positional arguments by count, the keywords by
 name. A call counts whether the callable is called directly or handed to the
 harness's ``call(name, fn, *args, **kwargs)`` helpers. A call that spreads
-``*args`` has its keywords checked alone."""
+``*args`` has its keywords checked alone.
+
+The harness's own round-trip checks also run here, on a graph and a model
+saved and loaded by the package, so a file layout they no longer accept
+fails a test rather than showing up as failed operations in a benchmark
+run."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
+
+from conftest import with_item
+from ipembed.graphs import load_graph, save_graph
+from ipembed.model import ModelConfig, edge_dim_for_vocab
+from ipembed.synth import default_roles, make_experiment
+from ipembed.training import ModelBundle, TrainConfig, load_model, save_model, train
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = sorted(BENCH.glob("*.py"))
@@ -123,3 +135,30 @@ def test_benchmark_names_resolve(path):
                 f"line {node.lineno}: {label}({len(args)} positional; {names})"
             )
     assert not missing, f"{path.name} uses names ipembed no longer has: {missing}"
+
+
+def _bench_checks():
+    """The harness's ``checks.py``, imported from its file as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+def test_benchmark_round_trip_checks_accept_saved_files(tmp_path):
+    checks = _bench_checks()
+    exp = make_experiment(default_roles(4, 2, 2), duration=1800.0, seed=0)
+    graph = exp.train_graphs[0]
+    save_graph(graph, tmp_path / "graph.ipgr")
+    loaded = load_graph(tmp_path / "graph.ipgr")
+    assert checks.graphs_equal(graph, loaded)
+    cell = loaded.raw_features[0, -1] + 1.0
+    assert not checks.graphs_equal(graph, with_item(loaded, "raw_features", (0, -1), cell))
+
+    config = ModelConfig(
+        edge_dim=edge_dim_for_vocab(exp.vocab.size), hidden=4, decoder_hidden=4
+    )
+    params, _ = train(exp.train_graphs, config, TrainConfig(epochs=1, seed=0))
+    bundle = ModelBundle(params, config, exp.vocab, exp.scaler)
+    save_model(bundle, tmp_path / "model.ipgm")
+    assert checks.bundles_equal(bundle, load_model(tmp_path / "model.ipgm"))

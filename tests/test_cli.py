@@ -21,6 +21,7 @@ from conftest import (
     model_tensor_record,
     rewrite_model_config,
     rewrite_model_section,
+    version1_snapshot,
     with_item,
     with_model_tensor,
 )
@@ -446,19 +447,17 @@ def test_refused_model_file_is_data_error(
 
 
 # Graph snapshot faults, each applied to a valid graph before it is saved.
-# The first edge pair is forward edge 0 and its companion, edge 1; the last
-# feature column is a traffic sum, column 0 a protocol one-hot cell.
+# The first edge pair is forward edge 0 and its companion, edge 1, which
+# share feature row 0; the last feature column is a traffic sum, column 0 a
+# protocol one-hot cell.
 CORRUPT_GRAPHS = {
     "flipped-reverse-flag": lambda g: with_item(g, "reverse", 0, 1),
     "unmirrored-companion": lambda g: with_item(
         g, "edge_dst", 1, (g.edge_src[0] + 1) % g.n_nodes
     ),
-    "companion-features-differ": lambda g: with_item(
-        g, "raw_features", (1, -1), g.raw_features[1, -1] + 1.0
-    ),
-    "nan-feature": lambda g: with_item(g, "raw_features", (slice(0, 2), -1), np.nan),
-    "negative-feature": lambda g: with_item(g, "raw_features", (slice(0, 2), -1), -5.0),
-    "onehot-7": lambda g: with_item(g, "raw_features", (slice(0, 2), 0), 7.0),
+    "nan-feature": lambda g: with_item(g, "raw_features", (0, -1), np.nan),
+    "negative-feature": lambda g: with_item(g, "raw_features", (0, -1), -5.0),
+    "onehot-7": lambda g: with_item(g, "raw_features", (0, 0), 7.0),
     "duplicate-node": lambda g: replace(
         g, nodes=(g.nodes[0], g.nodes[0], *g.nodes[2:])
     ),
@@ -506,6 +505,24 @@ def test_corrupt_graph_or_model_is_data_error(workspace, tmp_path, capsys, fault
     ) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_version_1_graph_is_data_error(workspace, tmp_path, capsys):
+    graph = tmp_path / "old.ipgr"
+    graph.write_bytes(
+        version1_snapshot(
+            workspace["graph0"].read_bytes(), load_graph(workspace["graph0"])
+        )
+    )
+    out = tmp_path / "embed.csv"
+    assert run(
+        ["embed", "--model", str(workspace["model"]), "--graph", str(graph),
+         "--out", str(out)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "version 1 stores companion rows" in err and "build-graphs" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from conftest import (
     legacy_aggregate_flows,
     legacy_build_interval_graphs,
     make_record,
+    version1_snapshot,
     with_item,
 )
 from ipembed.binio import FormatError
@@ -202,8 +203,8 @@ def test_build_graph_hand_layout():
     expected = np.zeros(18)
     expected[0] = 1.0  # dns one-hot
     expected[2 + REQ_BYTES] = 150.0
-    np.testing.assert_array_equal(graph.raw_features[0], expected)
-    np.testing.assert_array_equal(graph.raw_features[1], expected)
+    # One row per forward edge: the companion shares it.
+    np.testing.assert_array_equal(graph.raw_features, [expected])
 
 
 def test_build_graph_reverse_companions():
@@ -217,14 +218,12 @@ def test_build_graph_reverse_companions():
     validate_graph(graph)
 
     assert graph.n_edges == 4
+    assert graph.raw_features.shape == (2, graph.feat_dim)
     for k in range(0, graph.n_edges, 2):
         assert graph.reverse[k] == 0
         assert graph.reverse[k + 1] == 1
         assert graph.edge_src[k] == graph.edge_dst[k + 1]
         assert graph.edge_dst[k] == graph.edge_src[k + 1]
-        np.testing.assert_array_equal(
-            graph.raw_features[k], graph.raw_features[k + 1]
-        )
 
 
 def test_two_protocols_one_pair_single_edge():
@@ -427,6 +426,31 @@ def test_snapshot_truncated(tmp_path):
         load_graph(path)
 
 
+def test_version_1_snapshot_asks_for_a_rebuild(tmp_path):
+    graph = _two_pair_graph()
+    path = tmp_path / "graph.ipgr"
+    save_graph(graph, path)
+    blob = version1_snapshot(path.read_bytes(), graph)
+    # Refused on its version, before anything past it is read.
+    for data in (blob, blob[:6]):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="version 1 stores companion rows.*build-graphs"):
+            load_graph(path)
+
+
+def test_odd_edge_count_is_refused_before_the_features(tmp_path):
+    path = tmp_path / "graph.ipgr"
+    graph = _drop_last_edge(_two_pair_graph())
+    save_graph(graph, path)
+    # magic, version, start/end, dim/n_nodes, node table, edge count, then
+    # source, destination and reverse flag of each edge
+    offset = 4 + 2 + 16 + 8 + sum(2 + len(ip) for ip in graph.nodes) + 4
+    offset += 9 * graph.n_edges
+    path.write_bytes(path.read_bytes()[:offset])
+    with pytest.raises(FormatError, match="even"):
+        load_graph(path)
+
+
 @pytest.mark.parametrize("array,value", [("edge_src", 1_000_000), ("edge_dst", -1)])
 def test_snapshot_edge_index_out_of_range(tmp_path, array, value):
     vocab = ProtocolVocab(("dns", "other"))
@@ -537,10 +561,6 @@ BROKEN_COMPANIONS = [
     (lambda g: with_item(g, "reverse", 0, 1), "interleave"),
     (lambda g: with_item(g, "reverse", 3, 0), "interleave"),
     (lambda g: with_item(g, "edge_dst", 1, 2), "mirror"),
-    (
-        lambda g: with_item(g, "raw_features", 1, np.zeros(g.feat_dim)),
-        "features differ",
-    ),
     (_swap_edge_pairs, "duplicate forward edge"),
 ]
 
@@ -562,8 +582,8 @@ def test_validate_graph_rejects_broken_companions(break_graph, message):
 
 
 def _with_pair_cell(graph, column, value):
-    """Set one feature cell on both edges of the first pair."""
-    return with_item(graph, "raw_features", (slice(0, 2), column), value)
+    """Set one feature cell of the first pair, which both its edges share."""
+    return with_item(graph, "raw_features", (0, column), value)
 
 
 # Columns of _two_pair_graph: 0-1 the dns/other one-hot, 2-17 the sums.
@@ -589,12 +609,12 @@ def test_validate_graph_checks_feature_values(break_graph, message):
 
 
 def _drop_last_edge(graph):
+    # The last pair's feature row stays: it still serves the forward edge.
     return replace(
         graph,
         edge_src=graph.edge_src[:-1],
         edge_dst=graph.edge_dst[:-1],
         reverse=graph.reverse[:-1],
-        raw_features=graph.raw_features[:-1],
     )
 
 

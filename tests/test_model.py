@@ -12,7 +12,6 @@ from conftest import (
     neighbor_loss,
     random_graph,
     reconstruction_loss,
-    two_node_graph,
 )
 from ipembed.autodiff import Tape, backward, grad_check
 from ipembed.model import (
@@ -80,9 +79,14 @@ def test_input_layer_hand_oracle():
     params = zero_params(config)
     params.arrays["edge_embed"][:] = 1.5
     params.arrays["edge_to_node"][:] = 2.0
-    graph = two_node_graph([0.8], [0.3])
-    gt = GraphTensors.from_graph(graph)
-    gt.feats = gt.feats[:, :1]  # drop the direction flag: oracle is 1-D
+    # A graph stores one row per pair, so the asymmetric pair is built as
+    # tensors directly: edge 0 sends A->B, edge 1 B->A, no direction flag.
+    gt = GraphTensors(
+        n_nodes=2,
+        recv=np.array([1, 0]),
+        send=np.array([0, 1]),
+        feats=np.array([[0.8], [0.3]]),
+    )
 
     h, edge_state, gates = input_layer(params, config, gt, mode="train")
     np.testing.assert_allclose(
@@ -351,6 +355,19 @@ def test_encode_is_forward_without_the_losses(mode):
     for (name, x), (_, y) in zip(a.named_buffers(), b.named_buffers()):
         np.testing.assert_array_equal(x, y, err_msg=name)
     assert not hasattr(res, "decoded")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_from_graph_writes_each_row_into_both_edges_of_its_pair(dtype):
+    graph = random_graph(np.random.default_rng(3), n_nodes=6, n_pairs=7, feat_dim=5)
+    gt = GraphTensors.from_graph(graph, dtype)
+    assert gt.feats.dtype == dtype and gt.feats.shape == (graph.n_edges, 6)
+    rows = graph.features.astype(dtype).tobytes()
+    assert gt.feats[0::2, :-1].tobytes() == rows
+    assert gt.feats[1::2, :-1].tobytes() == rows
+    assert gt.feats[:, -1].tolist() == [0.0, 1.0] * (graph.n_edges // 2)
+    assert gt.recv.tolist() == graph.edge_dst.tolist()
+    assert gt.send.tolist() == graph.edge_src.tolist()
 
 
 def test_forward_rejects_bad_inputs():

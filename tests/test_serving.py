@@ -451,7 +451,9 @@ def test_edge_errors_are_mean_kl_divergence(pipeline):
     leaves = model.float32_leaves(tape, bundle.params)
     result = forward(bundle.params, bundle.config, gt, "eval", tape, leaves)
     z = result.logits.data.astype(np.float64)
-    t = np.hstack([graph.features, graph.reverse.astype(np.float64)[:, None]])
+    t = np.hstack(
+        [np.repeat(graph.features, 2, axis=0), graph.reverse.astype(np.float64)[:, None]]
+    )
     assert np.any(t == 0.0) and np.any(t == 1.0)
     assert np.any((t > 0.0) & (t < 1.0))
     expected = mean_kl(t, z)
@@ -573,6 +575,37 @@ def test_block_size_does_not_change_served_bytes(wide, monkeypatch):
     assert small.vectors.tobytes() == default.vectors.tobytes()
     assert small.edge_errors.tobytes() == default.edge_errors.tobytes()
     assert small.anomaly == default.anomaly
+
+
+def test_edge_errors_match_a_dense_duplicated_reference(wide, monkeypatch):
+    """Each block gathers its targets from the pair rows; scoring every
+    block's logits against the matrix with one row per edge instead gives
+    the same bytes, across block bounds that split a pair."""
+    bundle, graph = wide
+    assert graph.n_edges > 2 * ad.BLOCK_ROWS
+    blocks = []
+
+    score = serving._mean_kl
+
+    def kept(t, logits):
+        blocks.append(logits)
+        return score(t, logits)
+
+    monkeypatch.setattr(serving, "_mean_kl", kept)
+    served = infer_embeddings(bundle, graph).edge_errors
+    bounds = np.cumsum([0] + [len(b) for b in blocks])
+    assert len(blocks) > 2 and bounds[-1] == graph.n_edges
+    assert any(bound % 2 for bound in bounds)
+    dense = np.column_stack(
+        (np.repeat(graph.features, 2, axis=0), graph.reverse.astype(np.float64))
+    )
+    expected = np.concatenate(
+        [
+            score(dense[start:stop], logits)
+            for start, stop, logits in zip(bounds, bounds[1:], blocks)
+        ]
+    )
+    assert served.tobytes() == expected.tobytes()
 
 
 def test_serving_peak_memory_is_a_few_edge_arrays(wide):
