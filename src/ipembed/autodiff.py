@@ -25,44 +25,12 @@ closed form, so neither leaves its intermediate steps on the tape.
 :func:`gather_linear` applies a weight to node rows and gathers the product
 to edge rows, so a per-endpoint product costs n rows of work, not E.
 
-Segment plan: summing rows by id (the forward of :func:`segment_sum` and the
-backward of :func:`gather_rows` and :func:`gather_linear`) goes through a
-:class:`Segments` record. Its first sum sorts the ids and cuts the sorted
-rows into blocks of whole segments, about :data:`BLOCK_ROWS` rows each; each
-sum then gathers and reduces one block at a time with ``np.add.reduceat``. Each
-segment adds the same rows in the same order as one reduceat over the whole
-array would, so blocking changes no bit of a result, but a block stays in
-cache: a single axis-0 reduceat over a 16k-row campus array takes several
-times as long. A graph of at most :data:`BLOCK_ROWS` edges is one block and
-one call. A graph builds one record for its receiving and one for its
-sending endpoints and reuses them for every layer and every step. A plain id
-array gets a record of its own, which sorts only if something sums by it:
-a gather on a tape that records nothing sorts nothing.
-
-Backward copies nothing: the first gradient part reaching a node is stored
-as it is and later parts are added out of place, since one vjp may hand
-the same array to several parents. Backward keeps only what it still needs:
-once a node has passed its gradient on, its vjp closure and that gradient
-are dropped, so the pass holds the arrays the remaining vjps read plus the
-gradients not yet propagated. Only leaves keep a gradient, and it is
-read-only, since leaves may share one array. The tape is then spent: its
-vjps are gone, and a second :func:`backward` on it raises ``ValueError``.
-
-Memory follows reference counting. A :class:`Tensor` handle holds its tape;
-the tape holds, per node, the parents' ids, the vjp closure until backward
-drops it (it captures arrays only, such as batch norm's normalized input)
-and a value record. A leaf's record keeps its data and, after
-:func:`backward`, its gradient. Any other node's record keeps no value, only
-a shared zero-size array of its dtype: backward reads no such value, and
-each vjp has captured what it needs. So an intermediate lives exactly as
-long as a handle or a vjp holds it, and one that no vjp reads is freed as
-soon as the forward code lets go of it, even on a recording tape. Nothing
-on a tape points back at a handle, so a tape and every array it keeps alive
-are freed the moment its last handle is dropped, without waiting for the
-cyclic collector. A training step drops its handles when it returns, so one
-step's tape is alive at a time. A tape built with ``record=False`` keeps no
-node at all, so not even a vjp holds an intermediate, and the result cannot
-be differentiated. Training and gradient checks record; serving does not.
+Memory follows reference counting. A tape keeps, per node, its parents'
+ids, its vjp until :func:`backward` drops it, and a leaf's value, so an
+intermediate lives exactly as long as a handle or a vjp holds it, and a
+tape and all it holds are freed with its last handle, without the cyclic
+collector. :class:`Tape`, :func:`backward` and :class:`Segments` (the sort
+plans behind every sum of rows by id) give the details.
 """
 
 from __future__ import annotations
@@ -216,15 +184,17 @@ class Tape:
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into the leaves of its tape.
 
-    Visits nodes in reverse insertion order exactly once. Each node's vjp
-    closure and incoming gradient are dropped as soon as it has passed that
-    gradient on to its parents, so the pass holds the arrays the remaining
-    vjps read and the gradients not yet propagated, not one gradient per
-    node. Only leaves keep a gradient: zeros, shaped by the leaf's value, for
-    a leaf the loss does not reach, and read-only, since it may be shared
-    with another leaf. A non-leaf's ``grad`` stays ``None``, and its value is
-    never read. The pass spends the tape: a second :func:`backward` on it
-    raises ``ValueError``.
+    Visits nodes in reverse insertion order exactly once, copying no
+    gradient: a node's first gradient part is kept as it is and later ones
+    are added out of place, as one vjp may hand an array to two parents.
+    Each node's vjp closure and incoming gradient are dropped as soon as it
+    has passed that gradient on to its parents, so the pass holds the
+    arrays the remaining vjps read and the gradients not yet propagated,
+    not one gradient per node. Only leaves keep a gradient: zeros, shaped
+    by the leaf's value, for a leaf the loss does not reach, and read-only,
+    since it may be shared with another leaf. A non-leaf's ``grad`` stays
+    ``None``, and its value is never read. The pass spends the tape: a
+    second :func:`backward` on it raises ``ValueError``.
     """
     if loss.data.shape != (1, 1):
         raise ShapeError(f"loss must be scalar (1, 1), got {loss.data.shape}")
@@ -395,7 +365,9 @@ class Segments:
     window gets a block of its own. Each block is stored as its slice of the
     runs, its slice of the sort order and its run offsets within that slice.
     :meth:`sum` then costs one gather and one ``np.add.reduceat`` per block.
-    A gather that is never differentiated never sums, so it sorts nothing.
+    Each segment adds the same rows in the same order as one reduceat over
+    the whole array, so blocking changes no bit of a sum. A gather that is
+    never differentiated never sums, so it sorts nothing.
     """
 
     __slots__ = ("ids", "count", "_plan")

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
 inputs), 3 numeric failure (diverged training). All progress goes to
 standard error; results go to the declared output paths or standard out.
+
+Flags are the only way to set an option; one that sets a ``ModelConfig``
+or ``TrainConfig`` field is named after it and defaults to it. Every CSV
+table goes through ``serving.write_csv``. A failed ``eval-holdout`` run
+leaves no ``--out`` file.
 """
 
 from __future__ import annotations

@@ -504,7 +504,10 @@ def save_graph(graph: IntervalGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> IntervalGraph:
     """Read a graph snapshot written by :func:`save_graph`. A snapshot that
-    :func:`validate_graph` refuses is a ``FormatError``."""
+    :func:`validate_graph` refuses is a ``FormatError``. So is a version-1
+    snapshot, which stored a row for every companion too: the error says to
+    rebuild it with ``ipembed build-graphs``. The version, and an odd edge
+    count, are refused before any feature bytes are read."""
     with open(path, "rb") as fp:
         magic = read_exact(fp, 4)
         if magic != _GRAPH_MAGIC:

@@ -23,6 +23,12 @@ is applied to the ``n`` node rows and only the product is gathered to the
 its gated edge features per node before projecting them. Edges outnumber
 nodes 13 to 50 times on the synthetic graphs, so this removes about two
 thirds of the forward multiply-adds.
+
+Entry points: training calls :func:`forward`, the network and both loss
+terms on one tape. Serving calls :func:`encode_states` and then
+:func:`decoder` itself, so that it can decode a graph one edge block at a
+time. :func:`input_layer`, :func:`conv_layer` and :func:`decode` each run
+one part of the network on its own tape, for layer-by-layer timing.
 """
 
 from __future__ import annotations
@@ -41,11 +47,10 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "GraphTensors",
-    "Encoding",
     "ForwardResult",
+    "blank_params",
     "init_params",
     "param_shapes",
-    "encode",
     "encode_states",
     "decoder",
     "forward",
@@ -181,9 +186,25 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+def blank_params(config: ModelConfig) -> ModelParams:
+    """Every array :func:`param_shapes` names, batch norm gammas at one and
+    all others at zero, with fresh batch norm statistics: what
+    :func:`init_params` draws into and the model loader reads a file into."""
+    arrays = {
+        name: (np.ones if name.endswith(".gamma") else np.zeros)(shape)
+        for name, shape in param_shapes(config).items()
+    }
+    bns = {
+        name.removesuffix(".gamma"): BatchNorm.create(arr.shape[1])
+        for name, arr in arrays.items()
+        if name.endswith(".gamma")
+    }
+    return ModelParams(arrays, bns)
+
+
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Seeded Glorot-uniform weights; unit/zero batch norm affine terms;
-    zero decoder biases.
+    """Seeded Glorot-uniform weights drawn into :func:`blank_params`, whose
+    batch norm affine terms and decoder biases stay at one and zero.
 
     The draw order (every conv weight first, then the input and decoder
     weights, each in table order) and the table order of
@@ -191,20 +212,12 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     bytes of every seeded model.
     """
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(config)
-    arrays = {
-        name: (np.ones if name.endswith(".gamma") else np.zeros)(shape)
-        for name, shape in shapes.items()
-    }
-    weights = [n for n in shapes if not n.endswith((".gamma", ".beta", "_b"))]
+    params = blank_params(config)
+    arrays = params.arrays
+    weights = [n for n in arrays if not n.endswith((".gamma", ".beta", "_b"))]
     for name in sorted(weights, key=lambda n: not n.startswith("conv")):
-        arrays[name] = _glorot(rng, *shapes[name])
-    bns = {
-        name.removesuffix(".gamma"): BatchNorm.create(arr.shape[1])
-        for name, arr in arrays.items()
-        if name.endswith(".gamma")
-    }
-    return ModelParams(arrays, bns)
+        arrays[name] = _glorot(rng, *arrays[name].shape)
+    return params
 
 
 @dataclass
@@ -256,28 +269,22 @@ class GraphTensors:
 
 
 @dataclass
-class Encoding:
-    """The network's outputs on one graph, without the loss terms: all that
-    serving needs. Values are tape tensors; use ``.data`` for plain arrays."""
+class ForwardResult:
+    """The network's outputs on one graph and both loss terms, all recorded
+    on one tape. Values are tape tensors; use ``.data`` for plain arrays."""
 
     node_states: Tensor  # (n, H) final embeddings
     edge_states: Tensor  # (E, H) final edge states
     logits: Tensor  # (E, d) decoder pre-activations
     gates: list[Tensor]  # per layer, input layer first
     leaves: dict[str, Tensor]
+    recon_loss: Tensor
+    neighbor_loss: Tensor
+    loss: Tensor
 
     @property
     def embeddings(self) -> np.ndarray:
         return self.node_states.data
-
-
-@dataclass
-class ForwardResult(Encoding):
-    """An :class:`Encoding` plus the loss terms, recorded on its tape."""
-
-    recon_loss: Tensor
-    neighbor_loss: Tensor
-    loss: Tensor
 
 
 def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
@@ -287,7 +294,8 @@ def _leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
 def float32_leaves(tape: Tape, params: ModelParams) -> dict[str, Tensor]:
     """A float32 copy of every trainable array as a leaf on ``tape``, under
     its name: the one way to run the network in float32 on float64 master
-    weights. Training steps and serving pass these as ``leaves``; ``params``
+    weights. Its two callers, ``training._step`` and
+    ``serving.infer_embeddings``, pass these as ``leaves``; ``params``
     itself is left as it is."""
     return {
         name: tape.leaf(arr.astype(np.float32)) for name, arr in params.named_arrays()
@@ -396,7 +404,7 @@ def encode_states(
     leaves: dict[str, Tensor],
     gates: list[Tensor] | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """:func:`encode` up to the decoder: the input layer and the conv stack,
+    """The network up to the decoder: the input layer and the conv stack,
     on parameter tensors ``leaves`` recorded on ``tape``. Returns the final
     node and edge states. Each layer's gates are appended to ``gates``,
     input layer first, when it is a list; otherwise none outlives its
@@ -411,41 +419,6 @@ def encode_states(
     return h, edge_state
 
 
-def encode(
-    params: ModelParams,
-    config: ModelConfig,
-    gt: GraphTensors,
-    mode: str = "train",
-    tape: Tape | None = None,
-    leaves: dict[str, Tensor] | None = None,
-) -> Encoding:
-    """Run the input layer, the conv stack and the decoder on one graph.
-
-    The pass draws no random numbers, so its result depends only on the
-    parameters, the batch norm statistics and the graph. Train mode folds
-    each batch's statistics into the running ones; eval mode normalizes by
-    the running ones and leaves them unchanged. ``leaves`` lets a
-    caller supply pre-registered parameter tensors (same names as
-    ``params.named_arrays``) on an existing tape, which is how the gradient
-    checker reuses :func:`forward` and how training and serving run on
-    :func:`float32_leaves`. It is :func:`encode_states` followed by one
-    :func:`decoder` call over every edge.
-    """
-    if tape is None:
-        tape = Tape()
-    if leaves is None:
-        leaves = _leaves(tape, params)
-    gates: list[Tensor] = []
-    h, edge_state = encode_states(params, config, gt, mode, tape, leaves, gates)
-    return Encoding(
-        node_states=h,
-        edge_states=edge_state,
-        logits=decoder(leaves, h)(edge_state, gt.recv_segments, gt.send_segments),
-        gates=gates,
-        leaves=leaves,
-    )
-
-
 def forward(
     params: ModelParams,
     config: ModelConfig,
@@ -454,19 +427,41 @@ def forward(
     tape: Tape | None = None,
     leaves: dict[str, Tensor] | None = None,
 ) -> ForwardResult:
-    """:func:`encode`, then both loss terms on the same tape."""
-    enc = encode(params, config, gt, mode, tape, leaves)
+    """Run the network on one graph, then both loss terms on the same tape:
+    :func:`encode_states`, one :func:`decoder` call over every edge, the
+    reconstruction cross entropy and the neighbor term.
+
+    The pass draws no random numbers, so its result depends only on the
+    parameters, the batch norm statistics and the graph. Train mode folds
+    each batch's statistics into the running ones; eval mode normalizes by
+    the running ones and leaves them unchanged. ``leaves`` lets a caller
+    supply pre-registered parameter tensors (same names as
+    ``params.named_arrays``) on an existing tape, which is how the gradient
+    checker reuses this pass and how training runs on
+    :func:`float32_leaves`.
+    """
+    if tape is None:
+        tape = Tape()
+    if leaves is None:
+        leaves = _leaves(tape, params)
+    gates: list[Tensor] = []
+    h, edge_state = encode_states(params, config, gt, mode, tape, leaves, gates)
+    logits = decoder(leaves, h)(edge_state, gt.recv_segments, gt.send_segments)
     recon = ad.scalar_mul(
-        ad.bce_with_logits_mean(enc.logits, gt.feats), config.lambda_recon
+        ad.bce_with_logits_mean(logits, gt.feats), config.lambda_recon
     )
-    h_recv = ad.gather_rows(enc.node_states, gt.recv_segments)
-    h_send = ad.gather_rows(enc.node_states, gt.send_segments)
+    h_recv = ad.gather_rows(h, gt.recv_segments)
+    h_send = ad.gather_rows(h, gt.send_segments)
     dots = ad.row_sums(ad.hadamard(h_recv, h_send))
     neighbor = ad.scalar_mul(
         ad.sum_all(ad.log_sigmoid(dots)), -config.lambda_neighbor
     )
     return ForwardResult(
-        **vars(enc),
+        node_states=h,
+        edge_states=edge_state,
+        logits=logits,
+        gates=gates,
+        leaves=leaves,
         recon_loss=recon,
         neighbor_loss=neighbor,
         loss=ad.add(recon, neighbor),

@@ -1,4 +1,9 @@
-"""Inference services: embeddings, similarity, anomaly scores, projections."""
+"""Inference services: embeddings, similarity, anomaly scores, projections.
+
+Every similarity, the holdout harness's included, runs on one row-cosine
+kernel, :func:`cosine_rows`, and every CSV table the package writes goes
+through one CSV writer, :func:`write_csv`.
+"""
 
 from __future__ import annotations
 
@@ -109,7 +114,9 @@ def infer_embeddings(bundle: ModelBundle, graph: IntervalGraph) -> EmbeddingSet:
     output cells and OpenBLAS runs its small-matrix kernel, which sums in
     another order.
     The edge errors are still the same bytes on every run, but can differ
-    in the last bits from a decode of the whole graph at once.
+    in the last bits from a decode of the whole graph at once. Nor does
+    the BLAS thread count change a served byte: OpenBLAS splits the sum of
+    a weight gradient across its threads, and serving computes none.
 
     Per-edge error is the unweighted mean over columns of the Bernoulli KL
     divergence between the edge's input t and its reconstruction p,

@@ -30,6 +30,7 @@ from .model import (
     GraphTensors,
     ModelConfig,
     ModelParams,
+    blank_params,
     edge_dim_for_vocab,
     float32_leaves,
     forward,
@@ -207,7 +208,10 @@ class Adam:
 def filter_holdout(
     records: Iterable[ConnRecord], holdout_ips: Iterable[str]
 ) -> list[ConnRecord]:
-    """Drop every record whose source or destination is a holdout IP."""
+    """Drop every record whose source or destination is a holdout IP.
+
+    This is the one way held-out IPs are removed: from the records, before
+    the vocab, the graphs, the scaler or the model are fitted."""
     banned = {str(ip_address(ip)) for ip in holdout_ips}
     return [
         r
@@ -254,7 +258,10 @@ def train(
     shuffled order. Returns the parameters of the best epoch by mean loss,
     with the batch norm statistics they had at that point. Stops early when
     ``patience`` epochs pass without the loss improving by ``min_delta``.
-    Deterministic for a fixed seed and graph list.
+    Deterministic for a fixed seed and graph list at a fixed BLAS thread
+    count: a linear map's weight gradient sums over all edge rows, and
+    OpenBLAS splits that sum across its threads, so the trained bytes can
+    differ between thread counts.
 
     Mixed precision: each step runs in float32, on the graph features cast
     once and on float32 copies of the weights; Adam applies the gradients to
@@ -368,7 +375,12 @@ def load_model(path: str | Path) -> ModelBundle:
     an unknown, repeated, missing or misshapen tensor record is a
     ``FormatError``, raised before its payload is read. So is a tensor
     holding a value that is not finite, or a negative running variance,
-    and so is a config, vocab and scaler that disagree on the feature width.
+    and so is a config, vocab and scaler that disagree on the feature width,
+    a batch norm flag that is not a JSON boolean or names no batch norm, and
+    a config whose tensors need more bytes than the file has left, which is
+    refused before anything is allocated. The arrays come from
+    :func:`~ipembed.model.blank_params` and the file fills each one, so no
+    weight is drawn.
     """
     with open(path, "rb") as fp:
         magic = read_exact(fp, 4)
@@ -396,7 +408,7 @@ def load_model(path: str | Path) -> ModelBundle:
                 rows * cols * (3 if name.endswith(".gamma") else 1)
                 for name, (rows, cols) in param_shapes(config).items()
             ))
-            params = init_params(config, seed=0)
+            params = blank_params(config)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad model config: {exc}") from None
         for name, flag in bn_flags.items():

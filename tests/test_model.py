@@ -15,14 +15,12 @@ from conftest import (
 )
 from ipembed.autodiff import Tape, backward, grad_check
 from ipembed.model import (
-    Encoding,
     ForwardResult,
     GraphTensors,
     ModelConfig,
     conv_layer,
     decode,
     edge_dim_for_vocab,
-    encode,
     forward,
     init_params,
     input_layer,
@@ -337,24 +335,6 @@ def test_forward_shapes_and_ranges():
     for gates in res.gates:
         assert np.all(gates.data > 0.0) and np.all(gates.data < 1.0)
     assert np.all(np.isfinite(res.embeddings))
-
-
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_encode_is_forward_without_the_losses(mode):
-    params, config, gt = small_setup(seed=31)
-    forward(params, config, gt, mode="train")  # eval mode needs running stats
-    a, b = params.copy(), params.copy()
-    enc = encode(a, config, gt, mode=mode)
-    res = forward(b, config, gt, mode=mode)
-    assert type(enc) is Encoding and isinstance(res, ForwardResult)
-    for name in ("node_states", "edge_states", "logits"):
-        assert getattr(enc, name).data.tobytes() == getattr(res, name).data.tobytes()
-    assert len(enc.gates) == len(res.gates) == 1 + config.layers
-    for x, y in zip(enc.gates, res.gates):
-        assert x.data.tobytes() == y.data.tobytes()
-    for (name, x), (_, y) in zip(a.named_buffers(), b.named_buffers()):
-        np.testing.assert_array_equal(x, y, err_msg=name)
-    assert not hasattr(res, "decoded")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,6 +1,6 @@
 """The README states the line count of every module and of the whole
 package, walks through the command line and shows library imports; all
-three must match the code."""
+three must match the code. It names no private identifier."""
 
 import re
 import shlex
@@ -56,3 +56,10 @@ def test_readme_library_imports_resolve():
     assert imports
     for line in imports:
         exec(line, {})
+
+
+def test_readme_names_no_private_identifier():
+    # Internals live in the module docstrings; `__init__.py` and the like
+    # start with two underscores and stay allowed.
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"`(_[^_`][^`]*)`", text) == []

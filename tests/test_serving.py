@@ -503,7 +503,7 @@ def test_float32_serving_agrees_with_float64(pipeline):
     for graph in normalized:
         es = infer_embeddings(bundle, graph)
         gt = GraphTensors.from_graph(graph)
-        exact = model.encode(bundle.params, bundle.config, gt, mode="eval")
+        exact = model.forward(bundle.params, bundle.config, gt, mode="eval")
         np.testing.assert_allclose(es.vectors, exact.embeddings, rtol=0.0, atol=1e-5)
         kl = mean_kl(gt.feats, exact.logits.data)
         np.testing.assert_allclose(es.edge_errors, kl, rtol=1e-6, atol=0.0)

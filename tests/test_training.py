@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ipembed.autodiff as ad
+import ipembed.model as model
 import ipembed.training as training
 from conftest import (
     cyclic_gc_off,
@@ -691,6 +692,20 @@ def test_committed_model_file_resaves_byte_for_byte(tmp_path):
     path = tmp_path / "model.ipgm"
     save_model(load_model(FIXTURE), path)
     assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+def test_loading_draws_no_weights(tmp_path, monkeypatch):
+    # The loader allocates the arrays and the file fills every one of them.
+    path = tmp_path / "model.ipgm"
+    save_model(trained_bundle(), path)
+
+    def no_draw(*args):
+        raise AssertionError("load_model drew random weights")
+
+    monkeypatch.setattr(model, "_glorot", no_draw)
+    resaved = tmp_path / "resaved.ipgm"
+    save_model(load_model(path), resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_seeded_init_saves_to_the_committed_bytes(tmp_path):
