@@ -6,14 +6,16 @@ standard error; results go to the declared output paths or standard out.
 
 Flags are the only way to set an option; one that sets a ``ModelConfig``
 or ``TrainConfig`` field is named after it and defaults to it. Every CSV
-table goes through ``serving.write_csv``. A failed ``eval-holdout`` run
-leaves no ``--out`` file.
+table goes through ``serving.write_csv``. A failed command leaves no
+partial CSV, TSV or conn.log at ``--out`` or ``--edges-out``, and an
+existing file there untouched.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -64,7 +66,7 @@ from .training import (
     save_model,
     train,
 )
-from .zeek import parse_conn_log, read_conn_log, write_canonical_tsv
+from .zeek import FlowTable, parse_conn_log, read_conn_log, write_canonical_tsv
 
 __all__ = ["run", "main"]
 
@@ -118,12 +120,32 @@ def _pair_list(raw: str) -> list[tuple[str, str]]:
 
 @contextmanager
 def _output(path: str | None):
-    """Text stream for ``--out``: the file, or standard out for ``-``."""
+    """Text stream for ``--out``: standard out for ``-``, else
+    :func:`_replacing` the file."""
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fp:
+        with _replacing(path) as fp:
             yield fp
+
+
+@contextmanager
+def _replacing(path: str):
+    """Text stream to a temporary file beside ``path`` that replaces
+    ``path`` once the block succeeds and is removed if it fails, so that a
+    failed command leaves no partial file and an existing one untouched."""
+    target = Path(path)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        fp = open(temporary, "w", encoding="utf-8")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fp:
+            yield fp
+        os.replace(temporary, target)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def _load_vocab(path: Path) -> ProtocolVocab:
@@ -176,7 +198,7 @@ def _cmd_build_graphs(args) -> int:
         if not kept:
             raise ValueError("no records left after holdout")
         held_out = f", held out {len(records) - len(kept)} records"
-        records = kept
+        records = FlowTable.from_records(kept)
     origin = args.origin if args.origin is not None else resolve_origin(
         records, args.interval
     )
@@ -252,7 +274,7 @@ def _cmd_anomaly(args) -> int:
     with _output(args.out) as fp:
         write_anomaly_csv(embeddings, fp)
     if args.edges_out:
-        with open(args.edges_out, "w", encoding="utf-8") as efp:
+        with _replacing(args.edges_out) as efp:
             write_edge_errors_csv(graph, embeddings, efp)
     return 0
 

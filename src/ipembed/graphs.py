@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from ipaddress import ip_address
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -34,7 +32,7 @@ from .binio import (
     write_array,
     write_struct,
 )
-from .zeek import NUMERIC_FEATURES, ConnRecord
+from .zeek import NUMERIC_FEATURES, ConnRecord, FlowTable
 
 __all__ = [
     "NUMERIC_FEATURES",
@@ -196,15 +194,76 @@ def assign_interval(ts: float, interval_len: float, origin: float = 0.0) -> int:
 
 def resolve_origin(records: Sequence[ConnRecord], interval_len: float) -> float:
     """Default stream origin: earliest timestamp floored to a whole
-    interval boundary."""
+    interval boundary. Reads a :class:`FlowTable`'s ``ts`` column."""
     check_interval_len(interval_len)
-    if not records:
+    ts = _as_table(records).column("ts")
+    if not len(ts):
         raise ValueError("cannot derive an origin from zero records")
-    earliest = min(r.ts for r in records)
-    return math.floor(earliest / interval_len) * interval_len
+    return math.floor(float(ts.min()) / interval_len) * interval_len
 
 
-_feature_row = attrgetter(*NUMERIC_FEATURES)
+def _as_table(records: Iterable[ConnRecord]) -> FlowTable:
+    """A :class:`FlowTable` as it is; other records become one, one
+    attribute column at a time."""
+    return records if isinstance(records, FlowTable) else FlowTable.from_records(records)
+
+
+class _Groups(NamedTuple):
+    """A table's (interval, source, destination, protocol) groups in order
+    of first occurrence: each group's interval index (a whole float), its IP
+    and token codes into the table, and its summed numeric features."""
+
+    interval: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    token: np.ndarray
+    sums: np.ndarray  # (G, N_NUMERIC) float64
+
+
+def _group(table: FlowTable, interval_len: float, origin: float) -> _Groups:
+    """The one aggregation core. Interval indices are ``floor((ts - origin)
+    / interval_len)``, the same operations as :func:`assign_interval`.
+    ``np.bincount`` sums each feature column per group, adding in row order
+    from zero, so every sum equals the row-by-row sum (a group whose only
+    durations are ``-0.0`` sums to ``+0.0``)."""
+    _check_origin(origin)
+    ts = table.column("ts")
+    early = ts < origin
+    if early.any():
+        first = float(ts[np.argmax(early)])
+        raise ValueError(f"timestamp {first} precedes stream origin {origin}")
+    interval = np.floor((ts - origin) / interval_len)
+    src = table.column("source_ip")
+    dst = table.column("destination_ip")
+    token = table.column("protocol_service")
+    gid, rows = _first_seen(np.unique(interval, return_inverse=True)[1], src, dst, token)
+    sums = np.stack(
+        [
+            np.bincount(gid, weights=table.column(attr).astype(np.float64), minlength=len(rows))
+            for attr in NUMERIC_FEATURES
+        ],
+        axis=1,
+    )
+    return _Groups(interval[rows], src[rows], dst[rows], token[rows], sums)
+
+
+def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of non-negative integer ``columns`` in order
+    of first occurrence: each row's group, and each group's first row."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    span = 1
+    for column in columns:
+        size = int(column.max()) + 1
+        if span * size > np.iinfo(np.int64).max:  # renumber densely first
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+        key = key * size + column
+        span *= size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
 
 
 def aggregate_flows(
@@ -214,57 +273,25 @@ def aggregate_flows(
 
     With ``origin=None`` the default origin is derived from the records.
     Returns ``{interval index: {FlowKey: 8-vector}}`` with only non-empty
-    intervals present, both levels in order of first occurrence.
-
-    One pass numbers the (interval, source, destination, protocol) groups in
-    order of first occurrence; ``np.bincount`` then sums each feature column
-    per group, adding in record order from zero, so every sum equals the
-    record-by-record sum (a group whose only durations are ``-0.0`` sums to
-    ``+0.0``). Interval indices are ``floor((ts - origin) / interval_len)``,
-    the same operations as :func:`assign_interval`.
+    intervals present, both levels in order of first occurrence. A
+    :class:`FlowTable` is read by its columns; other records are converted to
+    one first. The sums are exact row-order sums, as :func:`build_interval_graphs`
+    uses them.
     """
     check_interval_len(interval_len)
-    records = list(records)
-    if not records:
+    table = _as_table(records)
+    if not len(table):
         return {}
     if origin is None:
-        origin = resolve_origin(records, interval_len)
-    _check_origin(origin)
-    ts = np.fromiter((r.ts for r in records), dtype=np.float64, count=len(records))
-    early = ts < origin
-    if early.any():
-        first = float(ts[np.argmax(early)])
-        raise ValueError(f"timestamp {first} precedes stream origin {origin}")
-    interval = np.floor((ts - origin) / interval_len).tolist()
-    groups: dict[tuple, int] = {}
-    gid = np.fromiter(
-        (
-            groups.setdefault(key, len(groups))
-            for key in zip(
-                interval,
-                [r.source_ip for r in records],
-                [r.destination_ip for r in records],
-                [r.protocol_service for r in records],
-            )
-        ),
-        dtype=np.intp,
-        count=len(records),
-    )
-    values = np.fromiter(
-        chain.from_iterable(map(_feature_row, records)),
-        dtype=np.float64,
-        count=len(records) * N_NUMERIC,
-    ).reshape(len(records), N_NUMERIC)
-    sums = np.stack(
-        [
-            np.bincount(gid, weights=values[:, j], minlength=len(groups))
-            for j in range(N_NUMERIC)
-        ],
-        axis=1,
-    )
+        origin = resolve_origin(table, interval_len)
+    groups = _group(table, interval_len, origin)
+    ips, tokens = table.ips, table.tokens
     out: dict[int, dict[FlowKey, np.ndarray]] = {}
-    for (idx, src, dst, proto), vec in zip(groups, sums):
-        out.setdefault(int(idx), {})[FlowKey(src, dst, proto)] = vec
+    for idx, src, dst, token, vec in zip(
+        groups.interval.tolist(), groups.src.tolist(), groups.dst.tolist(),
+        groups.token.tolist(), groups.sums,
+    ):
+        out.setdefault(int(idx), {})[FlowKey(ips[src], ips[dst], tokens[token])] = vec
     return out
 
 
@@ -305,40 +332,58 @@ def build_graph(
     start: float,
     end: float,
 ) -> IntervalGraph:
-    """Assemble one interval graph from its aggregated flow groups.
-
-    Nodes are sorted canonically. Each ordered (source, destination) pair
-    yields exactly one forward edge, in (source, destination) index order;
-    protocols stack into the one-hot block and their numeric blocks, with
-    unseen tokens accumulated onto the catch-all slot. Every forward edge is
-    followed by its reverse companion, which shares its feature row.
-
-    The numeric blocks are one ``np.bincount`` over flat (pair, column)
-    cells with the groups in mapping order, so each cell adds its groups'
-    vectors in that order starting from zero. ``start`` must lie below ``end``.
-    """
-    if not start < end:
-        raise ValueError(f"graph interval [{start}, {end}) is empty")
+    """Assemble one interval graph from its aggregated flow groups, in
+    mapping order; see :func:`build_interval_graphs` for the layout.
+    ``start`` must lie below ``end``."""
     if not groups:
         raise ValueError("cannot build a graph from zero flow groups")
-    keys = list(groups)
     vecs = _stack_vectors(list(groups.values()))
-    p = vocab.size
+    sources, destinations, tokens = zip(*groups)
+    ips = tuple(dict.fromkeys(sources + destinations))
+    code = {ip: i for i, ip in enumerate(ips)}
+    slot = {token: vocab.slot(token) for token in set(tokens)}
+
+    def column(mapping, values):
+        return np.fromiter(map(mapping.__getitem__, values), np.int64, len(values))
+
+    return _assemble(
+        column(code, sources), column(code, destinations), column(slot, tokens), vecs,
+        _NodeOrder(ips), vocab.size, start, end,
+    )
+
+
+class _NodeOrder:
+    """Canonical node order (:func:`ip_sort_key`) over a table's IPs: each
+    IP code's rank, and the IPs by rank."""
+
+    def __init__(self, ips: Sequence[str]):
+        order = sorted(range(len(ips)), key=lambda code: ip_sort_key(ips[code]))
+        self.ranked = [ips[code] for code in order]
+        self.rank = np.empty(len(ips), dtype=np.int64)
+        self.rank[order] = np.arange(len(ips))
+
+
+def _assemble(
+    src: np.ndarray,
+    dst: np.ndarray,
+    slot: np.ndarray,
+    vecs: np.ndarray,
+    order: _NodeOrder,
+    p: int,
+    start: float,
+    end: float,
+) -> IntervalGraph:
+    """The one graph builder: one interval's flow groups as columns (IP
+    codes, vocab slots and (G, 8) vectors, in group order)."""
+    if not start < end:
+        raise ValueError(f"graph interval [{start}, {end}) is empty")
     dim = p + p * N_NUMERIC
-    sources = [k.source_ip for k in keys]
-    destinations = [k.destination_ip for k in keys]
-    ips = sorted(set(sources) | set(destinations), key=ip_sort_key)
-    n = len(ips)
-    index = {ip: i for i, ip in enumerate(ips)}
-    slots = {token: vocab.slot(token) for token in {k.protocol_service for k in keys}}
-    src = np.fromiter(map(index.__getitem__, sources), dtype=np.int64, count=len(keys))
-    dst = np.fromiter(
-        map(index.__getitem__, destinations), dtype=np.int64, count=len(keys)
+    # Node indices: each endpoint's position among the graph's ranks.
+    node_ranks, local = np.unique(
+        order.rank[np.concatenate([src, dst])], return_inverse=True
     )
-    slot = np.fromiter(
-        (slots[k.protocol_service] for k in keys), dtype=np.int64, count=len(keys)
-    )
-    pairs, pair_of = np.unique(src * n + dst, return_inverse=True)
+    n = len(node_ranks)
+    pairs, pair_of = np.unique(local[: len(src)] * n + local[len(src) :], return_inverse=True)
     cells = (pair_of * dim + p + slot * N_NUMERIC)[:, None] + np.arange(N_NUMERIC)
     forward = np.bincount(
         cells.ravel(), weights=vecs.ravel(), minlength=len(pairs) * dim
@@ -355,7 +400,7 @@ def build_graph(
     return IntervalGraph(
         start=float(start),
         end=float(end),
-        nodes=tuple(ips),
+        nodes=tuple(order.ranked[r] for r in node_ranks.tolist()),
         edge_src=edge_src,
         edge_dst=edge_dst,
         reverse=reverse,
@@ -389,12 +434,43 @@ def build_interval_graphs(
     origin: float | None = None,
 ) -> list[IntervalGraph]:
     """Aggregate records and build one graph per non-empty interval,
-    ordered by interval index."""
-    records = list(records)
+    ordered by interval index; intervals span what
+    :func:`iter_interval_graphs` gives them.
+
+    A :class:`FlowTable` is read by its columns, and each graph is built
+    straight from its interval's grouped columns; other records are
+    converted to a table first. Nodes are sorted canonically. Each ordered
+    (source, destination) pair yields exactly one forward edge, in
+    (source, destination) index order; protocols stack into the one-hot
+    block and their numeric blocks, with unseen tokens accumulated onto the
+    catch-all slot. Every forward edge is followed by its reverse companion,
+    which shares its feature row. The numeric blocks are one ``np.bincount``
+    over flat (pair, column) cells with the groups in order of first
+    occurrence, so each cell adds its groups' sums in that order starting
+    from zero, as :func:`build_graph` does for the same groups.
+    """
+    check_interval_len(interval_len)
+    table = _as_table(records)
     if origin is None:
-        origin = resolve_origin(records, interval_len)
-    aggregates = aggregate_flows(records, interval_len, origin)
-    return [g for _, g in iter_interval_graphs(aggregates, vocab, interval_len, origin)]
+        origin = resolve_origin(table, interval_len)
+    if not len(table):
+        return []
+    groups = _group(table, interval_len, origin)
+    order = _NodeOrder(table.ips)
+    slots = np.array([vocab.slot(token) for token in table.tokens], dtype=np.int64)
+    by_interval = np.argsort(groups.interval, kind="stable")
+    splits = np.flatnonzero(np.diff(groups.interval[by_interval])) + 1
+    graphs = []
+    for part in np.split(by_interval, splits):
+        idx = int(groups.interval[part[0]])
+        graphs.append(
+            _assemble(
+                groups.src[part], groups.dst[part], slots[groups.token[part]],
+                groups.sums[part], order, vocab.size,
+                origin + idx * interval_len, origin + (idx + 1) * interval_len,
+            )
+        )
+    return graphs
 
 
 def fit_scaler(graphs: Sequence[IntervalGraph]) -> FeatureScaler:

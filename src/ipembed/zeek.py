@@ -1,8 +1,11 @@
 """Zeek conn.log ingestion.
 
-Reads the TSV and JSON-lines variants of conn.log and yields validated flow
-records in a single pass with O(1) memory. Also implements the canonical TSV
-dump format used for fixtures and lossless round-trips.
+Reads the TSV and JSON-lines variants of conn.log in a single pass, one
+bounded block of rows at a time, so the memory a parse needs beyond its
+result does not grow with the log. :func:`read_conn_log` returns the
+validated flows as a columnar :class:`FlowTable`; :func:`parse_conn_log`
+streams them as :class:`ConnRecord` objects. Also implements the canonical
+TSV dump format used for fixtures and lossless round-trips.
 
 Zeek TSV headers are honored when present: ``#separator`` (possibly as a hex
 escape such as ``\\x09``), ``#fields`` (required before any data row),
@@ -16,18 +19,23 @@ import io
 import json
 import math
 import numbers
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import ip_address
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, eq
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, NamedTuple, Union
+
+import numpy as np
 
 __all__ = [
     "CANONICAL_FIELDS",
     "NUMERIC_FEATURES",
     "ConnRecord",
+    "FlowTable",
     "ParseError",
     "ParseStats",
     "parse_conn_log",
@@ -259,9 +267,100 @@ _SLOTS = (
 if set(_SLOTS[:-2]) != set(_CANONICAL_ATTRS):
     raise AssertionError("_SLOTS must name each schema attribute once")
 _SLOT_INDEX = {alias: _SLOTS.index(slot) for alias, slot in _FIELD_ALIASES.items()}
+_SLOT = {slot: i for i, slot in enumerate(_SLOTS)}
 _REQUIRED = ("ts", "source_ip", "destination_ip")
+# ConnRecord's fields in constructor order, and each one's FlowTable column
+# type: strings are int32 codes into the table's string tuples, and a counter
+# column is int64 unless a value lies past int64 (then it holds Python ints).
+_FIELDS = _SLOTS[:-2]
+_COUNTERS = _FIELDS[_FIELDS.index("duration") + 1 :]
+_DTYPES = {
+    "ts": np.float64,
+    "source_ip": np.int32,
+    "destination_ip": np.int32,
+    "source_port": np.int32,
+    "destination_port": np.int32,
+    "protocol_service": np.int32,
+    "duration": np.float64,
+    **{attr: np.int64 for attr in _COUNTERS},
+}
+# Rows per block: a parse holds one block's cell strings at a time.
+_BLOCK_ROWS = 2048
 
 Source = Union[str, Path, IO, Iterable]
+
+
+class FlowTable(Sequence):
+    """Validated flows as NumPy columns, one per :class:`ConnRecord` field.
+
+    :meth:`column` returns a field's column: ``ts`` and ``duration`` are
+    float64, the ports int32, and each counter int64, or an object array of
+    Python ints when one of its values lies past int64. ``source_ip`` and
+    ``destination_ip`` hold int32 codes into :attr:`ips`, and
+    ``protocol_service`` int32 codes into :attr:`tokens`; both are tuples of
+    canonical strings, and may hold strings no row uses (those of rows a
+    slice left out, or of a refused row). Treat the columns as read-only.
+
+    The table is a read-only ``Sequence[ConnRecord]``: an index builds that
+    row's record, a slice is a table, iteration builds records a block at a
+    time, and ``==`` compares row by row with any sequence of records. ``+``
+    returns a new table of both operands' records, as a list of records
+    would.
+    """
+
+    __hash__ = None
+
+    def __init__(
+        self, ips: Iterable[str], tokens: Iterable[str], columns: Mapping[str, np.ndarray]
+    ):
+        self.ips = tuple(ips)
+        self.tokens = tuple(tokens)
+        self._columns = {attr: columns[attr] for attr in _FIELDS}
+
+    @classmethod
+    def from_records(cls, records: Iterable[ConnRecord]) -> "FlowTable":
+        """The table of ``records``, read one attribute column at a time."""
+        builder = _TableBuilder()
+        return builder.table(builder.columns_of(list(records)))
+
+    def column(self, attr: str) -> np.ndarray:
+        return self._columns[attr]
+
+    def __len__(self) -> int:
+        return len(self._columns["ts"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FlowTable(
+                self.ips, self.tokens, {a: c[index] for a, c in self._columns.items()}
+            )
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self) -> Iterator[ConnRecord]:
+        names = {"source_ip": self.ips, "destination_ip": self.ips,
+                 "protocol_service": self.tokens}
+        for start in range(0, len(self), _BLOCK_ROWS):
+            fields = []
+            for attr, column in self._columns.items():
+                values = column[start : start + _BLOCK_ROWS].tolist()
+                if attr in names:
+                    values = list(map(names[attr].__getitem__, values))
+                fields.append(values)
+            yield from map(ConnRecord, *fields)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __add__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return FlowTable.from_records(chain(self, other))
+
+    def __repr__(self) -> str:
+        return f"FlowTable({len(self)} rows, {len(self.ips)} IPs, {len(self.tokens)} tokens)"
 
 
 def parse_conn_log(
@@ -273,24 +372,37 @@ def parse_conn_log(
     ``format`` is ``"tsv"``, ``"jsonl"`` or ``"auto"`` (sniffs the first
     non-blank line). In lenient mode (default) malformed rows are counted in
     ``stats.skipped``; with ``strict=True`` the first bad row raises
-    :class:`ParseError` carrying its line number. The stats object fills in
-    as the stream is consumed.
+    :class:`ParseError` carrying its line number.
+
+    The stream reads the log one block of rows at a time, as
+    :func:`read_conn_log` does, and builds a record per emitted row as it is
+    pulled; the stats object advances row by row with it.
     """
-    if format not in ("auto", "tsv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}")
     stats = ParseStats()
-    # Open the source now so a missing file fails at call time, not on the
-    # first pull from the stream.
-    owned, numbered = _numbered_lines(source, strict, stats)
-    return _parse(owned, numbered, format, strict, stats), stats
+    builder = _TableBuilder()
+    return _records(_open_blocks(source, format, builder), builder, strict, stats), stats
 
 
 def read_conn_log(
     source: Source, format: str = "auto", strict: bool = False
-) -> tuple[list[ConnRecord], ParseStats]:
-    """Eager variant of :func:`parse_conn_log`."""
-    records, stats = parse_conn_log(source, format, strict)
-    return list(records), stats
+) -> tuple[FlowTable, ParseStats]:
+    """Parse a whole conn.log into a :class:`FlowTable` plus row statistics.
+
+    Arguments, rows, records and statistics are those of
+    :func:`parse_conn_log`. Each block of rows is converted a column at a
+    time; only a row that some column refuses goes through the per-row path,
+    which names the row's first bad cell. No record is built per row.
+    """
+    stats = ParseStats()
+    builder = _TableBuilder()
+    with closing(_open_blocks(source, format, builder)) as blocks:
+        for lines, refused, columns in blocks:
+            stats.read += len(lines)
+            for i, exc in refused.items():
+                _settle(stats, strict, lines[i], exc)
+            stats.emitted += len(lines) - len(refused)
+            builder.add(columns)
+    return builder.table(), stats
 
 
 def write_canonical_tsv(records: Iterable[ConnRecord], fp: IO[str]) -> int:
@@ -311,21 +423,111 @@ def write_canonical_tsv(records: Iterable[ConnRecord], fp: IO[str]) -> int:
     return count
 
 
-def _numbered_lines(source: Source, strict: bool, stats: ParseStats):
+class _TableBuilder:
+    """Interns one table's IP and token strings and collects its column
+    blocks."""
+
+    def __init__(self):
+        self.ip_codes: dict[str, int] = {}  # canonical IP -> code
+        self.token_codes: dict[str, int] = {}  # canonical token -> code
+        self.cell_ips: dict[str, int] = {}  # TSV cell -> code of its IP
+        self._blocks: list[dict[str, np.ndarray]] = []
+
+    def add(self, columns: dict[str, np.ndarray]) -> None:
+        self._blocks.append(columns)
+
+    def table(self, columns: dict[str, np.ndarray] | None = None) -> FlowTable:
+        """The table of ``columns``, or of every block added."""
+        if columns is None:
+            columns = {
+                attr: np.concatenate([b[attr] for b in self._blocks])
+                if self._blocks else np.empty(0, _DTYPES[attr])
+                for attr in _FIELDS
+            }
+        return FlowTable(self.ip_codes, self.token_codes, columns)
+
+    def columns_of(self, records: list) -> dict[str, np.ndarray]:
+        """The columns of ``records``, one attribute read at a time (no
+        object per row, so no work for the cyclic collector)."""
+        columns = {}
+        for attr in _FIELDS:
+            values = list(map(attrgetter(attr), records))
+            if attr == "protocol_service":
+                columns[attr] = _codes(values, self.token_codes)
+            elif attr in ("source_ip", "destination_ip"):
+                columns[attr] = _codes(values, self.ip_codes)
+            elif attr in _COUNTERS:
+                columns[attr] = _int_column(values)
+            else:
+                columns[attr] = np.array(values, dtype=_DTYPES[attr])
+        return columns
+
+    def cell_ip(self, cell: str) -> int:
+        """The code of a TSV cell's IP, or -1 if the cell holds none."""
+        try:
+            ip = _canonical_ip_text(cell.strip())
+        except ValueError:
+            return -1
+        code = self.cell_ips[cell] = self.ip_codes.setdefault(ip, len(self.ip_codes))
+        return code
+
+
+def _codes(values, codes: dict) -> np.ndarray:
+    """The int32 codes of ``values`` in ``codes``, adding each new value."""
+    found = list(map(codes.get, values))
+    if None in found:
+        for value in dict.fromkeys(values):
+            codes.setdefault(value, len(codes))
+        found = list(map(codes.__getitem__, values))
+    return np.array(found, dtype=np.int32)
+
+
+def _int_column(values: list) -> np.ndarray:
+    """int64, or Python ints in an object array when one lies past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _settle(stats: ParseStats, strict: bool, line_no: int, exc: ParseError) -> None:
+    """Count a refused row, or in strict mode raise it with its line number."""
+    if strict:
+        raise ParseError(str(exc), line_no, exc.reason) from None
+    stats._skip(exc.reason)
+
+
+def _records(blocks, builder: _TableBuilder, strict: bool, stats: ParseStats):
+    """The rows of each block in order: emit a record, skip, or (strict) raise."""
+    with closing(blocks):
+        for lines, refused, columns in blocks:
+            records = iter(builder.table(columns))
+            for i, line_no in enumerate(lines):
+                stats.read += 1
+                exc = refused.get(i)
+                if exc is None:
+                    stats.emitted += 1
+                    yield next(records)
+                else:
+                    _settle(stats, strict, line_no, exc)
+
+
+def _numbered_lines(source: Source):
     """Return (owned file or None, iterator of (line number, str line)).
     Only the lines of a text stream skip :func:`_utf8_lines`."""
     if isinstance(source, (str, Path)):
         # Bad bytes become lone surrogates; line splitting stays text mode's.
         fp = open(source, encoding="utf-8", errors="surrogateescape", newline="")
-        return fp, _utf8_lines(fp, strict, stats)
+        return fp, _utf8_lines(fp)
     if isinstance(source, io.TextIOBase):
         return None, enumerate(source, 1)
-    return None, _utf8_lines(source, strict, stats)
+    return None, _utf8_lines(source)
 
 
-def _utf8_lines(lines, strict, stats):
-    """Number the lines and decode bytes; a line that is not UTF-8 is a row
-    skipped for ``bad UTF-8``, or a :class:`ParseError` in strict mode."""
+def _utf8_lines(lines):
+    """Number the lines and decode bytes. A line that is not UTF-8 comes as
+    the ParseError (reason ``bad UTF-8``) that refuses it as a row, in place
+    of its text."""
     for line_no, line in enumerate(lines, 1):
         try:
             if isinstance(line, (bytes, bytearray)):
@@ -333,45 +535,57 @@ def _utf8_lines(lines, strict, stats):
             elif not line.isascii():
                 line.encode("utf-8")
         except UnicodeError:
-            if strict:
-                raise ParseError("line is not UTF-8", line_no, "bad UTF-8") from None
-            stats.read += 1
-            stats._skip("bad UTF-8")
-            continue
+            line = ParseError("line is not UTF-8", reason="bad UTF-8")
         yield line_no, line
 
 
-def _parse(owned, numbered, format, strict, stats):
-    """The one row loop: emit, skip or (strict) raise each row a source yields."""
+def _open_blocks(source: Source, format: str, builder: _TableBuilder):
+    """Check ``format`` and open ``source`` now, so that a missing file fails
+    at call time, not on the first pull; return the lazy block stream."""
+    if format not in ("auto", "tsv", "jsonl"):
+        raise ValueError(f"unknown format {format!r}")
+    owned, numbered = _numbered_lines(source)
+    return _blocks(owned, numbered, format, builder)
+
+
+def _blocks(owned, numbered, format: str, builder: _TableBuilder) -> Iterator[tuple]:
+    """The one block loop: convert each block of rows a source yields into
+    its rows' line numbers, the refused rows by index with the error that
+    names their first bad cell, and the columns of the other rows."""
     try:
-        fmt = format
-        if fmt == "auto":
-            head = None
+        if format == "auto":
+            format, passed = "tsv", []
             for item in numbered:
-                if item[1].strip():
-                    head = item
+                passed.append(item)
+                if isinstance(item[1], str) and item[1].strip():
+                    format = "jsonl" if item[1].lstrip()[0] == "{" else "tsv"
                     break
-            if head is None:
-                return
-            fmt = "jsonl" if head[1].lstrip()[0] == "{" else "tsv"
-            numbered = chain([head], numbered)
-        rows = _tsv_rows(numbered) if fmt == "tsv" else _jsonl_rows(numbered)
-        for line_no, row in rows:
-            stats.read += 1
-            try:
-                if isinstance(row, ParseError):
-                    raise row
-                record = _record_from(row)
-            except ParseError as exc:
-                if strict:
-                    raise ParseError(str(exc), line_no, exc.reason) from None
-                stats._skip(exc.reason)
-                continue
-            stats.emitted += 1
-            yield record
+            numbered = chain(passed, numbered)
+        if format == "tsv":
+            for plan, lines, refused, texts in _tsv_blocks(numbered):
+                yield (lines, *_tsv_block(builder, plan, len(lines), refused, texts))
+        else:
+            for lines, rows in _jsonl_blocks(numbered):
+                yield (lines, *_row_block(builder, rows))
     finally:
         if owned is not None:
             owned.close()
+
+
+def _row_block(builder: _TableBuilder, rows: list) -> tuple[dict, dict]:
+    """Convert a block row by row: each row is its slot values, or the
+    ParseError that already refuses it."""
+    refused: dict[int, ParseError] = {}
+    records = []
+    for i, row in enumerate(rows):
+        if isinstance(row, ParseError):
+            refused[i] = row
+            continue
+        try:
+            records.append(_record_from(row))
+        except ParseError as exc:
+            refused[i] = _detached(exc)
+    return refused, builder.columns_of(records)
 
 
 def _parse_separator(line: str, line_no: int) -> str:
@@ -387,92 +601,317 @@ def _parse_separator(line: str, line_no: int) -> str:
     return token
 
 
-def _tsv_rows(numbered):
-    """Yield (line number, slot values or the row's ParseError) per TSV data
-    row; a header the rows cannot be read with raises."""
-    sep = "\t"
-    unset = "-"
-    empty_marker = "(empty)"
-    # The current #fields header as a plan: its column count, and a getter
-    # that picks each slot's cell from a row's cells plus one trailing None.
-    # A slot takes its last set column: it reads its last column (a slot
-    # without a column reads the trailing None), and only if that cell is
-    # unset does it fall back to its earlier duplicate columns, last first.
-    width = 0
-    pick = None
-    fallbacks: list[tuple[int, list[int]]] = []
+class _Plan(NamedTuple):
+    """How the rows under one ``#fields`` header are read: the separator,
+    the column count, each slot's last column (``width`` for a slot without
+    one), the earlier columns of each duplicated slot, last first, and the
+    unset and empty markers in force."""
+
+    sep: str
+    width: int
+    where: tuple[int, ...]
+    fallbacks: tuple[tuple[int, tuple[int, ...]], ...]
+    unset: str
+    empty: str
+
+
+def _plan(sep: str, columns: list[str], unset: str, empty: str) -> _Plan:
+    found: dict[int, list[int]] = {}
+    for i, col in enumerate(columns):
+        if col in _SLOT_INDEX:
+            found.setdefault(_SLOT_INDEX[col], []).append(i)
+    where = [len(columns)] * len(_SLOTS)
+    for slot, indices in found.items():
+        where[slot] = indices[-1]
+    fallbacks = tuple(
+        (slot, tuple(indices[-2::-1])) for slot, indices in found.items() if len(indices) > 1
+    )
+    return _Plan(sep, len(columns), tuple(where), fallbacks, unset, empty)
+
+
+def _tsv_blocks(numbered):
+    """Yield (plan, line numbers, refused rows by index, the other rows'
+    text) per block of TSV data rows. A block ends after ``_BLOCK_ROWS``
+    rows and at every header line, so one plan reads all its rows. A row is
+    refused here for its column count, or for not being UTF-8. A header the
+    rows cannot be read with raises once the rows before it are yielded."""
+    sep, unset, empty = "\t", "-", "(empty)"
+    columns: list[str] | None = None
+    plan = None
+    lines: list[int] = []
+    refused: dict[int, ParseError] = {}
+    texts: list[str] = []
     for line_no, raw in numbered:
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("#separator"):
-                sep = _parse_separator(line, line_no)
+        if isinstance(raw, ParseError):
+            refused[len(lines)] = raw
+        else:
+            line = raw.rstrip("\r\n")
+            if not line:
+                continue
+            if line.startswith("#") or plan is None:
+                if lines:
+                    yield plan, lines, refused, texts
+                    lines, refused, texts = [], {}, []
+                if not line.startswith("#"):
+                    # Unusable header is fatal even in lenient mode.
+                    raise ParseError("data row before #fields header", line_no)
+                if line.startswith("#separator"):
+                    sep = _parse_separator(line, line_no)
+                else:
+                    body = line[1:].split(sep)
+                    name, values = body[0], body[1:]
+                    if name == "fields":
+                        columns = [v for v in values if v]
+                    elif name == "unset_field" and values:
+                        unset = values[0]
+                    elif name == "empty_field" and values:
+                        empty = values[0]
+                if columns is not None:
+                    plan = _plan(sep, columns, unset, empty)
+                continue
+            width = line.count(plan.sep) + 1
+            if width == plan.width:
+                texts.append(line)
             else:
-                body = line[1:].split(sep)
-                name, values = body[0], body[1:]
-                if name == "fields":
-                    columns = [v for v in values if v]
-                    width = len(columns)
-                    found: dict[int, list[int]] = {}
-                    for i, col in enumerate(columns):
-                        if col in _SLOT_INDEX:
-                            found.setdefault(_SLOT_INDEX[col], []).append(i)
-                    where = [width] * len(_SLOTS)
-                    for slot, indices in found.items():
-                        where[slot] = indices[-1]
-                    pick = itemgetter(*where)
-                    fallbacks = [
-                        (slot, indices[-2::-1])
-                        for slot, indices in found.items()
-                        if len(indices) > 1
-                    ]
-                elif name == "unset_field" and values:
-                    unset = values[0]
-                elif name == "empty_field" and values:
-                    empty_marker = values[0]
-            continue
-        if pick is None:
-            # Unusable header is fatal even in lenient mode.
-            raise ParseError("data row before #fields header", line_no)
-        cells = line.split(sep)
-        if len(cells) != width:
-            yield line_no, ParseError(
-                f"expected {width} columns, got {len(cells)}", reason="column count"
-            )
-            continue
-        cells.append(None)
-        values = pick(cells)
-        if unset in values or empty_marker in values:
-            values = [None if v == unset or v == empty_marker else v for v in values]
-            for slot, earlier in fallbacks:
-                if values[slot] is None:
-                    for i in earlier:
-                        if cells[i] != unset and cells[i] != empty_marker:
-                            values[slot] = cells[i]
-                            break
-        yield line_no, values
+                refused[len(lines)] = ParseError(
+                    f"expected {plan.width} columns, got {width}", reason="column count"
+                )
+        lines.append(line_no)
+        if len(lines) == _BLOCK_ROWS:
+            yield plan, lines, refused, texts
+            lines, refused, texts = [], {}, []
+    if lines:
+        yield plan, lines, refused, texts
 
 
-def _jsonl_rows(numbered):
-    """Yield (line number, slot values or the row's ParseError) per JSON line."""
-    for line_no, raw in numbered:
-        line = raw.strip()
-        if not line:
-            continue
+def _slot_values(plan: _Plan, text: str) -> list:
+    """One TSV row's slot values, None where unset, empty or absent. A slot
+    reads its last column; only if that cell is unset does it fall back to
+    its earlier duplicate columns, last first."""
+    markers = (plan.unset, plan.empty)
+    cells = text.split(plan.sep)
+    padded = cells + [None]
+    values = [None if padded[i] in markers else padded[i] for i in plan.where]
+    for slot, earlier in plan.fallbacks:
+        if values[slot] is None:
+            for i in earlier:
+                if cells[i] not in markers:
+                    values[slot] = cells[i]
+                    break
+    return values
+
+
+def _tsv_block(
+    builder: _TableBuilder, plan: _Plan | None, n: int, refused: dict, texts: list[str]
+) -> tuple[dict, dict]:
+    """Convert a block of ``n`` TSV rows a column at a time: the rows not
+    yet refused are ``texts``.
+
+    Each column is converted and checked as a whole. A row that some column
+    refuses is rebuilt by :func:`_record_from`, whose error names the row's
+    first bad cell; in the rare case that this accepts the row (a duplicate
+    column whose last cell is unset), the whole block is converted row by
+    row instead."""
+    rows = [i for i in range(n) if i not in refused] if refused else range(n)
+
+    def row_by_row() -> tuple[dict, dict]:
+        values = dict(refused)
+        values.update((i, _slot_values(plan, text)) for i, text in zip(rows, texts))
+        return _row_block(builder, [values[i] for i in range(n)])
+
+    if not texts:
+        return refused, builder.columns_of([])
+    sep, width = plan.sep, plan.width
+    joined = sep.join(texts)
+    # One split for the block; a longer separator could straddle two rows.
+    flat = joined.split(sep) if len(sep) == 1 else [
+        cell for text in texts for cell in text.split(sep)
+    ]
+    cols = [flat[i::width] for i in range(width)]
+
+    def cells(attr: str) -> list | None:
+        i = plan.where[_SLOT[attr]]
+        return cols[i] if i < width else None
+
+    if any(cells(attr) is None for attr in _REQUIRED):
+        return row_by_row()
+    # Markers that fill a whole cell somewhere in the block.
+    framed = sep + joined + sep
+    markers = {m for m in (plan.unset, plan.empty) if sep + m + sep in framed}
+    zero = dict.fromkeys(markers, "0")
+    bad = np.zeros(len(texts), dtype=bool)
+
+    def unset(column: list) -> np.ndarray | None:
+        """Which cells hold a marker, or None when none does."""
+        if any(m in column for m in markers):
+            return np.fromiter(map(markers.__contains__, column), dtype=bool, count=len(column))
+        return None
+
+    def numbers(attr: str, convert) -> list:
+        column = cells(attr)
+        if column is None:
+            return [0] * len(texts)
+        if markers:
+            column = map(zero.get, column, column)
+        return _converted(convert, column, bad)
+
+    # A duplicated slot whose last cell is unset reads an earlier column.
+    for slot, _ in plan.fallbacks:
+        marked = unset(cols[plan.where[slot]])
+        if marked is not None:
+            bad |= marked
+    marked = unset(cells("ts"))
+    if marked is not None:
+        bad |= marked  # a missing required field
+    out: dict[str, np.ndarray] = {}
+    for attr in ("ts", "duration"):
+        out[attr] = values = np.array(numbers(attr, float), dtype=np.float64)
+        bad |= ~np.isfinite(values)
+    bad |= out["duration"] < 0
+    for attr in ("source_port", "destination_port"):
+        out[attr] = values = _int_column(numbers(attr, int))
+        bad |= (values < 0) | (values > 65535)
+    for attr in _COUNTERS:
+        if attr != "bytes":
+            out[attr] = values = _int_column(numbers(attr, int))
+            bad |= values < 0
+    total = _sum(out["request_bytes"], out["response_bytes"])
+    if cells("bytes") is not None:
+        marked = unset(cells("bytes"))
+        given = _int_column(numbers("bytes", int))
+        total = given if marked is None else np.where(marked, total, given)
+    out["bytes"] = total
+    bad |= total < 0
+    for attr in ("source_ip", "destination_ip"):
+        column = cells(attr)
+        marked = unset(column)
+        if marked is not None:
+            bad |= marked  # a missing required field
+        codes = list(map(builder.cell_ips.get, column))
+        if None in codes:
+            for i, code in enumerate(codes):
+                if code is None:
+                    codes[i] = builder.cell_ip(column[i])
+        out[attr] = values = np.array(codes, dtype=np.int32)
+        bad |= values < 0
+    out["protocol_service"] = values = _token_codes(
+        builder, [cells(a) for a in ("protocol_service", "service", "proto")], markers,
+        len(texts),
+    )
+    bad |= values < 0
+
+    if bad.any():
+        errors = {}
+        for j in np.flatnonzero(bad).tolist():
+            try:
+                _record_from(_slot_values(plan, texts[j]))
+            except ParseError as exc:
+                errors[rows[j]] = _detached(exc)
+            else:
+                return row_by_row()
+        keep = ~bad
+        out = {attr: values[keep] for attr, values in out.items()}
+        for attr in _COUNTERS:
+            if out[attr].dtype == object:  # its value past int64 may be gone
+                out[attr] = _int_column(out[attr].tolist())
+        refused = dict(sorted({**refused, **errors}.items()))
+    for attr in ("source_port", "destination_port"):
+        out[attr] = out[attr].astype(np.int32)
+    return refused, out
+
+
+def _detached(exc: ParseError) -> ParseError:
+    """A copy of a caught error to keep: the raised one's traceback and
+    context reach the catching frame, whose locals would then stay alive in
+    a reference cycle until the cyclic collector runs."""
+    return ParseError(str(exc), reason=exc.reason)
+
+
+def _converted(convert, cells, bad: np.ndarray) -> list:
+    """``convert`` applied to each cell; a cell it refuses marks its row in
+    ``bad`` and reads 0."""
+    out: list = []
+    cells = iter(cells)
+    while True:
         try:
-            obj = json.loads(line)
-        except ValueError as exc:  # also a number past the int digit limit
-            yield line_no, ParseError(f"bad JSON: {exc}", reason="bad JSON")
-            continue
-        if not isinstance(obj, dict):
-            yield line_no, ParseError("row is not a JSON object", reason="bad JSON")
-            continue
-        values = [None] * len(_SLOTS)
-        for key, val in obj.items():
-            if key in _SLOT_INDEX and val is not None and val != "-":
-                values[_SLOT_INDEX[key]] = val
-        yield line_no, values
+            out.extend(map(convert, cells))
+            return out
+        except ValueError:
+            bad[len(out)] = True
+            out.append(0)
+
+
+def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``, exact: in Python ints when it could pass int64."""
+    if a.dtype == object or b.dtype == object or (
+        len(a) and int(a.max()) + int(b.max()) > np.iinfo(np.int64).max
+    ):
+        return a.astype(object) + b.astype(object)
+    return a + b
+
+
+def _token_codes(builder: _TableBuilder, columns: list, markers: set, n: int) -> np.ndarray:
+    """Each row's token code from its protocol-service, service and proto
+    cells (each column may be None): the first set cell, or ``unknown``; -1
+    for a token that :class:`ConnRecord` refuses. Each distinct combination
+    of cells is resolved once."""
+    columns = [c for c in columns if c is not None]
+    names: dict[str, int] = {}
+    coded = [_codes(column, names) for column in columns]
+    key = np.zeros(n, dtype=np.int64)
+    for codes in coded:
+        key = key * len(names) + codes
+    combos, inverse = np.unique(key, return_inverse=True)
+    names = list(names)
+    resolved = []
+    for combo in combos.tolist():
+        cells = []
+        for _ in columns:
+            combo, code = divmod(combo, len(names))
+            cells.append(names[code])
+        token = next((c for c in reversed(cells) if c and c not in markers), "unknown")
+        try:
+            token = _canonical_token(token)
+        except ParseError:
+            token = ""
+        resolved.append(
+            builder.token_codes.setdefault(token, len(builder.token_codes)) if token else -1
+        )
+    return np.array(resolved, dtype=np.int32)[inverse]
+
+
+def _jsonl_blocks(numbered):
+    """Yield (line numbers, rows) per block of JSON lines; a row is its slot
+    values or the ParseError that refuses it."""
+    lines: list[int] = []
+    rows: list = []
+    for line_no, raw in numbered:
+        if not isinstance(raw, ParseError):
+            line = raw.strip()
+            if not line:
+                continue
+            raw = _json_row(line)
+        lines.append(line_no)
+        rows.append(raw)
+        if len(rows) == _BLOCK_ROWS:
+            yield lines, rows
+            lines, rows = [], []
+    if rows:
+        yield lines, rows
+
+
+def _json_row(line: str):
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:  # also a number past the int digit limit
+        return ParseError(f"bad JSON: {exc}", reason="bad JSON")
+    if not isinstance(obj, dict):
+        return ParseError("row is not a JSON object", reason="bad JSON")
+    values = [None] * len(_SLOTS)
+    for key, val in obj.items():
+        if key in _SLOT_INDEX and val is not None and val != "-":
+            values[_SLOT_INDEX[key]] = val
+    return values
 
 
 def _float(value, name: str) -> float:

@@ -16,6 +16,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,15 @@ import pytest
 from conftest import with_item
 from ipembed.graphs import load_graph, save_graph
 from ipembed.model import ModelConfig, edge_dim_for_vocab
-from ipembed.synth import default_roles, make_experiment
+from ipembed.synth import (
+    DEFAULT_TRANSPORTS,
+    default_roles,
+    generate,
+    make_experiment,
+    write_zeek_tsv,
+)
 from ipembed.training import ModelBundle, TrainConfig, load_model, save_model, train
+from ipembed.zeek import read_conn_log
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOURCES = sorted(BENCH.glob("*.py"))
@@ -162,3 +171,22 @@ def test_benchmark_round_trip_checks_accept_saved_files(tmp_path):
     bundle = ModelBundle(params, config, exp.vocab, exp.scaler)
     save_model(bundle, tmp_path / "model.ipgm")
     assert checks.bundles_equal(bundle, load_model(tmp_path / "model.ipgm"))
+
+
+def test_benchmark_parse_check_holds_for_the_parsed_table():
+    # What the harness's parse check asks of read_conn_log's result, on a
+    # log with its malformed rows: the counts, equality with the generated
+    # records, and inequality with one record short or one field changed.
+    checks = _bench_checks()
+    records = generate(default_roles(4, 1, 1), 600.0, seed=0)
+    buffer = io.StringIO()
+    write_zeek_tsv(records, buffer, DEFAULT_TRANSPORTS)
+    text, injected = checks.inject_malformed(buffer.getvalue(), seed=0)
+    parsed, stats = read_conn_log(io.StringIO(text))
+    assert stats.emitted == len(records) and parsed == records
+    assert stats.skipped == injected and stats.read == len(records) + injected
+    assert parsed != records[:-1]
+    middle = len(records) // 2
+    changed = list(records)
+    changed[middle] = replace(records[middle], duration=records[middle].duration + 1.0)
+    assert parsed != changed

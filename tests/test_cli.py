@@ -602,6 +602,27 @@ def test_non_finite_training_setting_is_data_error(
 # pipeline outputs
 
 
+def test_failed_ingest_leaves_no_partial_out_file(workspace, tmp_path):
+    log = tmp_path / "conn.log"
+    text = workspace["conn"].read_text()
+    last_row = text.splitlines()[-1]
+    log.write_text(text + last_row.rsplit("\t", 1)[0] + "\n")  # a column short
+    out = tmp_path / "flows.tsv"
+    argv = ["ingest", "--strict", "--input", str(log), "--out", str(out)]
+    assert run(argv) == 2
+    assert sorted(tmp_path.iterdir()) == [log]
+    out.write_text("kept\n")
+    assert run(argv) == 2
+    assert out.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [log, out]
+
+
+def test_out_in_a_missing_directory_names_the_path(workspace, tmp_path, capsys):
+    out = tmp_path / "missing" / "flows.tsv"
+    assert run(["ingest", "--input", str(workspace["conn"]), "--out", str(out)]) == 2
+    assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+
+
 def test_ingest_writes_canonical_tsv(workspace):
     lines = workspace["canon"].read_text().splitlines()
     assert lines[0] == "#separator \\x09"

@@ -1,6 +1,7 @@
 """Interval graph construction: windowing, aggregation, feature layout,
 normalization, and the binary snapshot format."""
 
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from ipembed.graphs import (
     save_graph,
     validate_graph,
 )
+from ipembed.zeek import FlowTable, read_conn_log, write_canonical_tsv
 
 REQ_BYTES = NUMERIC_FEATURES.index("request_bytes")
 
@@ -774,3 +776,42 @@ def test_build_graph_names_a_bad_vector_shape(vectors):
     }
     with pytest.raises(ValueError, match="bad aggregate vector shape"):
         build_graph(groups, GRAPH_VOCAB, 0.0, 600.0)
+
+
+def test_a_table_and_its_records_give_the_same_bytes():
+    # Interval 0 holds one group whose only durations are -0.0, and the log
+    # holds a count past int64 (a column of Python ints in the table).
+    records = [
+        make_record(ts=650.0, duration=-0.0),
+        make_record(ts=700.5, duration=-0.0),
+        make_record(ts=1300.0, source_ip="10.0.0.3", request_bytes=99999999999999999999,
+                    bytes=99999999999999999999 + 120),
+        make_record(ts=1310.0, source_ip="2001:db8::1", destination_ip="10.0.0.3",
+                    protocol_service="http"),
+        make_record(ts=1320.0, protocol_service="ssh"),
+        make_record(ts=1330.0, destination_ip="10.0.0.3"),
+    ]
+    buffer = io.StringIO()
+    write_canonical_tsv(records, buffer)
+    table, stats = read_conn_log(io.StringIO(buffer.getvalue()))
+    assert isinstance(table, FlowTable) and stats.emitted == len(records)
+    assert table.column("request_bytes").dtype == object
+    rows = list(table)
+    assert rows == records
+    assert resolve_origin(table, 600.0) == resolve_origin(rows, 600.0) == 600.0
+    for origin in (None, 0.0):
+        got = aggregate_flows(table, 600.0, origin)
+        want = aggregate_flows(rows, 600.0, origin)
+        assert [list(g) for g in got.values()] == [list(g) for g in want.values()]
+        assert list(got) == list(want)
+        for idx, groups in want.items():
+            for key, vec in groups.items():
+                assert got[idx][key].tobytes() == vec.tobytes()
+        graphs = build_interval_graphs(table, 600.0, GRAPH_VOCAB, origin)
+        assert [_graph_bytes(g) for g in graphs] == [
+            _graph_bytes(g) for g in build_interval_graphs(rows, 600.0, GRAPH_VOCAB, origin)
+        ]
+    dns = aggregate_flows(table, 600.0)[0][FlowKey("10.0.0.1", "10.0.0.2", "dns")]
+    duration = dns[NUMERIC_FEATURES.index("duration")]
+    assert duration == 0.0 and not np.signbit(duration)
+    assert dns[REQ_BYTES] == 120.0

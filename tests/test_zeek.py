@@ -4,19 +4,25 @@ header directives, JSON lines, and the canonical TSV round-trip."""
 import dataclasses
 import io
 import json
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import legacy_read_tsv, make_record
+from ipembed import zeek
+from ipembed.synth import DEFAULT_TRANSPORTS, default_roles, generate, write_zeek_tsv
 from ipembed.zeek import (
     _FIELD_ALIASES,
     _SCHEMA,
     CANONICAL_FIELDS,
     NUMERIC_FEATURES,
     ConnRecord,
+    FlowTable,
     ParseError,
     parse_conn_log,
     read_conn_log,
@@ -889,3 +895,102 @@ def test_parser_matches_per_row_reference(lines, strict):
     if not strict and got[0] != "error":
         _, stats = read_conn_log(lines, format="tsv")
         assert sum(stats.reasons.values()) == stats.skipped
+
+
+def _streamed(lines, strict):
+    stream, stats = parse_conn_log(lines, format="tsv", strict=strict)
+    return list(stream), stats
+
+
+@settings(max_examples=150, deadline=None)
+@given(tsv_logs(), st.booleans())
+def test_two_row_blocks_change_no_outcome(lines, strict):
+    # Every header, refused row and strict error then falls at or next to a
+    # block boundary, for the table and for the lazy stream alike.
+    want = _outcome(legacy_read_tsv, lines, strict)
+    with mock.patch.object(zeek, "_BLOCK_ROWS", 2):
+        table = _outcome(lambda l, s: read_conn_log(l, format="tsv", strict=s), lines, strict)
+        stream = _outcome(_streamed, lines, strict)
+        if not strict and want[0] != "error":
+            assert read_conn_log(lines, format="tsv")[1] == _streamed(lines, False)[1]
+    assert table == want
+    assert stream == want
+
+
+def test_unset_cells_take_the_column_path():
+    # Zeek leaves duration, byte counters and service unset on S0 and REJ
+    # rows: such rows convert with their block, never one by one.
+    rows = [zeek_row(duration="-", orig_bytes="-", resp_bytes="(empty)", service="-")] * 50
+    with mock.patch.object(zeek, "_record_from", side_effect=AssertionError("row path")):
+        records, stats = read_conn_log(zeek_tsv(rows + [zeek_row()]))
+    assert (stats.read, stats.emitted) == (51, 51)
+    first, last = records[0], records[-1]
+    assert (first.duration, first.request_bytes, first.bytes) == (0.0, 0, 0)
+    assert (first.protocol_service, last.protocol_service) == ("udp", "dns")
+
+
+def test_flow_table_is_a_read_only_sequence_of_records():
+    table, _ = read_conn_log(zeek_tsv([zeek_row(ts=f"{t}.5") for t in range(5)]))
+    records = list(table)
+    assert isinstance(table, FlowTable) and len(table) == 5 and table
+    assert [r.ts for r in records] == [0.5, 1.5, 2.5, 3.5, 4.5]
+    assert table[-1] == records[4] and table[1] == records[1]
+    assert isinstance(table[1:3], FlowTable) and table[1:3] == records[1:3]
+    assert not table[:0] and table[::-1] == records[::-1]
+    with pytest.raises(IndexError):
+        table[5]
+    assert table == tuple(records) and records == table
+    assert table != records[:-1] and table != records[::-1] and table != records + records[:1]
+    changed = records[:2] + [dataclasses.replace(records[2], source_port=1)] + records[3:]
+    assert table != changed
+    assert table + records[:1] == records + records[:1]
+    assert table.column("ts").dtype == np.float64
+    assert table.ips == ("192.168.1.10", "8.8.8.8") and table.tokens == ("dns",)
+    with pytest.raises(TypeError):
+        hash(table)
+
+
+def test_table_keeps_under_a_third_of_a_record_list():
+    records = generate(default_roles(8, 2, 2), 1800.0, seed=0)
+    buffer = io.StringIO()
+    write_zeek_tsv(records, buffer, DEFAULT_TRANSPORTS)
+    text = buffer.getvalue()
+    read_conn_log(io.StringIO(text))  # fill the parser's memos first
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table, _ = read_conn_log(io.StringIO(text))
+        table_bytes = tracemalloc.get_traced_memory()[0] - start
+        rows = list(table)
+        list_bytes = tracemalloc.get_traced_memory()[0] - start - table_bytes
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(records) > 1000
+    assert 3 * table_bytes < list_bytes
+
+
+def test_duplicate_column_falls_back_past_an_unset_last_cell():
+    # The row path decides such rows; the rest of their block comes out the
+    # same as from the column path.
+    lines = [
+        "#fields\t" + ZEEK_FIELDS + "\tsourceIP",
+        zeek_row() + "\t-",
+        zeek_row() + "\t10.9.9.9",
+        zeek_row(resp_p="70000") + "\t-",
+    ]
+    records, stats = read_conn_log(lines)
+    assert [r.source_ip for r in records] == ["192.168.1.10", "10.9.9.9"]
+    assert stats.reasons == {"out of range": 1}
+    assert records == legacy_read_tsv(lines)[0]
+
+
+def test_a_count_past_int64_keeps_its_column_exact():
+    # Python ints while a kept row holds the count; int64 once only a
+    # refused row did.
+    wide = "99999999999999999999"
+    table, _ = read_conn_log(zeek_tsv([zeek_row(orig_bytes=wide), zeek_row()]))
+    assert table.column("request_bytes").dtype == object
+    assert table[0].request_bytes == int(wide) and table[0].bytes == int(wide) + 184
+    table, stats = read_conn_log(zeek_tsv([zeek_row(orig_h="x", orig_bytes=wide), zeek_row()]))
+    assert stats.reasons == {"bad IP": 1}
+    assert table.column("request_bytes").dtype == table.column("bytes").dtype == np.int64
