@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -25,14 +26,12 @@ from pathlib import Path
 
 from .graphs import (
     ProtocolVocab,
-    aggregate_flows,
     fit_protocol_vocab,
     fit_scaler,
     iter_interval_graphs,
     load_graph,
     load_graph_dir,
     normalize,
-    resolve_origin,
     save_graph,
 )
 from .model import ModelConfig, edge_dim_for_vocab
@@ -131,21 +130,54 @@ def _output(path: str | None):
 
 @contextmanager
 def _replacing(path: str):
-    """Text stream to a temporary file beside ``path`` that replaces
-    ``path`` once the block succeeds and is removed if it fails, so that a
-    failed command leaves no partial file and an existing one untouched."""
+    """Text stream for an output file. Where :func:`_open_beside` gives a
+    temporary file, it replaces ``path`` once the block succeeds and is
+    removed if it fails, so that a failed command leaves no partial file and
+    an existing one untouched; otherwise ``path`` is written directly."""
+    beside = _open_beside(path)
+    if beside is None:
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
+        return
+    fp, temporary = beside
+    try:
+        with fp:
+            yield fp
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def _open_beside(path: str):
+    """``(stream, path)`` of a new temporary file beside ``path`` that can
+    replace it unnoticed, with an existing file's mode and owner; None when
+    ``path`` is no plain file (a symlink, a device such as ``/dev/null``, a
+    pipe, a file with other hard links) or its owner cannot be kept."""
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    except OSError:  # opening the path itself reports it
+        return None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        return None
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         fp = open(temporary, "w", encoding="utf-8")
     except OSError as exc:  # name the path asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fp:
-            yield fp
-        os.replace(temporary, target)
-    finally:
-        temporary.unlink(missing_ok=True)
+    if old is not None:
+        try:
+            new = os.fstat(fp.fileno())
+            if (new.st_uid, new.st_gid) != (old.st_uid, old.st_gid):
+                os.fchown(fp.fileno(), old.st_uid, old.st_gid)
+            os.fchmod(fp.fileno(), stat.S_IMODE(old.st_mode))
+        except OSError:
+            fp.close()
+            temporary.unlink()
+            return None
+    return fp, temporary
 
 
 def _load_vocab(path: Path) -> ProtocolVocab:
@@ -199,23 +231,21 @@ def _cmd_build_graphs(args) -> int:
             raise ValueError("no records left after holdout")
         held_out = f", held out {len(records) - len(kept)} records"
         records = FlowTable.from_records(kept)
-    origin = args.origin if args.origin is not None else resolve_origin(
-        records, args.interval
-    )
-    aggregates = aggregate_flows(records, args.interval, origin)
     if args.vocab:
         vocab = _load_vocab(Path(args.vocab))
     else:
-        vocab = fit_protocol_vocab(aggregates)
+        vocab = fit_protocol_vocab(records)
+    graphs = iter_interval_graphs(records, args.interval, vocab, args.origin)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for idx, graph in iter_interval_graphs(aggregates, vocab, args.interval, origin):
+    count = 0
+    for count, (idx, graph) in enumerate(graphs, 1):
         save_graph(graph, out_dir / f"graph_{idx:06d}.ipgr")
     (out_dir / "vocab.json").write_text(
         json.dumps({"tokens": list(vocab.tokens)}), encoding="utf-8"
     )
     _log(
-        f"build-graphs: {len(aggregates)} graphs from {stats.emitted} records "
+        f"build-graphs: {count} graphs from {stats.emitted} records "
         f"({_skipped(stats)}{held_out}) into {out_dir}"
     )
     return 0

@@ -196,16 +196,10 @@ def resolve_origin(records: Sequence[ConnRecord], interval_len: float) -> float:
     """Default stream origin: earliest timestamp floored to a whole
     interval boundary. Reads a :class:`FlowTable`'s ``ts`` column."""
     check_interval_len(interval_len)
-    ts = _as_table(records).column("ts")
+    ts = FlowTable.from_records(records).column("ts")
     if not len(ts):
         raise ValueError("cannot derive an origin from zero records")
     return math.floor(float(ts.min()) / interval_len) * interval_len
-
-
-def _as_table(records: Iterable[ConnRecord]) -> FlowTable:
-    """A :class:`FlowTable` as it is; other records become one, one
-    attribute column at a time."""
-    return records if isinstance(records, FlowTable) else FlowTable.from_records(records)
 
 
 class _Groups(NamedTuple):
@@ -279,7 +273,7 @@ def aggregate_flows(
     uses them.
     """
     check_interval_len(interval_len)
-    table = _as_table(records)
+    table = FlowTable.from_records(records)
     if not len(table):
         return {}
     if origin is None:
@@ -296,17 +290,19 @@ def aggregate_flows(
 
 
 def fit_protocol_vocab(
-    aggregates: Mapping[int, Mapping[FlowKey, np.ndarray]]
+    flows: Mapping[int, Mapping[FlowKey, np.ndarray]] | Iterable[ConnRecord],
 ) -> ProtocolVocab:
-    """Sorted distinct protocol tokens plus the trailing catch-all slot."""
-    tokens: set[str] = set()
-    rows = 0
-    for groups in aggregates.values():
-        for key in groups:
-            tokens.add(key.protocol_service)
-            rows += 1
-    if rows == 0:
-        raise ValueError("cannot fit a protocol vocab from empty aggregates")
+    """Sorted distinct protocol tokens plus the trailing catch-all slot, of
+    :func:`aggregate_flows` output or of records; a :class:`FlowTable` is
+    read by its token column."""
+    if isinstance(flows, Mapping):
+        tokens = {key.protocol_service for groups in flows.values() for key in groups}
+    else:
+        table = FlowTable.from_records(flows)
+        used = np.bincount(table.column("protocol_service"), minlength=len(table.tokens))
+        tokens = {table.tokens[code] for code in np.flatnonzero(used).tolist()}
+    if not tokens:
+        raise ValueError("cannot fit a protocol vocab from zero flows")
     tokens.discard(OTHER_TOKEN)
     return ProtocolVocab(tuple(sorted(tokens)) + (OTHER_TOKEN,))
 
@@ -333,7 +329,7 @@ def build_graph(
     end: float,
 ) -> IntervalGraph:
     """Assemble one interval graph from its aggregated flow groups, in
-    mapping order; see :func:`build_interval_graphs` for the layout.
+    mapping order; see :func:`iter_interval_graphs` for the layout.
     ``start`` must lie below ``end``."""
     if not groups:
         raise ValueError("cannot build a graph from zero flow groups")
@@ -409,33 +405,20 @@ def _assemble(
 
 
 def iter_interval_graphs(
-    aggregates: Mapping[int, Mapping[FlowKey, np.ndarray]],
-    vocab: ProtocolVocab,
-    interval_len: float,
-    origin: float,
-) -> Iterator[tuple[int, IntervalGraph]]:
-    """Build one graph per non-empty interval of :func:`aggregate_flows`
-    output, yielding ``(interval index, graph)`` by ascending index.
-
-    Interval ``idx`` spans ``[origin + idx * interval_len,
-    origin + (idx + 1) * interval_len)``, so adjacent graphs share their
-    boundary timestamp exactly.
-    """
-    for idx in sorted(aggregates):
-        start = origin + idx * interval_len
-        end = origin + (idx + 1) * interval_len
-        yield idx, build_graph(aggregates[idx], vocab, start, end)
-
-
-def build_interval_graphs(
     records: Iterable[ConnRecord],
     interval_len: float,
     vocab: ProtocolVocab,
     origin: float | None = None,
-) -> list[IntervalGraph]:
+) -> Iterator[tuple[int, IntervalGraph]]:
     """Aggregate records and build one graph per non-empty interval,
-    ordered by interval index; intervals span what
-    :func:`iter_interval_graphs` gives them.
+    yielding ``(interval index, graph)`` by ascending index. The records
+    are aggregated and checked at the call; each graph is built as it is
+    pulled.
+
+    With ``origin=None`` the default origin is derived from the records.
+    Interval ``idx`` spans ``[origin + idx * interval_len,
+    origin + (idx + 1) * interval_len)``, so adjacent graphs share their
+    boundary timestamp exactly.
 
     A :class:`FlowTable` is read by its columns, and each graph is built
     straight from its interval's grouped columns; other records are
@@ -450,27 +433,38 @@ def build_interval_graphs(
     from zero, as :func:`build_graph` does for the same groups.
     """
     check_interval_len(interval_len)
-    table = _as_table(records)
+    table = FlowTable.from_records(records)
     if origin is None:
         origin = resolve_origin(table, interval_len)
     if not len(table):
-        return []
+        return iter(())
     groups = _group(table, interval_len, origin)
     order = _NodeOrder(table.ips)
     slots = np.array([vocab.slot(token) for token in table.tokens], dtype=np.int64)
     by_interval = np.argsort(groups.interval, kind="stable")
     splits = np.flatnonzero(np.diff(groups.interval[by_interval])) + 1
-    graphs = []
-    for part in np.split(by_interval, splits):
-        idx = int(groups.interval[part[0]])
-        graphs.append(
-            _assemble(
+
+    def graphs():
+        for part in np.split(by_interval, splits):
+            idx = int(groups.interval[part[0]])
+            yield idx, _assemble(
                 groups.src[part], groups.dst[part], slots[groups.token[part]],
                 groups.sums[part], order, vocab.size,
                 origin + idx * interval_len, origin + (idx + 1) * interval_len,
             )
-        )
-    return graphs
+
+    return graphs()
+
+
+def build_interval_graphs(
+    records: Iterable[ConnRecord],
+    interval_len: float,
+    vocab: ProtocolVocab,
+    origin: float | None = None,
+) -> list[IntervalGraph]:
+    """The graphs of :func:`iter_interval_graphs`, ordered by interval
+    index."""
+    return [graph for _, graph in iter_interval_graphs(records, interval_len, vocab, origin)]
 
 
 def fit_scaler(graphs: Sequence[IntervalGraph]) -> FeatureScaler:

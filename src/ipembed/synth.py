@@ -21,17 +21,15 @@ from .graphs import (
     FeatureScaler,
     IntervalGraph,
     ProtocolVocab,
-    aggregate_flows,
     build_interval_graphs,
     check_interval_len,
     fit_protocol_vocab,
     fit_scaler,
-    iter_interval_graphs,
     normalize,
 )
 from .serving import cosine_rows, infer_embeddings
 from .training import ModelBundle, filter_holdout
-from .zeek import ConnRecord
+from .zeek import ConnRecord, FlowTable
 
 __all__ = [
     "MAX_ROLE_MEMBERS",
@@ -338,12 +336,9 @@ def make_experiment(
     in_role_ips = tuple(ip for ip in pool if ip not in holdout_ips)
     out_role_ips = tuple(by_name[contrast_role].ips())
 
-    filtered = filter_holdout(train_records, holdout_ips)
-    train_agg = aggregate_flows(filtered, interval_len, origin=0.0)
-    vocab = fit_protocol_vocab(train_agg)
-    train_graphs = [
-        g for _, g in iter_interval_graphs(train_agg, vocab, interval_len, 0.0)
-    ]
+    filtered = FlowTable.from_records(filter_holdout(train_records, holdout_ips))
+    vocab = fit_protocol_vocab(filtered)
+    train_graphs = build_interval_graphs(filtered, interval_len, vocab, origin=0.0)
     scaler = fit_scaler(train_graphs)
     train_graphs = [normalize(g, scaler) for g in train_graphs]
     test_graphs = [

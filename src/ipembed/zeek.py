@@ -24,7 +24,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import ip_address
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, eq
 from pathlib import Path
 from typing import IO, NamedTuple, Union
@@ -151,9 +151,7 @@ class ConnRecord:
         request_bytes: int, response_bytes: int, bytes: int, request_packets: int,
         response_packets: int, request_ip_bytes: int, response_ip_bytes: int,
     ):
-        # Check everything first, then store each canonical value once, in
-        # field order, through object.__setattr__: the instances then keep
-        # the compact shared-key attribute layout a dataclass __init__ gives.
+        # Check everything first, then store each canonical value.
         source_ip = _canonical_ip("source_ip", source_ip)
         destination_ip = _canonical_ip("destination_ip", destination_ip)
         _check_port("source_port", source_port)
@@ -180,21 +178,38 @@ class ConnRecord:
         token = _canonical_token(protocol_service)
         if not token:
             raise ParseError("empty protocol_service", reason="missing field")
-        store = object.__setattr__
-        store(self, "ts", ts)
-        store(self, "source_ip", source_ip)
-        store(self, "destination_ip", destination_ip)
-        store(self, "source_port", source_port)
-        store(self, "destination_port", destination_port)
-        store(self, "protocol_service", token)
-        store(self, "duration", duration)
-        store(self, "request_bytes", request_bytes)
-        store(self, "response_bytes", response_bytes)
-        store(self, "bytes", bytes)
-        store(self, "request_packets", request_packets)
-        store(self, "response_packets", response_packets)
-        store(self, "request_ip_bytes", request_ip_bytes)
-        store(self, "response_ip_bytes", response_ip_bytes)
+        _fill(
+            self, ts, source_ip, destination_ip, source_port, destination_port, token,
+            duration, request_bytes, response_bytes, bytes, request_packets,
+            response_packets, request_ip_bytes, response_ip_bytes,
+        )
+
+
+def _fill(
+    record, ts, source_ip, destination_ip, source_port, destination_port,
+    protocol_service, duration, request_bytes, response_bytes, bytes,
+    request_packets, response_packets, request_ip_bytes, response_ip_bytes,
+) -> ConnRecord:
+    """Store a record's checked, canonical field values, with no check: each
+    once, in field order, through object.__setattr__, so that the instances
+    keep the compact shared-key attribute layout a dataclass __init__
+    gives."""
+    store = object.__setattr__
+    store(record, "ts", ts)
+    store(record, "source_ip", source_ip)
+    store(record, "destination_ip", destination_ip)
+    store(record, "source_port", source_port)
+    store(record, "destination_port", destination_port)
+    store(record, "protocol_service", protocol_service)
+    store(record, "duration", duration)
+    store(record, "request_bytes", request_bytes)
+    store(record, "response_bytes", response_bytes)
+    store(record, "bytes", bytes)
+    store(record, "request_packets", request_packets)
+    store(record, "response_packets", response_packets)
+    store(record, "request_ip_bytes", request_ip_bytes)
+    store(record, "response_ip_bytes", response_ip_bytes)
+    return record
 
 
 @dataclass
@@ -273,6 +288,7 @@ _REQUIRED = ("ts", "source_ip", "destination_ip")
 # type: strings are int32 codes into the table's string tuples, and a counter
 # column is int64 unless a value lies past int64 (then it holds Python ints).
 _FIELDS = _SLOTS[:-2]
+_IP_FIELDS = ("source_ip", "destination_ip")
 _COUNTERS = _FIELDS[_FIELDS.index("duration") + 1 :]
 _DTYPES = {
     "ts": np.float64,
@@ -304,8 +320,8 @@ class FlowTable(Sequence):
     The table is a read-only ``Sequence[ConnRecord]``: an index builds that
     row's record, a slice is a table, iteration builds records a block at a
     time, and ``==`` compares row by row with any sequence of records. ``+``
-    returns a new table of both operands' records, as a list of records
-    would.
+    with a sequence of records on either side returns a new table of both
+    operands' records in order. It is no list: ``list(table)`` gives one.
     """
 
     __hash__ = None
@@ -319,9 +335,47 @@ class FlowTable(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[ConnRecord]) -> "FlowTable":
-        """The table of ``records``, read one attribute column at a time."""
-        builder = _TableBuilder()
-        return builder.table(builder.columns_of(list(records)))
+        """The table of ``records``, read one attribute column at a time (no
+        object per row, so no work for the cyclic collector); a table is
+        returned as it is."""
+        if isinstance(records, FlowTable):
+            return records
+        records = list(records)
+        ips: dict[str, int] = {}
+        tokens: dict[str, int] = {}
+        columns = {}
+        for attr in _FIELDS:
+            values = list(map(attrgetter(attr), records))
+            if attr == "protocol_service":
+                columns[attr] = _codes(values, tokens)
+            elif attr in _IP_FIELDS:
+                columns[attr] = _codes(values, ips)
+            elif attr in _COUNTERS:
+                columns[attr] = _int_column(values)
+            else:
+                columns[attr] = np.array(values, dtype=_DTYPES[attr])
+        return cls(ips, tokens, columns)
+
+    @classmethod
+    def concat(cls, tables: Iterable["FlowTable"]) -> "FlowTable":
+        """One table of the rows of ``tables`` in order, with their string
+        tables merged."""
+        ips: dict[str, int] = {}
+        tokens: dict[str, int] = {}
+        parts = []
+        for table in tables:
+            columns = dict(table._columns)
+            recode = _codes(table.ips, ips)
+            for attr in _IP_FIELDS:
+                columns[attr] = recode[columns[attr]]
+            recode = _codes(table.tokens, tokens)
+            columns["protocol_service"] = recode[columns["protocol_service"]]
+            parts.append(columns)
+        return cls(ips, tokens, {
+            attr: np.concatenate([part[attr] for part in parts])
+            if parts else np.empty(0, _DTYPES[attr])
+            for attr in _FIELDS
+        })
 
     def column(self, attr: str) -> np.ndarray:
         return self._columns[attr]
@@ -347,7 +401,9 @@ class FlowTable(Sequence):
                 if attr in names:
                     values = list(map(names[attr].__getitem__, values))
                 fields.append(values)
-            yield from map(ConnRecord, *fields)
+            # The columns hold checked values: the records skip the checks.
+            blank = map(object.__new__, repeat(ConnRecord, len(fields[0])))
+            yield from map(_fill, blank, *fields)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -357,7 +413,12 @@ class FlowTable(Sequence):
     def __add__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return FlowTable.from_records(chain(self, other))
+        return FlowTable.concat([self, FlowTable.from_records(other)])
+
+    def __radd__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return FlowTable.concat([FlowTable.from_records(other), self])
 
     def __repr__(self) -> str:
         return f"FlowTable({len(self)} rows, {len(self.ips)} IPs, {len(self.tokens)} tokens)"
@@ -375,12 +436,11 @@ def parse_conn_log(
     :class:`ParseError` carrying its line number.
 
     The stream reads the log one block of rows at a time, as
-    :func:`read_conn_log` does, and builds a record per emitted row as it is
-    pulled; the stats object advances row by row with it.
+    :func:`read_conn_log` does, and holds one block's rows and strings at a
+    time; the stats object advances row by row as records are pulled.
     """
     stats = ParseStats()
-    builder = _TableBuilder()
-    return _records(_open_blocks(source, format, builder), builder, strict, stats), stats
+    return _records(_open_blocks(source, format), strict, stats), stats
 
 
 def read_conn_log(
@@ -389,20 +449,21 @@ def read_conn_log(
     """Parse a whole conn.log into a :class:`FlowTable` plus row statistics.
 
     Arguments, rows, records and statistics are those of
-    :func:`parse_conn_log`. Each block of rows is converted a column at a
-    time; only a row that some column refuses goes through the per-row path,
-    which names the row's first bad cell. No record is built per row.
+    :func:`parse_conn_log`. Each block of TSV rows is converted a column at
+    a time; only a row that some column refuses goes through the per-row
+    path, which names the row's first bad cell. No record is built per TSV
+    row. The table is no list; ``list(table)`` gives one.
     """
     stats = ParseStats()
-    builder = _TableBuilder()
-    with closing(_open_blocks(source, format, builder)) as blocks:
-        for lines, refused, columns in blocks:
+    tables = []
+    with closing(_open_blocks(source, format)) as blocks:
+        for lines, refused, rows in blocks:
             stats.read += len(lines)
             for i, exc in refused.items():
                 _settle(stats, strict, lines[i], exc)
-            stats.emitted += len(lines) - len(refused)
-            builder.add(columns)
-    return builder.table(), stats
+            stats.emitted += len(rows)
+            tables.append(FlowTable.from_records(rows))
+    return FlowTable.concat(tables), stats
 
 
 def write_canonical_tsv(records: Iterable[ConnRecord], fp: IO[str]) -> int:
@@ -423,63 +484,11 @@ def write_canonical_tsv(records: Iterable[ConnRecord], fp: IO[str]) -> int:
     return count
 
 
-class _TableBuilder:
-    """Interns one table's IP and token strings and collects its column
-    blocks."""
-
-    def __init__(self):
-        self.ip_codes: dict[str, int] = {}  # canonical IP -> code
-        self.token_codes: dict[str, int] = {}  # canonical token -> code
-        self.cell_ips: dict[str, int] = {}  # TSV cell -> code of its IP
-        self._blocks: list[dict[str, np.ndarray]] = []
-
-    def add(self, columns: dict[str, np.ndarray]) -> None:
-        self._blocks.append(columns)
-
-    def table(self, columns: dict[str, np.ndarray] | None = None) -> FlowTable:
-        """The table of ``columns``, or of every block added."""
-        if columns is None:
-            columns = {
-                attr: np.concatenate([b[attr] for b in self._blocks])
-                if self._blocks else np.empty(0, _DTYPES[attr])
-                for attr in _FIELDS
-            }
-        return FlowTable(self.ip_codes, self.token_codes, columns)
-
-    def columns_of(self, records: list) -> dict[str, np.ndarray]:
-        """The columns of ``records``, one attribute read at a time (no
-        object per row, so no work for the cyclic collector)."""
-        columns = {}
-        for attr in _FIELDS:
-            values = list(map(attrgetter(attr), records))
-            if attr == "protocol_service":
-                columns[attr] = _codes(values, self.token_codes)
-            elif attr in ("source_ip", "destination_ip"):
-                columns[attr] = _codes(values, self.ip_codes)
-            elif attr in _COUNTERS:
-                columns[attr] = _int_column(values)
-            else:
-                columns[attr] = np.array(values, dtype=_DTYPES[attr])
-        return columns
-
-    def cell_ip(self, cell: str) -> int:
-        """The code of a TSV cell's IP, or -1 if the cell holds none."""
-        try:
-            ip = _canonical_ip_text(cell.strip())
-        except ValueError:
-            return -1
-        code = self.cell_ips[cell] = self.ip_codes.setdefault(ip, len(self.ip_codes))
-        return code
-
-
 def _codes(values, codes: dict) -> np.ndarray:
     """The int32 codes of ``values`` in ``codes``, adding each new value."""
-    found = list(map(codes.get, values))
-    if None in found:
-        for value in dict.fromkeys(values):
-            codes.setdefault(value, len(codes))
-        found = list(map(codes.__getitem__, values))
-    return np.array(found, dtype=np.int32)
+    for value in dict.fromkeys(values):
+        codes.setdefault(value, len(codes))
+    return np.array(list(map(codes.__getitem__, values)), dtype=np.int32)
 
 
 def _int_column(values: list) -> np.ndarray:
@@ -497,11 +506,11 @@ def _settle(stats: ParseStats, strict: bool, line_no: int, exc: ParseError) -> N
     stats._skip(exc.reason)
 
 
-def _records(blocks, builder: _TableBuilder, strict: bool, stats: ParseStats):
+def _records(blocks, strict: bool, stats: ParseStats):
     """The rows of each block in order: emit a record, skip, or (strict) raise."""
     with closing(blocks):
-        for lines, refused, columns in blocks:
-            records = iter(builder.table(columns))
+        for lines, refused, rows in blocks:
+            records = iter(rows)
             for i, line_no in enumerate(lines):
                 stats.read += 1
                 exc = refused.get(i)
@@ -539,19 +548,20 @@ def _utf8_lines(lines):
         yield line_no, line
 
 
-def _open_blocks(source: Source, format: str, builder: _TableBuilder):
+def _open_blocks(source: Source, format: str):
     """Check ``format`` and open ``source`` now, so that a missing file fails
     at call time, not on the first pull; return the lazy block stream."""
     if format not in ("auto", "tsv", "jsonl"):
         raise ValueError(f"unknown format {format!r}")
     owned, numbered = _numbered_lines(source)
-    return _blocks(owned, numbered, format, builder)
+    return _blocks(owned, numbered, format)
 
 
-def _blocks(owned, numbered, format: str, builder: _TableBuilder) -> Iterator[tuple]:
+def _blocks(owned, numbered, format: str) -> Iterator[tuple]:
     """The one block loop: convert each block of rows a source yields into
     its rows' line numbers, the refused rows by index with the error that
-    names their first bad cell, and the columns of the other rows."""
+    names their first bad cell, and the other rows' records in order (a
+    :class:`FlowTable` for TSV, a list for JSON lines)."""
     try:
         if format == "auto":
             format, passed = "tsv", []
@@ -563,16 +573,16 @@ def _blocks(owned, numbered, format: str, builder: _TableBuilder) -> Iterator[tu
             numbered = chain(passed, numbered)
         if format == "tsv":
             for plan, lines, refused, texts in _tsv_blocks(numbered):
-                yield (lines, *_tsv_block(builder, plan, len(lines), refused, texts))
+                yield (lines, *_tsv_block(plan, len(lines), refused, texts))
         else:
             for lines, rows in _jsonl_blocks(numbered):
-                yield (lines, *_row_block(builder, rows))
+                yield (lines, *_row_block(rows))
     finally:
         if owned is not None:
             owned.close()
 
 
-def _row_block(builder: _TableBuilder, rows: list) -> tuple[dict, dict]:
+def _row_block(rows: list) -> tuple[dict, list]:
     """Convert a block row by row: each row is its slot values, or the
     ParseError that already refuses it."""
     refused: dict[int, ParseError] = {}
@@ -585,7 +595,7 @@ def _row_block(builder: _TableBuilder, rows: list) -> tuple[dict, dict]:
             records.append(_record_from(row))
         except ParseError as exc:
             refused[i] = _detached(exc)
-    return refused, builder.columns_of(records)
+    return refused, records
 
 
 def _parse_separator(line: str, line_no: int) -> str:
@@ -702,25 +712,18 @@ def _slot_values(plan: _Plan, text: str) -> list:
 
 
 def _tsv_block(
-    builder: _TableBuilder, plan: _Plan | None, n: int, refused: dict, texts: list[str]
-) -> tuple[dict, dict]:
+    plan: _Plan | None, n: int, refused: dict, texts: list[str]
+) -> tuple[dict, FlowTable]:
     """Convert a block of ``n`` TSV rows a column at a time: the rows not
     yet refused are ``texts``.
 
-    Each column is converted and checked as a whole. A row that some column
-    refuses is rebuilt by :func:`_record_from`, whose error names the row's
-    first bad cell; in the rare case that this accepts the row (a duplicate
-    column whose last cell is unset), the whole block is converted row by
-    row instead."""
+    Each column is converted and checked as a whole, to the rules that
+    :func:`_record_from` and :class:`ConnRecord` apply to one row. A row that
+    some column refuses goes to :func:`_refusals`, which rebuilds it through
+    :func:`_record_from` for the error that names its first bad cell."""
     rows = [i for i in range(n) if i not in refused] if refused else range(n)
-
-    def row_by_row() -> tuple[dict, dict]:
-        values = dict(refused)
-        values.update((i, _slot_values(plan, text)) for i, text in zip(rows, texts))
-        return _row_block(builder, [values[i] for i in range(n)])
-
     if not texts:
-        return refused, builder.columns_of([])
+        return refused, FlowTable.from_records([])
     sep, width = plan.sep, plan.width
     joined = sep.join(texts)
     # One split for the block; a longer separator could straddle two rows.
@@ -728,24 +731,34 @@ def _tsv_block(
         cell for text in texts for cell in text.split(sep)
     ]
     cols = [flat[i::width] for i in range(width)]
-
-    def cells(attr: str) -> list | None:
-        i = plan.where[_SLOT[attr]]
-        return cols[i] if i < width else None
-
-    if any(cells(attr) is None for attr in _REQUIRED):
-        return row_by_row()
     # Markers that fill a whole cell somewhere in the block.
     framed = sep + joined + sep
     markers = {m for m in (plan.unset, plan.empty) if sep + m + sep in framed}
-    zero = dict.fromkeys(markers, "0")
-    bad = np.zeros(len(texts), dtype=bool)
 
     def unset(column: list) -> np.ndarray | None:
         """Which cells hold a marker, or None when none does."""
         if any(m in column for m in markers):
             return np.fromiter(map(markers.__contains__, column), dtype=bool, count=len(column))
         return None
+
+    # Each slot's cells: its last column's, and as in _slot_values, where
+    # that cell holds a marker, the first of its earlier columns' that does
+    # not.
+    slot_cells = [cols[i] if i < width else None for i in plan.where]
+    for slot, earlier in plan.fallbacks:
+        marked = unset(slot_cells[slot])
+        if marked is not None:
+            column = slot_cells[slot] = list(slot_cells[slot])
+            for r in np.flatnonzero(marked).tolist():
+                column[r] = next((cols[i][r] for i in earlier if cols[i][r] not in markers), column[r])
+
+    def cells(attr: str) -> list | None:
+        return slot_cells[_SLOT[attr]]
+
+    if any(cells(attr) is None for attr in _REQUIRED):  # no row has them all
+        return _refusals(plan, texts, rows, range(len(texts)), refused), FlowTable.from_records([])
+    zero = dict.fromkeys(markers, "0")
+    bad = np.zeros(len(texts), dtype=bool)
 
     def numbers(attr: str, convert) -> list:
         column = cells(attr)
@@ -755,14 +768,6 @@ def _tsv_block(
             column = map(zero.get, column, column)
         return _converted(convert, column, bad)
 
-    # A duplicated slot whose last cell is unset reads an earlier column.
-    for slot, _ in plan.fallbacks:
-        marked = unset(cols[plan.where[slot]])
-        if marked is not None:
-            bad |= marked
-    marked = unset(cells("ts"))
-    if marked is not None:
-        bad |= marked  # a missing required field
     out: dict[str, np.ndarray] = {}
     for attr in ("ts", "duration"):
         out[attr] = values = np.array(numbers(attr, float), dtype=np.float64)
@@ -782,42 +787,57 @@ def _tsv_block(
         total = given if marked is None else np.where(marked, total, given)
     out["bytes"] = total
     bad |= total < 0
-    for attr in ("source_ip", "destination_ip"):
-        column = cells(attr)
-        marked = unset(column)
+    for attr in ("ts", *_IP_FIELDS):
+        marked = unset(cells(attr))
         if marked is not None:
             bad |= marked  # a missing required field
-        codes = list(map(builder.cell_ips.get, column))
-        if None in codes:
-            for i, code in enumerate(codes):
-                if code is None:
-                    codes[i] = builder.cell_ip(column[i])
-        out[attr] = values = np.array(codes, dtype=np.int32)
+    ips: dict[str, int] = {}
+    # Each distinct IP cell of the block, read once: its code in ips, or -1.
+    ip_cells = dict.fromkeys(chain(*map(cells, _IP_FIELDS)))
+    cell_codes = {cell: _ip_code(cell, ips) for cell in ip_cells}
+    for attr in _IP_FIELDS:
+        out[attr] = values = np.array(list(map(cell_codes.__getitem__, cells(attr))), dtype=np.int32)
         bad |= values < 0
+    tokens: dict[str, int] = {}
     out["protocol_service"] = values = _token_codes(
-        builder, [cells(a) for a in ("protocol_service", "service", "proto")], markers,
+        tokens, [cells(a) for a in ("protocol_service", "service", "proto")], markers,
         len(texts),
     )
     bad |= values < 0
 
     if bad.any():
-        errors = {}
-        for j in np.flatnonzero(bad).tolist():
-            try:
-                _record_from(_slot_values(plan, texts[j]))
-            except ParseError as exc:
-                errors[rows[j]] = _detached(exc)
-            else:
-                return row_by_row()
+        refused = _refusals(plan, texts, rows, np.flatnonzero(bad).tolist(), refused)
         keep = ~bad
         out = {attr: values[keep] for attr, values in out.items()}
         for attr in _COUNTERS:
             if out[attr].dtype == object:  # its value past int64 may be gone
                 out[attr] = _int_column(out[attr].tolist())
-        refused = dict(sorted({**refused, **errors}.items()))
     for attr in ("source_port", "destination_port"):
         out[attr] = out[attr].astype(np.int32)
-    return refused, out
+    return refused, FlowTable(ips, tokens, out)
+
+
+def _refusals(plan: _Plan, texts: list[str], rows, bad: Iterable[int], refused: dict) -> dict:
+    """``refused`` and, for each index into ``texts`` in ``bad``, the
+    ParseError that :func:`_record_from` refuses that row with, by row."""
+    refused = dict(refused)
+    for j in bad:
+        try:
+            _record_from(_slot_values(plan, texts[j]))
+        except ParseError as exc:
+            refused[rows[j]] = _detached(exc)
+        else:
+            raise AssertionError(f"the column checks refuse a valid row: {texts[j]!r}")
+    return dict(sorted(refused.items()))
+
+
+def _ip_code(cell: str, ips: dict[str, int]) -> int:
+    """The code in ``ips`` of a TSV cell's canonical IP, adding it if new;
+    -1 if the cell holds no IP."""
+    try:
+        return ips.setdefault(_canonical_ip_text(cell.strip()), len(ips))
+    except ValueError:
+        return -1
 
 
 def _detached(exc: ParseError) -> ParseError:
@@ -850,34 +870,23 @@ def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def _token_codes(builder: _TableBuilder, columns: list, markers: set, n: int) -> np.ndarray:
-    """Each row's token code from its protocol-service, service and proto
-    cells (each column may be None): the first set cell, or ``unknown``; -1
-    for a token that :class:`ConnRecord` refuses. Each distinct combination
-    of cells is resolved once."""
-    columns = [c for c in columns if c is not None]
-    names: dict[str, int] = {}
-    coded = [_codes(column, names) for column in columns]
-    key = np.zeros(n, dtype=np.int64)
-    for codes in coded:
-        key = key * len(names) + codes
-    combos, inverse = np.unique(key, return_inverse=True)
-    names = list(names)
-    resolved = []
-    for combo in combos.tolist():
-        cells = []
-        for _ in columns:
-            combo, code = divmod(combo, len(names))
-            cells.append(names[code])
-        token = next((c for c in reversed(cells) if c and c not in markers), "unknown")
+def _token_codes(tokens: dict[str, int], columns: list, markers: set, n: int) -> np.ndarray:
+    """Each of ``n`` rows' token code from its protocol-service, service and
+    proto cells (each column may be None): the code in ``tokens`` of the
+    first set cell's canonical token, or of ``unknown``, adding it if new;
+    -1 for a token that :class:`ConnRecord` refuses. Each distinct
+    combination of cells is resolved once."""
+    present = [column for column in columns if column is not None]
+    combos = list(zip(*present)) if present else [()] * n
+    codes = {}
+    for combo in dict.fromkeys(combos):
+        token = next((c for c in combo if c and c not in markers), "unknown")
         try:
             token = _canonical_token(token)
         except ParseError:
             token = ""
-        resolved.append(
-            builder.token_codes.setdefault(token, len(builder.token_codes)) if token else -1
-        )
-    return np.array(resolved, dtype=np.int32)[inverse]
+        codes[combo] = tokens.setdefault(token, len(tokens)) if token else -1
+    return np.array(list(map(codes.__getitem__, combos)), dtype=np.int32)
 
 
 def _jsonl_blocks(numbered):

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -25,7 +26,7 @@ from conftest import (
     with_item,
     with_model_tensor,
 )
-from ipembed.cli import _build_parser, run
+from ipembed.cli import _build_parser, _open_beside, run
 from ipembed.graphs import (
     ProtocolVocab,
     build_interval_graphs,
@@ -615,6 +616,38 @@ def test_failed_ingest_leaves_no_partial_out_file(workspace, tmp_path):
     assert run(argv) == 2
     assert out.read_text() == "kept\n"
     assert sorted(tmp_path.iterdir()) == [log, out]
+
+
+def test_out_keeps_an_existing_file_mode(workspace, tmp_path):
+    out = tmp_path / "flows.tsv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert run(["ingest", "--input", str(workspace["conn"]), "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text() == workspace["canon"].read_text()
+
+
+def test_out_writes_through_a_symlink(workspace, tmp_path):
+    real = tmp_path / "real.tsv"
+    real.write_text("old\n")
+    link = tmp_path / "flows.tsv"
+    link.symlink_to(real)
+    assert run(["ingest", "--input", str(workspace["conn"]), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_text() == workspace["canon"].read_text()
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+def test_out_to_a_device_is_written_in_place(workspace):
+    # Asked first, without writing: a temporary file that replaced the
+    # device would break every later user of it.
+    beside = _open_beside(os.devnull)
+    if beside is not None:
+        beside[0].close()
+        beside[1].unlink()
+    assert beside is None
+    assert run(["ingest", "--input", str(workspace["conn"]), "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
 
 
 def test_out_in_a_missing_directory_names_the_path(workspace, tmp_path, capsys):

@@ -32,6 +32,7 @@ from ipembed.graphs import (
     fit_protocol_vocab,
     fit_scaler,
     ip_sort_key,
+    iter_interval_graphs,
     load_graph,
     load_graph_dir,
     normalize,
@@ -176,11 +177,26 @@ def test_vocab_single_token():
     assert vocab.tokens == ("dns", "other")
 
 
+def test_vocab_of_records_skips_the_tokens_of_refused_rows():
+    records = [make_record(ts=10.0), make_record(ts=1300.0, protocol_service="http")]
+    buffer = io.StringIO()
+    write_canonical_tsv(records, buffer)
+    refused = buffer.getvalue().splitlines()[-1].replace("http", "ftp").replace("10.0.0.1", "x")
+    table, stats = read_conn_log(io.StringIO(buffer.getvalue() + refused + "\n"))
+    assert stats.skipped == 1 and "ftp" in table.tokens
+    vocab = fit_protocol_vocab(table)
+    assert vocab.tokens == ("dns", "http", "other")
+    assert vocab == fit_protocol_vocab(records) == fit_protocol_vocab(aggregate_flows(table, 600.0))
+    assert [idx for idx, _ in iter_interval_graphs(table, 600.0, vocab)] == [0, 2]
+
+
 def test_vocab_empty_input_rejected():
     with pytest.raises(ValueError):
         fit_protocol_vocab({})
     with pytest.raises(ValueError):
         fit_protocol_vocab({0: {}})
+    with pytest.raises(ValueError):
+        fit_protocol_vocab([])
 
 
 def test_vocab_requires_trailing_other():

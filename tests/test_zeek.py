@@ -944,6 +944,8 @@ def test_flow_table_is_a_read_only_sequence_of_records():
     changed = records[:2] + [dataclasses.replace(records[2], source_port=1)] + records[3:]
     assert table != changed
     assert table + records[:1] == records + records[:1]
+    assert records[:1] + table == records[:1] + records
+    assert isinstance(records[:1] + table, FlowTable) and table + table == records + records
     assert table.column("ts").dtype == np.float64
     assert table.ips == ("192.168.1.10", "8.8.8.8") and table.tokens == ("dns",)
     with pytest.raises(TypeError):
@@ -970,15 +972,17 @@ def test_table_keeps_under_a_third_of_a_record_list():
 
 
 def test_duplicate_column_falls_back_past_an_unset_last_cell():
-    # The row path decides such rows; the rest of their block comes out the
-    # same as from the column path.
+    # Such rows convert with their block: only the refused row goes through
+    # the row path.
     lines = [
         "#fields\t" + ZEEK_FIELDS + "\tsourceIP",
         zeek_row() + "\t-",
         zeek_row() + "\t10.9.9.9",
         zeek_row(resp_p="70000") + "\t-",
     ]
-    records, stats = read_conn_log(lines)
+    with mock.patch.object(zeek, "_record_from", wraps=zeek._record_from) as per_row:
+        records, stats = read_conn_log(lines)
+    assert per_row.call_count == 1
     assert [r.source_ip for r in records] == ["192.168.1.10", "10.9.9.9"]
     assert stats.reasons == {"out of range": 1}
     assert records == legacy_read_tsv(lines)[0]
