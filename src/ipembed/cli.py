@@ -65,7 +65,7 @@ from .training import (
     save_model,
     train,
 )
-from .zeek import FlowTable, parse_conn_log, read_conn_log, write_canonical_tsv
+from .zeek import parse_conn_log, read_conn_log, write_canonical_tsv
 
 __all__ = ["run", "main"]
 
@@ -230,7 +230,7 @@ def _cmd_build_graphs(args) -> int:
         if not kept:
             raise ValueError("no records left after holdout")
         held_out = f", held out {len(records) - len(kept)} records"
-        records = FlowTable.from_records(kept)
+        records = kept
     if args.vocab:
         vocab = _load_vocab(Path(args.vocab))
     else:

@@ -12,7 +12,8 @@ unseen IP embeds close to its own role and away from a contrast role.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import astuple, dataclass, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -29,7 +30,14 @@ from .graphs import (
 )
 from .serving import cosine_rows, infer_embeddings
 from .training import ModelBundle, filter_holdout
-from .zeek import ConnRecord, FlowTable
+from .zeek import (
+    NUMERIC_FEATURES,
+    ConnRecord,
+    FlowTable,
+    _canonical_ip,
+    _canonical_service,
+    _int_column,
+)
 
 __all__ = [
     "MAX_ROLE_MEMBERS",
@@ -97,18 +105,15 @@ class RoleSpec:
         return [f"{self.ip_prefix}{i + 1}" for i in range(self.members)]
 
 
-def _lognormal(rng: np.random.Generator, mean: float, sigma: float) -> int:
-    """Integer draw from a log-normal with the requested arithmetic mean."""
-    mu = math.log(mean) - 0.5 * sigma * sigma
-    return max(0, int(round(rng.lognormal(mu, sigma))))
+def generate(roles: Sequence[RoleSpec], duration: float, seed: int) -> FlowTable:
+    """Produce a deterministic flow table over [0, duration), sorted by
+    time, then source, destination and service (stably).
 
-
-def generate(
-    roles: Sequence[RoleSpec], duration: float, seed: int
-) -> list[ConnRecord]:
-    """Produce a deterministic, time-sorted flow stream over [0, duration).
-
-    Needs at least two roles; a role with zero members is an error.
+    Needs at least two roles; a role with zero members is an error. Each
+    member IP and service is canonicalized at its first flow, source before
+    destination before service, so a spec that a :class:`ConnRecord` would
+    refuse raises that record's :class:`ParseError`; a role that no flow
+    touches is never checked. No record is built per flow.
     """
     if len(roles) < 2:
         raise ValueError("need at least 2 roles")
@@ -123,46 +128,136 @@ def generate(
         raise ValueError(f"duration must be finite and positive, got {duration}")
 
     rng = np.random.default_rng(seed)
-    records: list[ConnRecord] = []
+    exponential, integers, lognormal = rng.exponential, rng.integers, rng.lognormal
+    ips: dict[str, int] = {}  # canonical IP -> code
+    tokens: dict[str, int] = {}  # canonical token -> code
+    ip_codes: dict[str, int] = {}  # member IP as the role writes it -> code
+    token_codes: dict[str, int] = {}  # service as the profile writes it -> code
+
+    def ip_code(name: str, ip: str) -> int:
+        if ip not in ip_codes:
+            ip_codes[ip] = ips.setdefault(_canonical_ip(name, ip), len(ips))
+        return ip_codes[ip]
+
+    def token_code(service: str) -> int:
+        if service not in token_codes:
+            token = _canonical_service(service)
+            token_codes[service] = tokens.setdefault(token, len(tokens))
+        return token_codes[service]
+
+    # Per flow, in draw order: destination, the four log-normal counts,
+    # source port, duration; per run of one source and profile: its source,
+    # service and destination port codes and its length.
+    ts_col = array("d")
+    destinations: list[str] = []
+    counts = array("d")
+    source_ports = array("q")
+    durations = array("d")
+    runs: list[tuple[int, int, int, int]] = []
     for role in roles:
+        params = [
+            [(math.log(mean) - 0.5 * sigma * sigma, sigma) for mean, sigma in (
+                profile.request_bytes, profile.response_bytes,
+                profile.request_packets, profile.response_packets,
+            )]
+            for profile in role.profiles
+        ]
         for source in members[role.name]:
-            for profile in role.profiles:
+            for profile, lognormals in zip(role.profiles, params):
                 peers = members.get(profile.peer_role)
                 if not peers:
                     raise ValueError(f"unknown peer role {profile.peer_role!r}")
+                (mu0, s0), (mu1, s1), (mu2, s2), (mu3, s3) = lognormals
+                n_peers = len(peers)
                 scale = 60.0 / profile.flows_per_min
-                ts = rng.exponential(scale)
+                mean_duration = profile.mean_duration
+                first = len(ts_col)
+                ts = exponential(scale)
                 while ts < duration:
-                    destination = peers[int(rng.integers(0, len(peers)))]
-                    req_b = _lognormal(rng, *profile.request_bytes)
-                    resp_b = _lognormal(rng, *profile.response_bytes)
-                    req_p = max(1, _lognormal(rng, *profile.request_packets))
-                    resp_p = max(1, _lognormal(rng, *profile.response_packets))
-                    records.append(
-                        ConnRecord(
-                            ts=float(ts),
-                            source_ip=source,
-                            destination_ip=destination,
-                            source_port=int(rng.integers(1024, 65536)),
-                            destination_port=_WELL_KNOWN_PORTS.get(
-                                profile.service, 80
-                            ),
-                            protocol_service=profile.service,
-                            duration=float(rng.exponential(profile.mean_duration)),
-                            request_bytes=req_b,
-                            response_bytes=resp_b,
-                            bytes=req_b + resp_b,
-                            request_packets=req_p,
-                            response_packets=resp_p,
-                            request_ip_bytes=req_b + 28 * req_p,
-                            response_ip_bytes=resp_b + 28 * resp_p,
-                        )
-                    )
-                    ts += rng.exponential(scale)
-    records.sort(
-        key=lambda r: (r.ts, r.source_ip, r.destination_ip, r.protocol_service)
-    )
-    return records
+                    ts_col.append(ts)
+                    destinations.append(peers[integers(0, n_peers)])
+                    counts.append(lognormal(mu0, s0))
+                    counts.append(lognormal(mu1, s1))
+                    counts.append(lognormal(mu2, s2))
+                    counts.append(lognormal(mu3, s3))
+                    source_ports.append(integers(1024, 65536))
+                    durations.append(exponential(mean_duration))
+                    ts += exponential(scale)
+                if len(ts_col) > first:
+                    src = ip_code("source_ip", source)
+                    ip_code("destination_ip", destinations[first])
+                    token = token_code(profile.service)
+                    for peer in dict.fromkeys(destinations[first:]):
+                        ip_code("destination_ip", peer)
+                    port = _WELL_KNOWN_PORTS.get(profile.service, 80)
+                    runs.append((src, token, port, len(ts_col) - first))
+
+    src, token, port, lengths = np.array(runs, dtype=np.int64).reshape(-1, 4).T
+    columns = {
+        "ts": np.array(ts_col, dtype=np.float64),
+        "source_ip": np.repeat(src, lengths).astype(np.int32),
+        "destination_ip": np.fromiter(
+            map(ip_codes.__getitem__, destinations), np.int32, len(destinations)
+        ),
+        "source_port": np.array(source_ports, dtype=np.int32),
+        "destination_port": np.repeat(port, lengths).astype(np.int32),
+        "protocol_service": np.repeat(token, lengths).astype(np.int32),
+        "duration": np.array(durations, dtype=np.float64),
+        **_counters(counts),
+    }
+    table = FlowTable(ips, tokens, columns)
+    _check_numbers(table)
+    order = np.lexsort((
+        _ranks(table.tokens)[table.column("protocol_service")],
+        _ranks(table.ips)[table.column("destination_ip")],
+        _ranks(table.ips)[table.column("source_ip")],
+        table.column("ts"),
+    ))
+    return table[order]
+
+
+def _counters(draws: Sequence[float]) -> dict[str, np.ndarray]:
+    """The counter columns of the flows' log-normal draws, four per flow
+    (request and response bytes, then packets): each rounded half to even
+    as ``round`` does, packets at least one, IP bytes adding 28 per packet."""
+    drawn = np.rint(np.array(draws, dtype=np.float64).reshape(-1, 4))
+    np.maximum(drawn[:, 2:], 1.0, out=drawn[:, 2:])
+    if drawn.max(initial=0.0) < 2**58:  # 28 * packets + bytes stays in int64
+        whole = drawn.astype(np.int64)
+    else:
+        whole = np.frompyfunc(int, 1, 1)(drawn)
+    req_b, resp_b, req_p, resp_p = whole.T
+    columns = {
+        "request_bytes": req_b,
+        "response_bytes": resp_b,
+        "bytes": req_b + resp_b,
+        "request_packets": req_p,
+        "response_packets": resp_p,
+        "request_ip_bytes": req_b + 28 * req_p,
+        "response_ip_bytes": resp_b + 28 * resp_p,
+    }
+    return {attr: _int_column(c.tolist()) if c.dtype == object else c for attr, c in columns.items()}
+
+
+def _check_numbers(table: FlowTable) -> None:
+    """Refuse the first row whose numbers a :class:`ConnRecord` would
+    refuse, with that record's error; the columns are checked whole."""
+    column = table.column
+    bad = ~np.isfinite(column("ts")) | ~np.isfinite(column("duration"))
+    for attr in ("source_port", "destination_port"):
+        bad |= column(attr) > 65535
+    for attr in ("source_port", "destination_port", *NUMERIC_FEATURES):
+        bad |= column(attr) < 0
+    if bad.any():
+        ConnRecord(*astuple(table[int(bad.argmax())]))
+
+
+def _ranks(strings: Sequence[str]) -> np.ndarray:
+    """Each string's position in the sorted order of ``strings``."""
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    ranks = np.empty(len(strings), dtype=np.int64)
+    ranks[order] = np.arange(len(strings))
+    return ranks
 
 
 _WELL_KNOWN_PORTS = {"dns": 53, "http": 80, "ssl": 443, "ntp": 123, "ssh": 22}
@@ -185,42 +280,52 @@ _ZEEK_FIELDS = (
     "resp_pkts",
     "resp_ip_bytes",
 )
+# One row of _ZEEK_FIELDS: floats in repr so reparsing restores them exactly,
+# the uid from the row number, conn_state always SF.
+_ZEEK_ROW = "%r\tC%012d\t%s\t%d\t%s\t%d\t%s\t%s\t%r\t%d\t%d\tSF\t%d\t%d\t%d\t%d\n"
+_BLOCK_ROWS = 2048  # rows converted to text per write
 
 
 def write_zeek_tsv(
     records: Sequence[ConnRecord], fp: IO[str], transports: dict[str, str] | None = None
 ) -> int:
     """Emit records as a Zeek-style conn.log TSV so the whole ingest path
-    gets exercised end to end. Returns the row count."""
+    gets exercised end to end. Returns the row count.
+
+    A :class:`FlowTable` is written from its columns, a block of rows at a
+    time; other records are converted to one first."""
+    table = FlowTable.from_records(records)
     transports = transports or {}
+    protos = [transports.get(token, "tcp") for token in table.tokens]
     fp.write("#separator \\x09\n")
     fp.write("#set_separator\t,\n")
     fp.write("#empty_field\t(empty)\n")
     fp.write("#unset_field\t-\n")
     fp.write("#path\tconn\n")
     fp.write("#fields\t" + "\t".join(_ZEEK_FIELDS) + "\n")
-    for i, r in enumerate(records):
-        proto = transports.get(r.protocol_service, "tcp")
-        cells = (
-            repr(r.ts),
-            f"C{i:012d}",
-            r.source_ip,
-            str(r.source_port),
-            r.destination_ip,
-            str(r.destination_port),
-            proto,
-            r.protocol_service,
-            repr(r.duration),
-            str(r.request_bytes),
-            str(r.response_bytes),
-            "SF",
-            str(r.request_packets),
-            str(r.request_ip_bytes),
-            str(r.response_packets),
-            str(r.response_ip_bytes),
+    ips, tokens = table.ips, table.tokens
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        c = {f.name: block.column(f.name).tolist() for f in fields(ConnRecord)}
+        rows = zip(
+            c["ts"],
+            range(start, start + len(block)),
+            map(ips.__getitem__, c["source_ip"]),
+            c["source_port"],
+            map(ips.__getitem__, c["destination_ip"]),
+            c["destination_port"],
+            map(protos.__getitem__, c["protocol_service"]),
+            map(tokens.__getitem__, c["protocol_service"]),
+            c["duration"],
+            c["request_bytes"],
+            c["response_bytes"],
+            c["request_packets"],
+            c["request_ip_bytes"],
+            c["response_packets"],
+            c["response_ip_bytes"],
         )
-        fp.write("\t".join(cells) + "\n")
-    return len(records)
+        fp.write("".join(_ZEEK_ROW % row for row in rows))
+    return len(table)
 
 
 def default_roles(
@@ -285,7 +390,7 @@ class ExperimentData:
     out_role_ips: tuple[str, ...]  # contrast role
     vocab: ProtocolVocab
     scaler: FeatureScaler
-    records: list[ConnRecord]
+    records: FlowTable  # every generated flow, time-sorted
     split_ts: float
 
 
@@ -321,8 +426,8 @@ def make_experiment(
     n_intervals = max(1, int(math.floor(duration / interval_len)))
     split_idx = min(n_intervals - 1, max(1, int(math.floor(n_intervals * train_fraction))))
     split_ts = split_idx * interval_len
-    train_records = [r for r in records if r.ts < split_ts]
-    test_records = [r for r in records if r.ts >= split_ts]
+    cut = int(np.searchsorted(records.column("ts"), split_ts))  # first row at split_ts
+    train_records, test_records = records[:cut], records[cut:]
     if not train_records or not test_records:
         raise ValueError("time split produced an empty window")
 
@@ -336,7 +441,7 @@ def make_experiment(
     in_role_ips = tuple(ip for ip in pool if ip not in holdout_ips)
     out_role_ips = tuple(by_name[contrast_role].ips())
 
-    filtered = FlowTable.from_records(filter_holdout(train_records, holdout_ips))
+    filtered = filter_holdout(train_records, holdout_ips)
     vocab = fit_protocol_vocab(filtered)
     train_graphs = build_interval_graphs(filtered, interval_len, vocab, origin=0.0)
     scaler = fit_scaler(train_graphs)

@@ -82,6 +82,15 @@ def _canonical_token(text: str) -> str:
     raise ParseError(f"bad protocol_service: {text!r}", reason="bad token")
 
 
+def _canonical_service(value) -> str:
+    """A record's ``protocol_service``: its canonical token, which must not
+    be empty."""
+    token = _canonical_token(value)
+    if not token:
+        raise ParseError("empty protocol_service", reason="missing field")
+    return token
+
+
 def _canonical_ip(name: str, value) -> str:
     # Only exact strings go through the memo: 1, True and 1.0 hash alike,
     # so a cached int could otherwise vouch for a float.
@@ -175,9 +184,7 @@ class ConnRecord:
             raise ParseError(
                 f"duration={duration!r} is negative", reason="out of range"
             )
-        token = _canonical_token(protocol_service)
-        if not token:
-            raise ParseError("empty protocol_service", reason="missing field")
+        token = _canonical_service(protocol_service)
         _fill(
             self, ts, source_ip, destination_ip, source_port, destination_port, token,
             duration, request_bytes, response_bytes, bytes, request_packets,
@@ -318,10 +325,13 @@ class FlowTable(Sequence):
     slice left out, or of a refused row). Treat the columns as read-only.
 
     The table is a read-only ``Sequence[ConnRecord]``: an index builds that
-    row's record, a slice is a table, iteration builds records a block at a
-    time, and ``==`` compares row by row with any sequence of records. ``+``
-    with a sequence of records on either side returns a new table of both
-    operands' records in order. It is no list: ``list(table)`` gives one.
+    row's record; a slice, a boolean mask or an array of row indices is a
+    table; iteration builds records a block at a time. ``==`` compares row
+    by row with any sequence of records, and with another table column by
+    column, each reading its strings through its own tuples; either way it
+    equals ``list(a) == list(b)``. ``+`` with a sequence of records on either
+    side returns a new table of both operands' records in order. It is no
+    list: ``list(table)`` gives one.
     """
 
     __hash__ = None
@@ -384,7 +394,7 @@ class FlowTable(Sequence):
         return len(self._columns["ts"])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return FlowTable(
                 self.ips, self.tokens, {a: c[index] for a, c in self._columns.items()}
             )
@@ -408,7 +418,21 @@ class FlowTable(Sequence):
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        if len(self) != len(other):
+            return False
+        if not isinstance(other, FlowTable):
+            return all(map(eq, self, other))
+        # Each code of this table's strings as a code of the other's, or -1.
+        ips = _recode(self.ips, other.ips)
+        tokens = _recode(self.tokens, other.tokens)
+        for attr, column in self._columns.items():
+            if attr in _IP_FIELDS:
+                column = ips[column]
+            elif attr == "protocol_service":
+                column = tokens[column]
+            if not np.all(column == other._columns[attr]):
+                return False
+        return True
 
     def __add__(self, other):
         if not isinstance(other, Sequence):
@@ -489,6 +513,12 @@ def _codes(values, codes: dict) -> np.ndarray:
     for value in dict.fromkeys(values):
         codes.setdefault(value, len(codes))
     return np.array(list(map(codes.__getitem__, values)), dtype=np.int32)
+
+
+def _recode(strings: tuple, into: tuple) -> np.ndarray:
+    """Each of ``strings``' code in ``into``, or -1 where it has none."""
+    codes = {value: i for i, value in enumerate(into)}
+    return np.array([codes.get(value, -1) for value in strings], dtype=np.int64)
 
 
 def _int_column(values: list) -> np.ndarray:

@@ -2,6 +2,7 @@
 output tables, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -350,6 +351,22 @@ def test_build_graphs_holdout_leaves_no_trace(workspace, tmp_path, capsys):
     assert paths
     for path in paths:
         assert "10.0.1.1" not in load_graph(path).nodes
+
+
+def test_build_graphs_holdout_output_is_pinned(workspace, tmp_path, capsys):
+    # Digest and summary taken when the holdout filter returned a record
+    # list that build-graphs converted back into a table.
+    held = tmp_path / "held"
+    assert run(["build-graphs", "--input", str(workspace["conn"]), "--interval", "600",
+                "--holdout", "10.0.1.1,10.0.2.2", "--out", str(held)]) == 0
+    err = capsys.readouterr().err
+    assert "4 graphs from 774 records (skipped 0, held out 402 records)" in err
+    digest = hashlib.sha256()
+    for path in sorted(held.iterdir()):
+        digest.update(path.name.encode() + path.read_bytes())
+    assert digest.hexdigest() == (
+        "615d02443ff4d459ebf69094c2f9596b79952747a15e6224091fc280087867d4"
+    )
 
 
 def test_model_config_larger_than_its_file_is_data_error(workspace, tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Synthetic traffic generator and the inductive holdout experiment
 harness."""
 
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
 from conftest import assert_graphs_equal
-from ipembed.graphs import build_interval_graphs, fit_scaler, normalize
+from ipembed.graphs import build_interval_graphs, fit_scaler, normalize, save_graph
 from ipembed.model import ModelConfig
 from ipembed.synth import (
     DEFAULT_TRANSPORTS,
@@ -20,7 +22,7 @@ from ipembed.synth import (
     write_zeek_tsv,
 )
 from ipembed.training import TrainConfig, filter_holdout, train
-from ipembed.zeek import parse_conn_log
+from ipembed.zeek import ParseError, parse_conn_log, write_canonical_tsv
 
 
 def simple_profile(peer, service="dns", fpm=6.0, req=(200.0, 0.4)):
@@ -115,6 +117,49 @@ def test_generate_input_validation():
     ]
     with pytest.raises(ValueError):
         generate(bad_peer, 600.0, seed=0)
+
+
+def test_role_specs_canonicalize_or_refuse_as_records_do():
+    # Each member IP and service is read as a ConnRecord reads it, at its
+    # first flow: source before destination before service.
+    talker, listener = two_roles()
+    v6 = RoleSpec(name="talker", members=3, ip_prefix="FE80::",
+                  profiles=(simple_profile("listener", service="DNS"),))
+    table = generate([v6, listener], 600.0, seed=0)
+    assert {r.source_ip for r in table} == {"fe80::1", "fe80::2", "fe80::3"}
+    assert {r.protocol_service for r in table} == {"dns"}
+    bad_source = RoleSpec(name="talker", members=2, ip_prefix="10.0.00.",
+                          profiles=talker.profiles)
+    with pytest.raises(ParseError, match=r"^bad source_ip: '10\.0\.00\.1'$"):
+        generate([bad_source, listener], 600.0, seed=0)
+    empty = RoleSpec(name="talker", members=2, ip_prefix="10.5.0.",
+                     profiles=(simple_profile("listener", service="(empty)"),))
+    with pytest.raises(ParseError, match=r"^bad protocol_service: '\(empty\)'$"):
+        generate([empty, listener], 600.0, seed=0)
+    untouched = RoleSpec(name="idle", members=2, ip_prefix="10.0.00.")
+    assert generate([talker, listener, untouched], 600.0, seed=0) == generate(
+        [talker, listener], 600.0, seed=0
+    )
+
+
+def test_generated_bytes_are_pinned(experiment, tmp_path):
+    # Digests taken before the generator drew into columns: any change to
+    # the draw order, the checks or the sort shows here.
+    buf = io.StringIO()
+    write_canonical_tsv(generate(default_roles(8, 2, 2), 1800.0, seed=0), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "2c1b9c8fdfb51c81526ae7824534ae17bbb9068bf7575f47b3ce7fcbffa7490a"
+    )
+    digest = hashlib.sha256()
+    for i, graph in enumerate(experiment.train_graphs + experiment.test_graphs):
+        save_graph(graph, tmp_path / f"{i}.ipgr")
+        digest.update((tmp_path / f"{i}.ipgr").read_bytes())
+        digest.update(graph.features.tobytes())
+    digest.update(json.dumps(experiment.vocab.tokens).encode())
+    digest.update(experiment.scaler.log_max.tobytes())
+    assert digest.hexdigest() == (
+        "1050419b355fdd5adb7e79aaded4caefb5241daef04bd8e64f155d7c913d9737"
+    )
 
 
 def test_flow_profile_validation():

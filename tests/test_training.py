@@ -51,6 +51,7 @@ from ipembed.training import (
     save_model,
     train,
 )
+from ipembed.zeek import FlowTable
 
 VOCAB = ProtocolVocab(("dns", "http", "other"))
 # The width of a graph built with VOCAB: its one-hot block and numeric blocks.
@@ -98,7 +99,7 @@ def test_filter_holdout_removes_touching_records():
         make_record(source_ip="192.168.2.15", destination_ip="192.168.2.16"),
     ]
     kept = filter_holdout(records, {"192.168.2.19"})
-    assert kept == [records[2]]
+    assert isinstance(kept, FlowTable) and kept == [records[2]]
 
 
 def test_filter_holdout_identity_and_empty():

@@ -952,6 +952,47 @@ def test_flow_table_is_a_read_only_sequence_of_records():
         hash(table)
 
 
+def test_table_equality_reads_columns_as_record_lists_compare():
+    # Table against table compares columns, each reading its IPs and tokens
+    # through its own string tuples, and builds no record; every outcome is
+    # that of comparing the two record lists.
+    rows = [
+        make_record(ts=1.0, source_ip="10.0.0.1", destination_ip="10.0.0.2"),
+        make_record(ts=2.0, source_ip="10.0.0.3", destination_ip="10.0.0.1",
+                    protocol_service="http", duration=-0.0),
+        make_record(ts=3.0, source_ip="2001:db8::1", destination_ip="10.0.0.2",
+                    protocol_service="ssl", request_bytes=2**70, bytes=2**70 + 120),
+    ]
+    table = FlowTable.from_records(rows)
+    # The same rows under reordered string tables: the last row's strings
+    # are coded first, and the prefix row is sliced away again.
+    reordered = FlowTable.from_records(rows[::-1] + rows)[3:]
+    assert reordered.ips != table.ips and reordered.tokens != table.tokens
+    others = [
+        reordered,
+        FlowTable.from_records(rows[:1] + [dataclasses.replace(rows[1], duration=0.0)] + rows[2:]),
+        FlowTable.from_records(rows[:2] + [dataclasses.replace(rows[2], request_bytes=2**70 + 1)]),
+        FlowTable.from_records(rows[:2] + [dataclasses.replace(rows[2], request_bytes=60)]),
+        FlowTable.from_records(rows[:2]),
+        FlowTable.from_records(rows + rows[:1]),
+        FlowTable.from_records([]),
+    ]
+    for attr, value in (
+        ("ts", 9.0), ("source_ip", "10.0.0.9"), ("destination_ip", "10.0.0.3"),
+        ("source_port", 1), ("destination_port", 80), ("protocol_service", "ntp"),
+        ("duration", 0.5), *((name, 7) for name in NUMERIC_FEATURES if name != "duration"),
+    ):
+        changed = list(rows)
+        changed[1] = dataclasses.replace(rows[1], **{attr: value})
+        others.append(FlowTable.from_records(changed))
+    want = [list(table) == list(other) for other in others]
+    assert want[:3] == [True, True, False] and not any(want[3:])
+    with mock.patch.object(FlowTable, "__iter__", side_effect=AssertionError("built records")):
+        assert [table == other for other in others] == want
+        assert [other == table for other in others] == want
+        assert FlowTable.from_records([]) == FlowTable.from_records([])
+
+
 def test_table_keeps_under_a_third_of_a_record_list():
     records = generate(default_roles(8, 2, 2), 1800.0, seed=0)
     buffer = io.StringIO()
