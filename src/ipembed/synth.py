@@ -72,10 +72,10 @@ class FlowProfile:
     mean_duration: float
 
     def __post_init__(self):
-        if self.flows_per_min <= 0:
-            raise ValueError("flows_per_min must be positive")
-        if self.mean_duration < 0:
-            raise ValueError("mean_duration must be non-negative")
+        if not (math.isfinite(self.flows_per_min) and self.flows_per_min > 0):
+            raise ValueError("flows_per_min must be finite and positive")
+        if not (math.isfinite(self.mean_duration) and self.mean_duration >= 0):
+            raise ValueError("mean_duration must be finite and non-negative")
 
 
 MAX_ROLE_MEMBERS = 255  # host numbers 1..255 under one three-octet prefix

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import time
@@ -220,6 +221,33 @@ def filter_holdout(
     return table[~(hit[table.column("source_ip")] | hit[table.column("destination_ip")])]
 
 
+# glibc's mallopt parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory a training step frees mapped for the next step.
+
+    Each step frees and allocates about the same arrays again. With glibc's
+    defaults the heap top is trimmed after a step and arrays past the
+    dynamic mmap threshold are unmapped, so the kernel zero-fills their
+    pages again on every step. The trim threshold goes as high as
+    ``mallopt`` takes and the mmap threshold to 32 MiB, glibc's 64-bit
+    maximum: the trim threshold alone would pin the mmap threshold at
+    128 KiB, below a desk (E, 64) float32 array. The declared ``int``
+    arguments keep ctypes from truncating them. Does nothing where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+
+
 def _step(
     params: ModelParams,
     config: ModelConfig,
@@ -273,10 +301,14 @@ def train(
     the forward code or a vjp holds it, so a step's peak is the arrays its
     vjps read plus the gradients not yet propagated. A step keeps only its
     three loss values, so its vjps and gradients are freed before the next
-    step's forward begins.
+    step's forward begins. Glibc's trim and mmap thresholds are raised for
+    the rest of the process (see ``_keep_freed_memory``), so the memory a
+    step frees stays mapped for the next step instead of being handed back
+    and faulted in again: the heap stays at its peak instead of shrinking.
     """
     if not graphs:
         raise ValueError("no training graphs")
+    _keep_freed_memory()
     tensors = [GraphTensors.from_graph(g, np.float32) for g in graphs]
 
     params = init_params(model_config, seed=train_config.seed)

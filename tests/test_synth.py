@@ -4,6 +4,7 @@ harness."""
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -163,15 +164,19 @@ def test_generated_bytes_are_pinned(experiment, tmp_path):
 
 
 def test_flow_profile_validation():
-    with pytest.raises(ValueError):
-        simple_profile("x", fpm=0.0)
-    with pytest.raises(ValueError):
-        FlowProfile(
-            service="dns", peer_role="x", flows_per_min=1.0,
-            request_bytes=(1.0, 0.1), response_bytes=(1.0, 0.1),
-            request_packets=(1.0, 0.1), response_packets=(1.0, 0.1),
-            mean_duration=-1.0,
-        )
+    # An infinite rate would make generate draw inter-arrival gaps of 0
+    # forever; a NaN rate would silently draw no flows.
+    for fpm in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="flows_per_min"):
+            simple_profile("x", fpm=fpm)
+    for mean_duration in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mean_duration"):
+            FlowProfile(
+                service="dns", peer_role="x", flows_per_min=1.0,
+                request_bytes=(1.0, 0.1), response_bytes=(1.0, 0.1),
+                request_packets=(1.0, 0.1), response_packets=(1.0, 0.1),
+                mean_duration=mean_duration,
+            )
 
 
 def test_default_roles_shape():

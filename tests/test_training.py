@@ -3,6 +3,10 @@ file round trip."""
 
 import importlib.util
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ipembed
 import ipembed.autodiff as ad
 import ipembed.model as model
 import ipembed.training as training
@@ -323,6 +328,45 @@ def test_training_step_peak_memory_is_a_few_dozen_edge_arrays(wide_experiment):
     finally:
         tracemalloc.stop()
     assert peak < 35 * unit
+
+
+_FAULTS_PER_STEP = """
+import resource
+from ipembed.model import ModelConfig, edge_dim_for_vocab
+from ipembed.synth import default_roles, make_experiment
+from ipembed.training import TrainConfig, train
+
+exp = make_experiment(default_roles(32, 4, 6), seed=3)
+config = ModelConfig(edge_dim=edge_dim_for_vocab(exp.vocab.size))
+train(exp.train_graphs, config, TrainConfig(epochs=2, seed=3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_, history = train(exp.train_graphs, config, TrainConfig(epochs=4, seed=3, patience=4))
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / (len(history) * len(exp.train_graphs)))
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the fault budget rests on glibc's malloc thresholds",
+)
+def test_training_steps_reuse_freed_memory_without_page_faults():
+    """A desk training step frees and allocates about 2.6 MB again. Once a
+    warm-up run has grown the heap, a step takes about 3 minor page faults.
+    With glibc's default thresholds, the heap top is trimmed after each step
+    and faulted in again on the next, about 670 faults per step. Run in a
+    fresh process, with one BLAS thread, so no other test's allocations
+    count."""
+    src = str(Path(ipembed.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_STEP],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert float(proc.stdout) < 100
 
 
 def test_zero_learning_rate_leaves_params_bitwise(rng):
